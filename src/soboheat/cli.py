@@ -23,7 +23,7 @@ if os.environ.get("MP_THREADS"):
 import numpy as np
 
 from . import admissible, covering, exponents, heatflow, norms
-from .geometry import DomainError, make_chart
+from .geometry import CapabilityError, DomainError, make_chart
 
 SCHEMA_VERSION = 1
 
@@ -105,7 +105,10 @@ def _parse_grid(text, n):
         parts = parts * n
     if len(parts) != n:
         raise ConfigError(f"grid spec {text!r} does not match dimension {n}")
-    return [int(p) for p in parts]
+    counts = [int(p) for p in parts]
+    if min(counts) < 1:
+        raise ConfigError(f"grid spec {text!r} needs at least 1 point per axis")
+    return counts
 
 
 def _parse_box(text, n):
@@ -251,17 +254,14 @@ def cmd_solve(cfg) -> int:
     per_axis = _parse_grid(_get(cfg, "grid", "33x33"), chart.n)
     grid = norms.Grid.over_box(chart, box, per_axis)
     forcing = _forcing_from_config(cfg, chart, box)
-    try:
-        prob = heatflow.ParabolicProblem(
-            grid,
-            forcing,
-            horizon=_get(cfg, "T", 0.3, cast=float),
-            margin=_get(cfg, "alpha", 0.1, cast=float),
-            dt=_get(cfg, "dt", 0.01, cast=float),
-            kind=_get(cfg, "kind", "scalar"),
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc))
+    prob = heatflow.ParabolicProblem(
+        grid,
+        forcing,
+        horizon=_get(cfg, "T", 0.3, cast=float),
+        margin=_get(cfg, "alpha", 0.1, cast=float),
+        dt=_get(cfg, "dt", 0.01, cast=float),
+        kind=_get(cfg, "kind", "scalar"),
+    )
     sol = heatflow.solve_parabolic(prob)
     contraction = heatflow.check_threshold_contraction(sol)
     out = _outdir(cfg)
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load_config(args)
         return args.func(cfg)
-    except (ConfigError, DomainError, ValueError) as exc:
+    except (ConfigError, DomainError, CapabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

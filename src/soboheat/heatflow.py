@@ -5,9 +5,10 @@ divergence form, assembled as a stiffness matrix K with half-node
 metric coefficients so that u^T K v approximates the Dirichlet energy
 integral f^(n/2-1) grad u . grad v dx (conformal metric f delta).  With
 the lumped mass matrix W of quadrature weights, each implicit Euler step
-solves the SPD system (W + dt K) u+ = W (u + dt forcing) by conjugate
-gradients.  Homogeneous Dirichlet data is imposed by restriction to
-interior nodes; fully periodic grids need no boundary handling.
+solves the SPD system (W + dt K) u+ = W (u + dt forcing), which is
+factored once per solve (sparse LU); every step's residual is checked.
+Homogeneous Dirichlet data is imposed by restriction to interior nodes;
+fully periodic grids need no boundary handling.
 
 One-forms (2-D, fully periodic grids only) use a discrete-exterior-
 calculus Hodge Laplacian d delta + delta d with diagonal Hodge stars on
@@ -16,18 +17,17 @@ the staggered edge grid.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
+from scipy.sparse.linalg import splu
 
-from .geometry import CapabilityError, DomainError, MetricChart, NumericalError
+from .geometry import CapabilityError, DomainError, NumericalError
 from .norms import DiscreteField, Grid, NormRequest, sobolev_norm
 
-# re-exported: the injectivity-radius calculator lives with the metric code
-from .geometry import cgt_injectivity_lower_bound  # noqa: F401
+# relative residual ||A x - b|| / ||b|| a step may leave
+STEP_RTOL = 1e-10
 
 
 def _flat_index(shape):
@@ -103,12 +103,21 @@ class ParabolicProblem:
     def __post_init__(self):
         if self.dt <= 0 or self.horizon <= 0 or self.margin < 0:
             raise DomainError("need dt > 0, horizon > 0, margin >= 0")
+        ratio = (self.horizon + self.margin) / self.dt
+        if abs(ratio - round(ratio)) > 1e-9 * ratio:
+            raise DomainError(
+                f"(horizon + margin)/dt = {ratio:.12g} is not a whole number of steps"
+            )
         if self.kind == "one-form":
             chart = self.grid.chart
             if chart.n != 2 or not all(chart.periodic):
                 raise CapabilityError("one-form problems need a fully periodic 2-D grid")
         elif self.kind != "scalar":
             raise DomainError(f"unknown problem kind {self.kind!r}")
+
+    @property
+    def steps(self) -> int:
+        return int(round((self.horizon + self.margin) / self.dt))
 
 
 @dataclass
@@ -118,19 +127,45 @@ class ParabolicSolution:
     u: DiscreteField
     dt_u: DiscreteField
     forcing_values: np.ndarray
-    iterations: list = dc_field(default_factory=list)
+    residuals: np.ndarray  # per step, ||A x - b|| / ||b||
 
     def forcing_field(self) -> DiscreteField:
         return DiscreteField(self.problem.grid, self.forcing_values,
                              self.u.kind, self.times)
 
 
-def _cg_solve(A, b, x0, wdiag):
-    M = sp.diags(1.0 / A.diagonal())
-    x, info = cg(A, b, x0=x0, rtol=1e-10, atol=0.0, maxiter=10 * len(b), M=M)
-    if info != 0:
-        raise NumericalError(f"conjugate gradients failed to converge (info={info})")
-    return x
+def _implicit_euler(A, mass, omegas, dt):
+    """States x_0 = 0, ..., x_steps of A x_(j+1) = mass (x_j + dt omega_j)
+    with the step-averaged forcing omega_j = (omegas[j] + omegas[j+1]) / 2;
+    A = diag(mass) + dt (stiffness) is factored once.  Returns the states
+    and each step's relative residual; raises NumericalError when one
+    exceeds STEP_RTOL."""
+    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    steps = len(omegas) - 1
+    x = np.zeros((steps + 1, A.shape[0]))
+    residuals = np.zeros(steps)
+    for j in range(steps):
+        # step-averaged forcing: the discrete L2 bound then telescopes to
+        # exactly the trapezoid time integral of the forcing norm
+        b = mass * (x[j] + dt * (0.5 * (omegas[j] + omegas[j + 1])))
+        x[j + 1] = lu.solve(b)
+        res = np.linalg.norm(A @ x[j + 1] - b)
+        bnorm = np.linalg.norm(b)
+        if res > STEP_RTOL * bnorm:
+            raise NumericalError(
+                f"implicit Euler step {j + 1}: residual {res:.3g} exceeds "
+                f"{STEP_RTOL:g} x ||b|| = {STEP_RTOL * bnorm:.3g}"
+            )
+        if bnorm > 0:
+            residuals[j] = res / bnorm
+    return x, residuals
+
+
+def _time_derivative(u, dt):
+    dtu = np.zeros_like(u)
+    dtu[1:] = (u[1:] - u[:-1]) / dt
+    dtu[0] = dtu[1]
+    return dtu
 
 
 def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
@@ -143,33 +178,21 @@ def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
     Ki = K[inner][:, inner]
     Wi = W[inner]
     A = sp.diags(Wi) + problem.dt * Ki
-    steps = int(round((problem.horizon + problem.margin) / problem.dt))
-    times = problem.dt * np.arange(steps + 1)
-    pts = grid.points
-    u = np.zeros((steps + 1,) + grid.shape)
-    omegas = np.stack([np.asarray(problem.forcing(t, pts), dtype=float) for t in times])
-    iters = []
-    ui = np.zeros(int(inner.sum()))
-    for j in range(steps):
-        # step-averaged forcing: the discrete L2 bound then telescopes to
-        # exactly the trapezoid time integral of the forcing norm
-        om = 0.5 * (omegas[j] + omegas[j + 1]).ravel()[inner]
-        rhs = Wi * (ui + problem.dt * om)
-        ui = _cg_solve(A, rhs, ui, Wi)
-        frame = np.zeros(inner.shape)
-        frame[inner] = ui
-        u[j + 1] = frame.reshape(grid.shape)
-        iters.append(j)
-    dtu = np.zeros_like(u)
-    dtu[1:] = (u[1:] - u[:-1]) / problem.dt
-    dtu[0] = dtu[1]
+    times = problem.dt * np.arange(problem.steps + 1)
+    omegas = np.stack([np.asarray(problem.forcing(t, grid.points), dtype=float)
+                       for t in times])
+    xi, residuals = _implicit_euler(A, Wi, omegas.reshape(len(times), -1)[:, inner],
+                                    problem.dt)
+    u = np.zeros((len(times), inner.size))
+    u[:, inner] = xi
+    u = u.reshape(omegas.shape)
     return ParabolicSolution(
         problem,
         times,
         DiscreteField(grid, u, "scalar", times),
-        DiscreteField(grid, dtu, "scalar", times),
+        DiscreteField(grid, _time_derivative(u, problem.dt), "scalar", times),
         omegas,
-        iters,
+        residuals,
     )
 
 
@@ -238,18 +261,10 @@ def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
     grid = problem.grid
     B, s1 = one_form_hodge_matrices(grid)
     A = sp.diags(s1) + problem.dt * B
-    steps = int(round((problem.horizon + problem.margin) / problem.dt))
-    times = problem.dt * np.arange(steps + 1)
+    times = problem.dt * np.arange(problem.steps + 1)
     omegas = np.stack([sample_one_form_on_edges(grid, problem.forcing, t) for t in times])
-    u = np.zeros((steps + 1, 2 * int(np.prod(grid.shape))))
-    x = u[0].copy()
-    for j in range(steps):
-        rhs = s1 * (x + problem.dt * 0.5 * (omegas[j] + omegas[j + 1]))
-        x = _cg_solve(A, rhs, x, s1)
-        u[j + 1] = x
-    dtu = np.zeros_like(u)
-    dtu[1:] = (u[1:] - u[:-1]) / problem.dt
-    dtu[0] = dtu[1]
+    u, residuals = _implicit_euler(A, s1, omegas, problem.dt)
+    dtu = _time_derivative(u, problem.dt)
     # edge arrays are packaged as nodal two-component fields for norms:
     # averaging the two staggered samples back onto nodes
     N = int(np.prod(grid.shape))
@@ -267,6 +282,7 @@ def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
         DiscreteField(grid, to_nodes(u), "one-form", times),
         DiscreteField(grid, to_nodes(dtu), "one-form", times),
         to_nodes(omegas),
+        residuals,
     )
 
 

@@ -34,6 +34,8 @@ class Grid:
         if len(self.axes) != chart.n:
             raise DomainError("one axis per chart dimension required")
         self.shape = tuple(len(a) for a in self.axes)
+        if min(self.shape) < 2:
+            raise DomainError(f"grid {self.shape} needs at least 2 nodes per axis")
         self.h = np.array([a[1] - a[0] for a in self.axes])
         for i, a in enumerate(self.axes):
             if not np.allclose(np.diff(a), self.h[i]):
@@ -193,14 +195,18 @@ class NormRequest:
             raise DomainError("Sobolev order l must be in {0, 1, 2}")
 
 
-def _spatial_norm(field: DiscreteField, vals, req: NormRequest) -> float:
-    grid = field.grid
-    mask = None
+def _node_weights(grid: Grid, req: NormRequest) -> np.ndarray:
+    """Quadrature x ball mask x weight: the measure of one request."""
+    q = grid.quadrature
     if req.region is not None:
-        mask = grid.ball_mask(*req.region)
-    q = grid.quadrature if mask is None else grid.quadrature * mask
+        q = q * grid.ball_mask(*req.region)
     if req.weight is not None:
         q = q * req.weight
+    return q
+
+
+def _spatial_norm(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) -> float:
+    grid = field.grid
     base_rank = 1 if field.kind == "one-form" else 0
     tensors = covariant_tensors(field, req.l, values=vals)
     total = 0.0
@@ -213,8 +219,9 @@ def _spatial_norm(field: DiscreteField, vals, req: NormRequest) -> float:
 def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     """Sum over j <= l of weighted L^r norms of |D^j field|; Bochner L^s
     in time when the field carries a time axis."""
+    q = _node_weights(field.grid, req)
     if field.times is None:
-        return _spatial_norm(field, field.values, req)
+        return _spatial_norm(field, field.values, req, q)
     s = req.s if req.s is not None else req.r
     t = field.times
     if req.window is not None:
@@ -223,7 +230,7 @@ def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     else:
         sel = np.ones(len(t), dtype=bool)
     idx = np.flatnonzero(sel)
-    vals = np.array([_spatial_norm(field, field.values[j], req) for j in idx])
+    vals = np.array([_spatial_norm(field, field.values[j], req, q) for j in idx])
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
 
 
@@ -238,11 +245,10 @@ def holder_volume_check(field: DiscreteField, ball, r: float) -> dict:
     discrete measure when r >= 2."""
     if r < 2:
         raise DomainError("needs r >= 2")
-    grid = field.grid
-    mask = grid.ball_mask(*ball)
-    vol = float(np.sum(grid.quadrature * mask))
-    lhs = _spatial_norm(field, field.at_time(0), NormRequest(r=2.0, region=ball))
-    lr = _spatial_norm(field, field.at_time(0), NormRequest(r=r, region=ball))
+    q = _node_weights(field.grid, NormRequest(region=ball))
+    vol = float(np.sum(q))
+    lhs = _spatial_norm(field, field.at_time(0), NormRequest(r=2.0), q)
+    lr = _spatial_norm(field, field.at_time(0), NormRequest(r=r), q)
     rhs = vol ** (0.5 - 1.0 / r) * lr
     return {"lhs": lhs, "rhs": rhs, "volume": vol, "holds": lhs <= rhs * (1 + 1e-12)}
 

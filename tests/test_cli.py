@@ -138,3 +138,21 @@ def test_config_parse_error(tmp_path, capsys):
     assert run(["radius", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "line" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # (T + alpha)/dt = 5/3 is not a whole number of steps
+    ["solve", "--model", "flat-torus", "--grid", "8x8", "--T", "0.5",
+     "--alpha", "0", "--dt", "0.3"],
+    # one-forms need a fully periodic grid
+    ["solve", "--model", "euclidean", "--box", "4:6,4:6", "--grid", "8x8",
+     "--kind", "one-form"],
+    ["solve", "--model", "euclidean", "--box", "4:6,4:6", "--grid", "1x1"],
+    ["radius", "--model", "euclidean", "--grid", "0x0"],
+])
+def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err

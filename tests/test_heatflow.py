@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from soboheat import heatflow as hf
 from soboheat import norms
-from soboheat.geometry import CapabilityError, DomainError, make_chart
+from soboheat.geometry import CapabilityError, DomainError, NumericalError, make_chart
 
 L = 2 * math.pi
 
@@ -25,6 +25,12 @@ def eigen_forcing(t, pts):
     return np.sin(pts[..., 0]) * np.sin(pts[..., 1])
 
 
+def one_form_forcing(t, pts):
+    w = np.zeros(pts.shape)
+    w[..., 0] = np.sin(pts[..., 1])
+    return w
+
+
 def test_problem_validation():
     grid = euclid_grid(9)
     with pytest.raises(DomainError):
@@ -36,6 +42,10 @@ def test_problem_validation():
     with pytest.raises(CapabilityError):
         hf.ParabolicProblem(grid, eigen_forcing, horizon=1.0, margin=0.0, dt=0.1,
                             kind="one-form")
+    # (horizon + margin)/dt must be a whole number of steps
+    for horizon, margin, dt in [(0.5, 0.0, 0.3), (0.3, 0.1, 0.03), (0.001, 0.0, 1.0)]:
+        with pytest.raises(DomainError, match="whole number"):
+            hf.ParabolicProblem(grid, eigen_forcing, horizon=horizon, margin=margin, dt=dt)
 
 
 def test_laplacian_symmetric_and_psd():
@@ -63,6 +73,11 @@ def test_zero_forcing_gives_zero_solution():
     assert np.all(sol.dt_u.values == 0.0)
 
 
+def _assert_recurrence(u_last, mode, lam, dt, steps):
+    exact = (1.0 - (1.0 + lam * dt) ** -steps) / lam * mode
+    assert np.max(np.abs(u_last - exact)) <= 1e-12 * np.max(np.abs(exact))
+
+
 def test_eigen_forcing_matches_closed_form():
     grid = torus_grid(32)
     prob = hf.ParabolicProblem(grid, eigen_forcing, horizon=0.5, margin=0.0, dt=0.002)
@@ -73,6 +88,11 @@ def test_eigen_forcing_matches_closed_form():
     err = np.max(np.abs(sol.u.values[-1] - exact))
     h = grid.h[0]
     assert err <= 2.0 * (h**2 + 0.002)
+    # the forcing is a discrete eigenvector: 250 steps from u = 0 give
+    # exactly the implicit-Euler recurrence (1 - (1 + lam dt)^-N) / lam
+    lam = 2.0 * (2.0 - 2.0 * math.cos(h)) / h**2
+    mode = np.sin(grid.points[..., 0]) * np.sin(grid.points[..., 1])
+    _assert_recurrence(sol.u.values[-1], mode, lam, 0.002, 250)
 
 
 def test_steady_state_reached():
@@ -127,17 +147,14 @@ def test_contraction_on_dirichlet_problem():
 
 def test_one_form_eigen_mode():
     grid = torus_grid(32)
-
-    def forcing(t, pts):
-        w = np.zeros(pts.shape)
-        w[..., 0] = np.sin(pts[..., 1])
-        return w
-
-    prob = hf.ParabolicProblem(grid, forcing, horizon=0.5, margin=0.0, dt=0.002,
+    prob = hf.ParabolicProblem(grid, one_form_forcing, horizon=0.5, margin=0.0, dt=0.002,
                                kind="one-form")
     sol = hf.solve_parabolic(prob)
     exact = (1 - math.exp(-0.5)) * np.sin(grid.points[..., 1])
     assert np.max(np.abs(sol.u.values[-1][..., 0] - exact)) < 5e-3
+    h = grid.h[0]
+    lam = (2.0 - 2.0 * math.cos(h)) / h**2
+    _assert_recurrence(sol.u.values[-1][..., 0], np.sin(grid.points[..., 1]), lam, 0.002, 250)
     assert np.max(np.abs(sol.u.values[-1][..., 1])) < 1e-10
     assert hf.check_threshold_contraction(sol)["holds"]
 
@@ -176,3 +193,28 @@ def test_global_estimate_vacuous_for_zero_forcing():
     table = exponents.bootstrap_table(2, 2, 4)
     rep = hf.global_estimate_experiment(sol, fld, table)
     assert rep["vacuous"]
+
+
+def test_every_step_records_its_residual():
+    problems = [
+        hf.ParabolicProblem(euclid_grid(17), eigen_forcing, horizon=0.2, margin=0.1,
+                            dt=0.02),
+        hf.ParabolicProblem(torus_grid(16), eigen_forcing, horizon=0.1, margin=0.0,
+                            dt=0.01),
+        hf.ParabolicProblem(torus_grid(16), one_form_forcing, horizon=0.1,
+                            margin=0.0, dt=0.01, kind="one-form"),
+    ]
+    for prob in problems:
+        sol = hf.solve_parabolic(prob)
+        assert len(sol.residuals) == prob.steps == len(sol.times) - 1
+        assert np.all(sol.residuals <= 1e-10)
+
+
+def test_inaccurate_step_raises(monkeypatch):
+    # a factor of a different matrix leaves residuals far above the guard
+    splu = hf.splu
+    monkeypatch.setattr(hf, "splu", lambda A, **kw: splu(2.0 * A, **kw))
+    prob = hf.ParabolicProblem(euclid_grid(9), eigen_forcing, horizon=0.1, margin=0.0,
+                               dt=0.05)
+    with pytest.raises(NumericalError, match="residual"):
+        hf.solve_parabolic(prob)

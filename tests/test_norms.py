@@ -164,3 +164,32 @@ def test_window_restricts_time_integral():
     half = norms.sobolev_norm(u, norms.NormRequest(r=2.0, s=2.0, window=(0.0, 0.5)))
     assert half == pytest.approx(math.sqrt(0.5 * 2 * math.pi**2), rel=1e-6)
     assert full >= half
+
+
+def test_region_mask_built_once_per_time_indexed_request(monkeypatch):
+    grid = euclid_grid(33)
+    times = np.linspace(0.0, 0.4, 9)
+    vals = np.stack([np.sin(grid.points[..., 0] + t) * np.cos(grid.points[..., 1])
+                     for t in times])
+    u = norms.DiscreteField(grid, vals, "scalar", times)
+    ball = (np.array([5.0, 5.2]), 1.1)
+    req = norms.NormRequest(r=3.0, l=1, region=ball, s=2.0, window=(0.0, 0.3))
+    sel = times <= 0.3 + 1e-12
+    per_slice = np.array([
+        norms.sobolev_norm(norms.DiscreteField(grid, vals[j]),
+                           norms.NormRequest(r=3.0, l=1, region=ball))
+        for j in np.flatnonzero(sel)
+    ])
+    expect = float(np.trapezoid(per_slice**2.0, times[sel]) ** (1.0 / 2.0))
+
+    calls = []
+    ball_mask = norms.Grid.ball_mask
+
+    def counting(self, *args):
+        calls.append(args)
+        return ball_mask(self, *args)
+
+    monkeypatch.setattr(norms.Grid, "ball_mask", counting)
+    value = norms.sobolev_norm(u, req)
+    assert len(calls) == 1
+    assert value == expect
