@@ -8,7 +8,6 @@ The CLI `verify` command and the test suite both run these.
 from __future__ import annotations
 
 import functools
-import json
 import math
 import subprocess
 import sys
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import admissible, covering, exponents, heatflow, norms
-from .geometry import make_chart, volume_of_ball
+from .geometry import grid_points, make_chart, volume_of_ball
 
 
 def _params(eps=0.2, m=2):
@@ -67,12 +66,6 @@ def _model_chart(name):
     return make_chart(kwargs.pop("name"), **kwargs)
 
 
-def _box_points(box, per_axis):
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, len(box))
-
-
 def _field_for(name, params=None):
     setup = MODEL_SETUPS[name]
     chart = _model_chart(name)
@@ -80,7 +73,7 @@ def _field_for(name, params=None):
     if setup["field_box"] is None:
         pts = admissible.grid_centers(chart, setup["field_pts"])
     else:
-        pts = _box_points(setup["field_box"], setup["field_pts"])
+        pts = grid_points(*np.transpose(setup["field_box"]), setup["field_pts"])
     return admissible.radius_field(chart, pts, params)
 
 
@@ -170,9 +163,9 @@ def criterion_4():
     details = {}
     ok = True
     grids = {
-        "euclidean": _box_points([(2.5, 7.5), (2.5, 7.5)], 6),
-        "perturbed-euclidean": _box_points([(3.0, 7.0), (3.0, 7.0)], 6),
-        "hyperbolic-halfplane": _box_points([(-1.0, 1.0), (0.5, 3.0)], 6),
+        "euclidean": grid_points((2.5, 2.5), (7.5, 7.5), 6),
+        "perturbed-euclidean": grid_points((3.0, 3.0), (7.0, 7.0), 6),
+        "hyperbolic-halfplane": grid_points((-1.0, 0.5), (1.0, 3.0), 6),
     }
     for name, pts in grids.items():
         fld = admissible.radius_field(_model_chart(name), pts, _params())
@@ -459,7 +452,7 @@ def criterion_11():
     for name in ("euclidean", "perturbed-euclidean"):
         chart = _model_chart(name)
         fld = admissible.radius_field(
-            chart, _box_points([(3.5, 6.5), (3.5, 6.5)], 5), _params()
+            chart, grid_points((3.5, 3.5), (6.5, 6.5), 5), _params()
         )
         sols = {}
         for nx in (49, 97):
@@ -509,7 +502,7 @@ def criterion_12():
     chart = make_chart("hyperbolic-ball")
     params = _params()
     fld = admissible.radius_field(
-        chart, _box_points([(-0.3, 0.3), (-0.3, 0.3)], 6), params
+        chart, grid_points((-0.3, -0.3), (0.3, 0.3), 6), params
     )
     bound = admissible.uniform_lower_bound(fld)
     rho = 0.2

@@ -27,9 +27,10 @@ import numpy as np
 from .geometry import (
     DomainError,
     MetricChart,
-    ball_bbox,
     ball_fits_domain,
     ball_sample_points,
+    flat_boundary_distance,
+    grid_points,
     multi_indices_up_to,
 )
 
@@ -137,17 +138,8 @@ def is_admissible(chart: MetricChart, center, R: float, params: AdmissibilityPar
 
 
 def _flat_cap(chart: MetricChart, center) -> float:
-    """Exact domain cap for constant-factor metrics: the geodesic ball of
-    radius R is the chart ball of radius R/sqrt(f)."""
-    center = np.asarray(center, dtype=float)
-    gap = np.inf
-    for i in range(chart.n):
-        if chart.periodic[i]:
-            gap = min(gap, (chart.hi[i] - chart.lo[i]) / 2.0)
-        else:
-            gap = min(gap, center[i] - chart.lo[i], chart.hi[i] - center[i])
-    f = float(chart.conformal_factor(center[None])[0])
-    return min(R_CAP, max(gap, 0.0) * math.sqrt(f))
+    """Exact domain cap for constant-factor metrics."""
+    return min(R_CAP, flat_boundary_distance(chart, center))
 
 
 def domain_cap(chart: MetricChart, center, tol: float = 1e-3) -> float:
@@ -162,12 +154,10 @@ def domain_cap(chart: MetricChart, center, tol: float = 1e-3) -> float:
         if chart.periodic[i]:
             cap = min(cap, (chart.hi[i] - chart.lo[i]) / 2.0 * math.sqrt(chart.f_min))
             continue
+        on_face = np.arange(n) == i
         for bound in (chart.lo[i], chart.hi[i]):
-            axes = [
-                np.array([bound]) if j == i else np.linspace(chart.lo[j], chart.hi[j], 257)
-                for j in range(n)
-            ]
-            face = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+            face = grid_points(np.where(on_face, bound, chart.lo), np.where(on_face, bound, chart.hi),
+                               np.where(on_face, 1, 257))
             cap = min(cap, float(np.min(chart.distance(face, center[None, :]))))
     return max(cap - tol, 0.0)
 
@@ -266,18 +256,11 @@ def radius_field(chart: MetricChart, grid_points, params: AdmissibilityParams) -
 
 
 def grid_centers(chart: MetricChart, per_axis, margin: float = 0.0) -> np.ndarray:
-    """Rectangular center grid over the working box, shrunk by margin."""
-    per_axis = np.broadcast_to(np.asarray(per_axis, dtype=int), (chart.n,))
-    axes = []
-    for i in range(chart.n):
-        lo, hi = chart.lo[i] + margin, chart.hi[i] - margin
-        if chart.periodic[i]:
-            lo, hi = chart.lo[i], chart.hi[i]
-            axes.append(np.linspace(lo, hi, int(per_axis[i]), endpoint=False))
-        else:
-            axes.append(np.linspace(lo, hi, int(per_axis[i])))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    """Rectangular center grid over the working box, shrunk by margin on
+    non-periodic axes; periodic axes leave out their repeated end."""
+    per = np.array(chart.periodic)
+    return grid_points(np.where(per, chart.lo, chart.lo + margin),
+                       np.where(per, chart.hi, chart.hi - margin), per_axis, endpoint=~per)
 
 
 def check_slow_variation(fld: RadiusField) -> dict:

@@ -22,8 +22,8 @@ if os.environ.get("MP_THREADS"):
 
 import numpy as np
 
-from . import admissible, covering, exponents, heatflow, norms
-from .geometry import CapabilityError, DomainError, make_chart
+from . import admissible, exponents, norms
+from .geometry import CapabilityError, DomainError, grid_points, make_chart
 
 SCHEMA_VERSION = 1
 
@@ -58,24 +58,13 @@ def _get(cfg, key, default=None, required=False, cast=None):
     if cast is not None:
         try:
             val = cast(val)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ConfigError(f"field {key!r}: {exc}")
     return val
 
 
-MODEL_DEFAULTS = {
-    "euclidean": {},
-    "perturbed-euclidean": {},
-    "hyperbolic-halfplane": {},
-    "hyperbolic-ball": {},
-    "flat-torus": {},
-}
-
-
 def _chart_from_config(cfg):
     name = _get(cfg, "model", required=True)
-    if name not in MODEL_DEFAULTS:
-        raise ConfigError(f"unknown model {name!r}; choose from {sorted(MODEL_DEFAULTS)}")
     kwargs = {}
     if name == "euclidean":
         kwargs["n"] = _get(cfg, "n", 2, cast=int)
@@ -105,7 +94,10 @@ def _parse_grid(text, n):
         parts = parts * n
     if len(parts) != n:
         raise ConfigError(f"grid spec {text!r} does not match dimension {n}")
-    counts = [int(p) for p in parts]
+    try:
+        counts = [int(p) for p in parts]
+    except ValueError:
+        raise ConfigError(f"grid spec {text!r} is not a list of whole numbers")
     if min(counts) < 1:
         raise ConfigError(f"grid spec {text!r} needs at least 1 point per axis")
     return counts
@@ -120,7 +112,12 @@ def _parse_box(text, n):
         raise ConfigError(f"box spec {text!r} does not match dimension {n}")
     box = []
     for p in pairs:
-        lo, hi = (float(v) for v in p.split(":"))
+        try:
+            lo, hi = (float(v) for v in p.split(":"))
+        except ValueError:
+            raise ConfigError(f"box interval {p!r} is not of the form lo:hi")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ConfigError(f"box interval {p!r} is not finite")
         if hi <= lo:
             raise ConfigError(f"box interval {p!r} is empty")
         box.append((lo, hi))
@@ -137,53 +134,48 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, indent=1, sort_keys=True)
 
 
-def _radius_points(chart, cfg):
+def _radius_field(cfg):
+    """Radius field on the --grid centers of --box (default: the working
+    box, periodic axes without their repeated end), shrunk by --margin."""
+    chart = _chart_from_config(cfg)
+    params = _params_from_config(cfg)
     per_axis = _parse_grid(_get(cfg, "grid", "8x8"), chart.n)
     margin = _get(cfg, "margin", 0.0, cast=float)
     box = _parse_box(_get(cfg, "box"), chart.n)
-    if box is not None:
-        axes = [np.linspace(lo + margin, hi - margin, k) for (lo, hi), k in zip(box, per_axis)]
+    if box is None:
+        pts = admissible.grid_centers(chart, per_axis, margin)
     else:
-        axes = [
-            np.linspace(chart.lo[i] + margin, chart.hi[i] - margin, per_axis[i])
-            if not chart.periodic[i]
-            else np.linspace(chart.lo[i], chart.hi[i], per_axis[i], endpoint=False)
-            for i in range(chart.n)
-        ]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack(mesh, axis=-1).reshape(-1, chart.n)
+        lo, hi = np.transpose(box)
+        pts = grid_points(lo + margin, hi - margin, per_axis)
+    return admissible.radius_field(chart, pts, params)
 
 
 def cmd_radius(cfg) -> int:
-    chart = _chart_from_config(cfg)
-    params = _params_from_config(cfg)
-    pts = _radius_points(chart, cfg)
-    fld = admissible.radius_field(chart, pts, params)
+    fld = _radius_field(cfg)
     out = _outdir(cfg)
     fld.to_csv(out / "radius.csv")
     summary = {
         "schema_version": SCHEMA_VERSION,
         "model": cfg["model"],
-        "m": params.m,
-        "eps": params.eps,
-        "points": int(len(pts)),
+        "m": fld.params.m,
+        "eps": fld.params.eps,
+        "points": int(len(fld.points)),
         "uniform_lower_bound": admissible.uniform_lower_bound(fld),
         "truncated_count": int(np.count_nonzero(fld.truncated)),
         "slow_variation": admissible.check_slow_variation(fld),
         "lipschitz": admissible.check_lipschitz(fld),
     }
     (out / "radius_summary.json").write_text(_json_dump(summary) + "\n")
-    print(f"wrote {out / 'radius.csv'} and radius_summary.json ({len(pts)} centers)")
+    print(f"wrote {out / 'radius.csv'} and radius_summary.json ({len(fld.points)} centers)")
     return 0
 
 
 def cmd_cover(cfg) -> int:
-    chart = _chart_from_config(cfg)
-    params = _params_from_config(cfg)
-    pts = _radius_points(chart, cfg)
-    fld = admissible.radius_field(chart, pts, params)
+    from . import covering
+
+    fld = _radius_field(cfg)
     k = _get(cfg, "k", 0, cast=int)
-    box = _parse_box(_get(cfg, "cover-box"), chart.n)
+    box = _parse_box(_get(cfg, "cover-box"), fld.chart.n)
     cov = covering.build_admissible_covering(fld, k, box=box)
     disjoint = covering.check_core_disjointness(cov)
     dilated = covering.certify_dilated_overlap(cov, box=box)
@@ -219,11 +211,7 @@ def cmd_exponents(cfg) -> int:
     return 0
 
 
-FORCINGS = {
-    "zero": lambda cfg, chart: (lambda t, pts: np.zeros(pts.shape[:-1])),
-    "eigen": None,  # handled below, needs the chart period
-    "bump": None,
-}
+FORCINGS = ("bump", "eigen", "zero")
 
 
 def _forcing_from_config(cfg, chart, box):
@@ -247,6 +235,8 @@ def _forcing_from_config(cfg, chart, box):
 
 
 def cmd_solve(cfg) -> int:
+    from . import heatflow
+
     chart = _chart_from_config(cfg)
     box = _parse_box(_get(cfg, "box"), chart.n)
     if box is None:
@@ -287,9 +277,7 @@ def cmd_solve(cfg) -> int:
     if _get(cfg, "estimates", False):
         params = _params_from_config(cfg)
         margin = 0.25 * min(hi - lo for lo, hi in box)
-        fpts = _radius_points(chart, {**cfg, "grid": "5x5", "margin": margin,
-                                      "box": None})
-        fld = admissible.radius_field(chart, fpts, params)
+        fld = admissible.radius_field(chart, admissible.grid_centers(chart, 5, margin), params)
         table = exponents.bootstrap_table(
             _get(cfg, "m", 2, cast=int), chart.n, _get(cfg, "r", 4, cast=Fraction)
         )

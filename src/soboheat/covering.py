@@ -18,7 +18,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .admissible import AdmissibilityParams, RadiusField, is_admissible
-from .geometry import DomainError, MetricChart
+from .geometry import DomainError, MetricChart, grid_points
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
 
@@ -52,16 +52,33 @@ def vitali_select(balls, distance_fn) -> list:
     return sorted(selected)
 
 
-def _grid_points(lo, hi, spacing, periodic_hi=None):
-    axes = []
-    for i in range(len(lo)):
-        count = max(2, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1)
-        if periodic_hi is not None and periodic_hi[i]:
-            axes.append(np.linspace(lo[i], hi[i], count, endpoint=False))
-        else:
-            axes.append(np.linspace(lo[i], hi[i], count))
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+def _spaced_grid(lo, hi, spacing, endpoint=True):
+    """grid_points of the box with nodes about `spacing` apart (at least
+    2 per axis)."""
+    counts = [max(2, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1) for i in range(len(lo))]
+    return grid_points(lo, hi, counts, endpoint)
+
+
+def _target_box(chart: MetricChart, box):
+    """(lo, hi, endpoint) of a covering target box (None: the working
+    box); a periodic axis spanning its full period leaves out hi."""
+    if box is None:
+        lo, hi = chart.lo, chart.hi
+    else:
+        lo = np.asarray([b[0] for b in box], dtype=float)
+        hi = np.asarray([b[1] for b in box], dtype=float)
+    endpoint = [not (chart.periodic[i] and hi[i] - lo[i] >= (chart.hi[i] - chart.lo[i]) - 1e-12)
+                for i in range(chart.n)]
+    return lo, hi, endpoint
+
+
+def _kdtree(chart: MetricChart, pts):
+    """(tree, origin): a KD-tree over pts - origin.  On a fully periodic
+    chart the tree is toroidal with the chart's periods and origin is
+    chart.lo; otherwise origin is 0.  Query points subtract origin too."""
+    if all(chart.periodic):
+        return cKDTree(pts - chart.lo, boxsize=chart.hi - chart.lo), chart.lo
+    return cKDTree(pts), 0.0
 
 
 class Covering:
@@ -104,27 +121,17 @@ def _factor_range_on_box(chart: MetricChart, lo, hi, inflate=0.0):
     and clipped to the working domain."""
     lo = np.maximum(np.asarray(lo, dtype=float) - inflate, chart.lo)
     hi = np.minimum(np.asarray(hi, dtype=float) + inflate, chart.hi)
-    axes = [np.linspace(lo[i], hi[i], 33) for i in range(chart.n)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, chart.n)
-    f = chart.conformal_factor(pts)
+    f = chart.conformal_factor(grid_points(lo, hi, 33))
     return float(f.min()), float(f.max())
 
 
 def _count_memberships(chart: MetricChart, probes, centers, radii, f_min_box):
     """Per-probe count of geodesic balls containing the probe."""
-    n = chart.n
-    boxsize = None
-    probes_t = probes
-    centers_t = centers
-    if all(chart.periodic):
-        boxsize = [chart.hi[i] - chart.lo[i] for i in range(n)]
-        probes_t = probes - chart.lo
-        centers_t = centers - chart.lo
-    tree = cKDTree(probes_t, boxsize=boxsize)
+    tree, origin = _kdtree(chart, probes)
     # chart radius that surely contains the geodesic ball
     chart_r = radii / math.sqrt(f_min_box)
     counts = np.zeros(len(probes), dtype=int)
-    hits = tree.query_ball_point(centers_t, chart_r, workers=-1)
+    hits = tree.query_ball_point(centers - origin, chart_r, workers=-1)
     for j, h in enumerate(hits):
         if not h:
             continue
@@ -141,22 +148,18 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     Candidate centers sit on a grid of spacing ~candidate_factor times
     the smallest core radius (certified from the field's Lipschitz lower
     bound), which guarantees every probe lands inside the 5-fold dilate
-    of a selected ball.  Raises DomainError if a probe stays uncovered.
+    of a selected ball.  Raises DomainError if a probe stays uncovered
+    or k < 0.
     """
+    if k < 0:
+        raise DomainError(f"covering level k must be >= 0, got {k}")
     chart = field.chart
     n = chart.n
     eps = field.params.eps
-    if box is None:
-        lo = chart.lo.copy()
-        hi = chart.hi.copy()
-    else:
-        lo = np.asarray([b[0] for b in box], dtype=float)
-        hi = np.asarray([b[1] for b in box], dtype=float)
-    periodic_hi = [chart.periodic[i] and hi[i] - lo[i] >= (chart.hi[i] - chart.lo[i]) - 1e-12
-                   for i in range(n)]
+    lo, hi, endpoint = _target_box(chart, box)
 
     # certified R at a coarse probe of the box to size the candidate grid
-    corners = _grid_points(lo, hi, float(np.max(hi - lo)) / 8.0)
+    corners = _spaced_grid(lo, hi, float(np.max(hi - lo)) / 8.0)
     r_min_est = float(np.min(field.lower_bound_at(corners)))
     if r_min_est <= 0:
         raise DomainError("radius field lower bound vanishes on the box")
@@ -165,7 +168,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     # geodesic candidate spacing ~ candidate_factor * r_core_min, so a
     # probe's nearest candidate ball reaches it through the 5-fold dilate
     spacing = candidate_factor * r_core_min / math.sqrt(f_max_box)
-    candidates = _grid_points(lo, hi, spacing, periodic_hi)
+    candidates = _spaced_grid(lo, hi, spacing, endpoint)
     r_eps_cand = field.lower_bound_at(candidates)
     keep = r_eps_cand > 0
     candidates, r_eps_cand = candidates[keep], r_eps_cand[keep]
@@ -174,12 +177,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     # greedy selection with a neighbor prefilter (balls can only meet
     # within chart distance (r_i + r_j)/sqrt(f_min))
     cutoff = 2.0 * float(np.max(core)) / math.sqrt(f_min_box)
-    boxsize = None
-    cand_t = candidates
-    if all(chart.periodic):
-        boxsize = [chart.hi[i] - chart.lo[i] for i in range(n)]
-        cand_t = candidates - chart.lo
-    tree = cKDTree(cand_t, boxsize=boxsize)
+    tree, _ = _kdtree(chart, candidates)
     neighbor_pairs = tree.query_pairs(cutoff, output_type="ndarray")
     adj = [[] for _ in range(len(candidates))]
     if len(neighbor_pairs):
@@ -199,8 +197,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     core_sel = core[sel]
     cover_sel = 5.0 * core_sel
 
-    probes = _grid_points(lo, hi, float(np.min(cover_sel)) / (4.0 * math.sqrt(f_max_box)),
-                          periodic_hi)
+    probes = _spaced_grid(lo, hi, float(np.min(cover_sel)) / (4.0 * math.sqrt(f_max_box)), endpoint)
     counts = _count_memberships(chart, probes, centers, cover_sel, f_min_box)
     coverage = float(np.mean(counts >= 1))
     if coverage < 1.0:
@@ -220,12 +217,7 @@ def check_core_disjointness(covering: Covering) -> dict:
     f_min_box, _ = _factor_range_on_box(chart, c.min(axis=0), c.max(axis=0),
                                         inflate=float(np.max(covering.r_eps)))
     cutoff = 2.0 * float(np.max(r)) / math.sqrt(f_min_box)
-    boxsize = None
-    c_t = c
-    if all(chart.periodic):
-        boxsize = [chart.hi[i] - chart.lo[i] for i in range(chart.n)]
-        c_t = c - chart.lo
-    tree = cKDTree(c_t, boxsize=boxsize)
+    tree, _ = _kdtree(chart, c)
     pairs = tree.query_pairs(cutoff, output_type="ndarray")
     bad = 0
     if len(pairs):
@@ -240,16 +232,9 @@ def certify_dilated_overlap(covering: Covering, box=None) -> dict:
     chart = covering.chart
     n = chart.n
     radii = covering.r_eps / ETA
-    if box is None:
-        lo, hi = chart.lo, chart.hi
-    else:
-        lo = np.asarray([b[0] for b in box], dtype=float)
-        hi = np.asarray([b[1] for b in box], dtype=float)
-    periodic_hi = [chart.periodic[i] and hi[i] - lo[i] >= (chart.hi[i] - chart.lo[i]) - 1e-12
-                   for i in range(n)]
+    lo, hi, endpoint = _target_box(chart, box)
     f_min_box, f_max_box = _factor_range_on_box(chart, lo, hi, inflate=float(np.max(radii)))
-    probes = _grid_points(lo, hi, float(np.min(radii)) / (4.0 * math.sqrt(f_max_box)),
-                          periodic_hi)
+    probes = _spaced_grid(lo, hi, float(np.min(radii)) / (4.0 * math.sqrt(f_max_box)), endpoint)
     counts = _count_memberships(chart, probes, covering.centers, radii, f_min_box)
     bound = covering.t_bound * 2.0 ** (n * covering.k)
     return {

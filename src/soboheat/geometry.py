@@ -1,12 +1,19 @@
 """Model Riemannian manifolds as analytic coordinate charts.
 
 Every chart in the catalog is conformally flat: g_ij(x) = f(x) delta_ij
-with a closed-form conformal factor f.  Partial derivatives of the
-metric up to order 3 are generated symbolically at construction time and
-compiled to vectorized numpy callables, so Christoffel symbols, their
-derivatives, and the Ricci tensor come from analytic data, not finite
-differences (the one exception is the second Christoffel derivative,
-which uses central differences of the analytic first derivative).
+with a closed-form conformal factor f.  Partial derivatives of f up to
+order 3 are generated symbolically at construction time and compiled to
+vectorized numpy callables.  With phi = (1/2) log f, the connection and
+curvature are closed forms in the derivatives of phi:
+
+  Gamma^i_kj = delta_ik d_j phi + delta_ij d_k phi - delta_kj d_i phi,
+
+and the same linear map applied to d^2 phi and d^3 phi gives d Gamma and
+d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
+
+  Rc = -(n-2) (d^2 phi - d phi (x) d phi) - (lap phi + (n-2) |d phi|^2) delta.
+
+No finite differences enter.
 
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
@@ -22,7 +29,6 @@ import math
 from typing import Callable
 
 import numpy as np
-import sympy as sp
 
 
 class DomainError(ValueError):
@@ -58,6 +64,17 @@ def multi_indices_up_to(n: int, m: int, start: int = 1) -> list[tuple[int, ...]]
     return out
 
 
+def grid_points(lo, hi, per_axis, endpoint=True) -> np.ndarray:
+    """Row-major (N, n) nodes of the tensor grid with per_axis[i] linspace
+    nodes from lo[i] to hi[i]; endpoint[i] False leaves hi[i] out (a
+    periodic axis).  per_axis and endpoint may be scalars."""
+    n = len(lo)
+    per_axis = np.broadcast_to(per_axis, (n,))
+    endpoint = np.broadcast_to(endpoint, (n,))
+    axes = [np.linspace(lo[i], hi[i], int(per_axis[i]), endpoint=bool(endpoint[i])) for i in range(n)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+
 # 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_X = 0.5 * (_GL_X + 1.0)
@@ -79,6 +96,8 @@ class MetricChart:
         distance_fn: Callable,
         params: dict | None = None,
     ):
+        import sympy as sp
+
         self.name = name
         self.n = dim
         self.lo = np.asarray(lo, dtype=float)
@@ -96,25 +115,19 @@ class MetricChart:
             for axis, k in enumerate(beta):
                 if k:
                     expr = sp.diff(expr, symbols[axis], k)
-            exprs[beta] = sp.simplify(expr)
+            exprs[beta] = expr
         for beta, expr in exprs.items():
             self._derivs[beta] = sp.lambdify(symbols, expr, modules="numpy")
         self.is_flat = all(expr == 0 for beta, expr in exprs.items() if sum(beta) > 0)
         # Conformal-factor range over the working box, for chart<->geodesic
         # distance conversion factors.
-        probe = self.box_grid(33)
-        fvals = self.conformal_factor(probe.reshape(-1, dim))
+        fvals = self.conformal_factor(grid_points(self.lo, self.hi, 33))
         self.f_min = float(np.min(fvals))
         self.f_max = float(np.max(fvals))
         if self.f_min <= 0:
             raise NumericalError(f"chart {name}: conformal factor not positive on the box")
 
     # -- basic queries -------------------------------------------------
-
-    def box_grid(self, per_axis: int) -> np.ndarray:
-        axes = [np.linspace(self.lo[i], self.hi[i], per_axis) for i in range(self.n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1)
 
     def contains(self, x, margin: float = 0.0):
         x = np.asarray(x, dtype=float)
@@ -148,23 +161,6 @@ class MetricChart:
         if sum(beta) > M_MAX:
             raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
         return self._eval(beta, x)
-
-    # -- metric data ---------------------------------------------------
-
-    def metric(self, x) -> np.ndarray:
-        f = self.conformal_factor(x)
-        eye = np.eye(self.n)
-        return f[..., None, None] * eye
-
-    def metric_inverse(self, x) -> np.ndarray:
-        f = self.conformal_factor(x)
-        eye = np.eye(self.n)
-        return eye / f[..., None, None]
-
-    def metric_derivatives(self, x, beta) -> np.ndarray:
-        df = self.conformal_derivative(x, beta)
-        eye = np.eye(self.n)
-        return df[..., None, None] * eye
 
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
@@ -222,6 +218,8 @@ def make_chart(name: str, **params) -> MetricChart:
     models, list of per-axis [lo, hi]), a and frequency (perturbed
     euclidean), L (flat torus side).
     """
+    import sympy as sp
+
     if name == "euclidean":
         n = int(params.get("n", 2))
         if n not in (2, 3):
@@ -281,67 +279,69 @@ def _require_inside(chart: MetricChart, x):
         raise DomainError(f"point outside the working domain of chart {chart.name}")
 
 
+def _phi_jet(chart: MetricChart, x, order: int) -> list:
+    """[d phi, d^2 phi, d^3 phi][:order] of phi = (1/2) log f, as full
+    symmetric arrays with the derivative axes last."""
+    n = chart.n
+    f = chart.conformal_factor(x)
+    jets = []  # d^k f / f as full arrays
+    evaluated = {}
+    for k in range(1, order + 1):
+        arr = np.empty(x.shape[:-1] + (n,) * k)
+        for idx in itertools.product(range(n), repeat=k):
+            beta = tuple(idx.count(a) for a in range(n))
+            if beta not in evaluated:
+                evaluated[beta] = chart.conformal_derivative(x, beta) / f
+            arr[(...,) + idx] = evaluated[beta]
+        jets.append(arr)
+    u = jets[0]  # d log f
+    out = [0.5 * u]
+    if order >= 2:
+        uu = u[..., :, None] * u[..., None, :]
+        out.append(0.5 * (jets[1] - uu))
+    if order >= 3:
+        h = jets[1]
+        sym = (h[..., :, :, None] * u[..., None, None, :] + h[..., :, None, :] * u[..., None, :, None]
+               + h[..., None, :, :] * u[..., :, None, None])
+        out.append(0.5 * (jets[2] - sym) + uu[..., None] * u[..., None, None, :])
+    return out
+
+
+def _gamma_map(v: np.ndarray) -> np.ndarray:
+    """v (..., a) -> (..., i, k, j) = delta_ik v_j + delta_ij v_k - delta_kj v_i.
+
+    On v = d phi this is Gamma^i_kj; on d_m d phi (axes (..., m, a)) it is
+    d_m Gamma^i_kj, and so on for higher derivatives.
+    """
+    eye = np.eye(v.shape[-1])
+    return (eye[:, :, None] * v[..., None, None, :] + eye[:, None, :] * v[..., None, :, None]
+            - eye * v[..., :, None, None])
+
+
 def christoffel(chart: MetricChart, x) -> np.ndarray:
     """Levi-Civita Christoffel symbols Gamma^i_{kj}, axes (..., i, k, j)."""
     x = np.asarray(x, dtype=float)
     _require_inside(chart, x)
-    n = chart.n
-    ginv = chart.metric_inverse(x)
-    dg = np.stack(
-        [chart.metric_derivatives(x, tuple(1 if a == l else 0 for a in range(n))) for l in range(n)],
-        axis=-3,
-    )  # (..., l, i, j)
-    # T[l, k, j] = d_j g_kl + d_k g_lj - d_l g_jk
-    T = dg.swapaxes(-3, -1)  # T[l,k,j] = dg[j,k,l] = d_j g_kl
-    T2 = np.swapaxes(dg, -3, -2)  # T2[l,k,j] = dg[k,l,j] = d_k g_lj
-    T3 = dg  # T3[l,k,j] = d_l g_kj = d_l g_jk
-    Tfull = T + T2 - T3
-    return 0.5 * np.einsum("...il,...lkj->...ikj", ginv, Tfull)
+    return _gamma_map(_phi_jet(chart, x, 1)[0])
 
 
 def christoffel_derivative(chart: MetricChart, x) -> np.ndarray:
     """Analytic first derivatives d_m Gamma^i_{kj}, axes (..., m, i, k, j)."""
     x = np.asarray(x, dtype=float)
     _require_inside(chart, x)
-    n = chart.n
-    ginv = chart.metric_inverse(x)
-
-    def e(l):
-        return tuple(1 if a == l else 0 for a in range(n))
-
-    def e2(l, m):
-        beta = [0] * n
-        beta[l] += 1
-        beta[m] += 1
-        return tuple(beta)
-
-    dg = np.stack([chart.metric_derivatives(x, e(l)) for l in range(n)], axis=-3)
-    d2g = np.stack(
-        [np.stack([chart.metric_derivatives(x, e2(l, m)) for l in range(n)], axis=-3) for m in range(n)],
-        axis=-4,
-    )  # (..., m, l, i, j)
-    Tfull = dg.swapaxes(-3, -1) + np.swapaxes(dg, -3, -2) - dg  # (..., l, k, j)
-    dT = (
-        d2g.swapaxes(-3, -1) + np.swapaxes(d2g, -3, -2) - d2g
-    )  # (..., m, l, k, j), same index gymnastics one level deeper
-    dginv = -np.einsum("...ia,...mab,...bl->...mil", ginv, dg, ginv)
-    term1 = 0.5 * np.einsum("...mil,...lkj->...mikj", dginv, Tfull)
-    term2 = 0.5 * np.einsum("...il,...mlkj->...mikj", ginv, dT)
-    return term1 + term2
+    return _gamma_map(_phi_jet(chart, x, 2)[1])
 
 
 def ricci(chart: MetricChart, x) -> np.ndarray:
-    """Ricci tensor Rc_ij from Christoffels and their analytic derivatives."""
-    gamma = christoffel(chart, x)  # (..., i, k, j)
-    dgamma = christoffel_derivative(chart, x)  # (..., m, i, k, j)
-    # Rc_sn = d_m Gamma^m_{ns} - d_n Gamma^m_{ms}
-    #         + Gamma^m_{ml} Gamma^l_{ns} - Gamma^m_{nl} Gamma^l_{ms}
-    t1 = np.einsum("...mmns->...ns", dgamma)
-    t2 = np.einsum("...nmms->...ns", dgamma)
-    t3 = np.einsum("...mml,...lns->...ns", gamma, gamma)
-    t4 = np.einsum("...mnl,...lms->...ns", gamma, gamma)
-    rc = t1 - t2 + t3 - t4
-    return 0.5 * (rc + np.swapaxes(rc, -2, -1))
+    """Ricci tensor Rc_ij of g = e^(2 phi) delta (conformal-change formula)."""
+    x = np.asarray(x, dtype=float)
+    _require_inside(chart, x)
+    n = chart.n
+    dphi, hess = _phi_jet(chart, x, 2)
+    grad2 = np.sum(dphi**2, axis=-1)
+    lap = np.trace(hess, axis1=-2, axis2=-1)
+    outer = dphi[..., :, None] * dphi[..., None, :]
+    return -(n - 2) * (hess - outer) - (lap + (n - 2) * grad2)[..., None, None] * np.eye(n)
 
 
 def ricci_sup_norm(chart: MetricChart, points) -> float:
@@ -392,9 +392,7 @@ def ball_bbox(chart: MetricChart, center, radius: float, per_axis: int = 17):
                 hi_c[i] = min(hi[i], chart.hi[i])
                 clip_lo[i] = lo_c[i] > lo[i]
                 clip_hi[i] = hi_c[i] < hi[i]
-        axes = [np.linspace(lo_c[i], hi_c[i], per_axis) for i in range(n)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = chart.wrap(np.stack(mesh, axis=-1).reshape(-1, n))
+        pts = chart.wrap(grid_points(lo_c, hi_c, per_axis))
         ok = chart.contains(pts)
         d = np.full(len(pts), np.inf)
         d[ok] = chart.distance(pts[ok], center[None, :])
@@ -428,12 +426,10 @@ def ball_bbox(chart: MetricChart, center, radius: float, per_axis: int = 17):
         for i in range(n):
             if chart.periodic[i]:
                 continue
+            on_face = np.arange(n) == i
             for bound in (chart.lo[i], chart.hi[i]):
-                axes = [
-                    np.array([bound]) if j == i else np.linspace(lo[j], hi[j], 65)
-                    for j in range(n)
-                ]
-                face = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+                face = grid_points(np.where(on_face, bound, lo), np.where(on_face, bound, hi),
+                                   np.where(on_face, 1, 65))
                 if np.any(chart.distance(face, center[None, :]) <= radius):
                     inside = False
                     break
@@ -442,20 +438,27 @@ def ball_bbox(chart: MetricChart, center, radius: float, per_axis: int = 17):
     return lo, hi, inside
 
 
+def flat_boundary_distance(chart: MetricChart, center) -> float:
+    """Largest radius whose geodesic ball around center stays in the domain,
+    on a constant-factor chart (the geodesic ball of radius R is the chart
+    ball of radius R/sqrt(f)): the chart gap to the nearest face, or half
+    the period on periodic axes, times sqrt(f)."""
+    gap = min(
+        (chart.hi[i] - chart.lo[i]) / 2.0
+        if chart.periodic[i]
+        else min(center[i] - chart.lo[i], chart.hi[i] - center[i])
+        for i in range(chart.n)
+    )
+    f = float(chart.conformal_factor(center[None])[0])
+    return max(gap, 0.0) * math.sqrt(f)
+
+
 def ball_fits_domain(chart: MetricChart, center, radius: float) -> bool:
     center = np.asarray(center, dtype=float)
     if not np.all(chart.contains(center)):
         return False
     if chart.is_flat:
-        # constant factor: geodesic ball = chart ball of radius R/sqrt(f)
-        f = float(chart.conformal_factor(center[None])[0])
-        gap = min(
-            (chart.hi[i] - chart.lo[i]) / 2.0
-            if chart.periodic[i]
-            else min(center[i] - chart.lo[i], chart.hi[i] - center[i])
-            for i in range(chart.n)
-        )
-        return gap * math.sqrt(f) >= radius
+        return flat_boundary_distance(chart, center) >= radius
     _, _, inside = ball_bbox(chart, center, radius)
     return inside
 
@@ -465,10 +468,7 @@ def ball_sample_points(chart: MetricChart, center, radius: float, per_axis):
     center = np.asarray(center, dtype=float)
     lo, hi, _ = ball_bbox(chart, center, radius)
     per_axis = np.broadcast_to(np.asarray(per_axis, dtype=int), (chart.n,))
-    axes = [np.linspace(lo[i], hi[i], int(per_axis[i])) for i in range(chart.n)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=-1)
-    pts_eval = chart.wrap(pts)
+    pts_eval = chart.wrap(grid_points(lo, hi, per_axis))
     mask = chart.distance(pts_eval, center[None, :]) <= radius
     cell = float(np.prod([(hi[i] - lo[i]) / max(int(per_axis[i]) - 1, 1) for i in range(chart.n)]))
     sel = pts_eval[mask]
@@ -494,11 +494,7 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     cell = float(np.prod(h))
     # chart-to-geodesic conversion for the boundary band, from the local
     # factor range over the bbox (the chart-wide range can be far wider)
-    probe = np.stack(
-        np.meshgrid(*[np.linspace(lo[i], hi[i], 9) for i in range(n)], indexing="ij"),
-        axis=-1,
-    ).reshape(-1, n)
-    f_probe = chart.conformal_factor(probe)
+    f_probe = chart.conformal_factor(grid_points(lo, hi, 9))
     # geodesic radius of a cell is at most (|h|/2) sqrt(f); the full
     # diagonal keeps a 2x safety margin
     band = float(np.linalg.norm(h)) * math.sqrt(float(np.max(f_probe)))
@@ -549,30 +545,13 @@ def cmt_bound_check(chart: MetricChart, center, radius: float, m: int, sample_de
     per_axis = max(9, int(math.ceil(2 * radius * sample_density)) + 1)
     pts, _ = ball_sample_points(chart, center, radius, per_axis)
     n = chart.n
-
-    def metric_sum(k):
-        total = np.abs(chart.conformal_factor(pts))  # |beta| = 0 term (g_ij itself)
-        for beta in multi_indices_up_to(n, k):
-            total = total + np.abs(chart.conformal_derivative(pts, beta))
-        return total
-
+    jet = _phi_jet(chart, pts, m)
+    rhs = np.abs(chart.conformal_factor(pts))  # |beta| = 0 term (g_ij itself)
     witness = 0.0
     for k in range(1, m + 1):
-        if k == 1:
-            lhs = np.max(np.abs(christoffel(chart, pts)), axis=(-3, -2, -1))
-        elif k == 2:
-            lhs = np.max(np.abs(christoffel_derivative(chart, pts)), axis=(-4, -3, -2, -1))
-        else:  # k == 3: central differences of the analytic first derivative
-            step = 1e-4
-            pieces = []
-            for axis in range(n):
-                ee = np.zeros(n)
-                ee[axis] = step
-                dplus = christoffel_derivative(chart, chart.wrap(pts + ee))
-                dminus = christoffel_derivative(chart, chart.wrap(pts - ee))
-                pieces.append((dplus - dminus) / (2 * step))
-            lhs = np.max(np.abs(np.stack(pieces, axis=1)), axis=(-5, -4, -3, -2, -1))
-        rhs = metric_sum(k)
+        lhs = np.max(np.abs(_gamma_map(jet[k - 1])).reshape(len(pts), -1), axis=1)
+        for beta in multi_indices(n, k):
+            rhs = rhs + np.abs(chart.conformal_derivative(pts, beta))
         witness = max(witness, float(np.max(lhs / rhs)))
     return {"holds": math.isfinite(witness), "witness_constant": witness, "m": m, "samples": len(pts)}
 

@@ -298,23 +298,6 @@ def chart_norm_comparison(field: DiscreteField, ball, m: int, r: float,
     }
 
 
-def sobolev_embedding_check(field: DiscreteField, ball, m: int, rho: float,
-                            variant: str = "sections") -> dict:
-    """||u||_{L^tau(B(x, R/2))} against R^(-2m) ||u||_{W^(m,rho)(B(x, R))}
-    with 1/tau = 1/rho - m/n; reports the dimensionless constant."""
-    center, R = ball
-    n = field.grid.chart.n
-    inv_tau = 1.0 / rho - m / n
-    if inv_tau <= 0:
-        raise DomainError("needs 1/rho - m/n > 0")
-    tau = 1.0 / inv_tau
-    lhs = sobolev_norm(field, NormRequest(r=tau, l=0, region=(center, R / 2.0)))
-    rhs = sobolev_norm(field, NormRequest(r=rho, l=m, region=ball))
-    p = -2 * m if variant == "sections" else 1 - 2 * m
-    c_emp = 0.0 if rhs == 0 else lhs / (R**p * rhs)
-    return {"lhs": lhs, "rhs": rhs, "tau": tau, "c_emp": c_emp}
-
-
 def covering_sum_norm(field: DiscreteField, covering, weight_exp: float, l: int,
                       tau: float, use_full_balls: bool = False) -> float:
     """(sum over members of R(x)^(weight_exp * tau) * member-norm^tau)^(1/tau),

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from soboheat import cli
 
@@ -149,6 +155,9 @@ def test_config_parse_error(tmp_path, capsys):
      "--kind", "one-form"],
     ["solve", "--model", "euclidean", "--box", "4:6,4:6", "--grid", "1x1"],
     ["radius", "--model", "euclidean", "--grid", "0x0"],
+    ["exponents", "--m", "2", "--n", "4", "--r", "1/0"],
+    ["cover", "--model", "euclidean", "--k", "-1", "--grid", "4x4",
+     "--box", "4.3:5.7,4.3:5.7", "--cover-box", "4.5:5.5,4.5:5.5"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -156,3 +165,55 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["1:inf,2:3", "4.5:nan,4.5:5.5", "-inf:0,0:1"])
+def test_parse_box_rejects_non_finite_bounds(spec):
+    with pytest.raises(cli.ConfigError, match="not finite"):
+        cli._parse_box(spec, 2)
+
+
+def test_exponents_imports_no_heavy_modules(tmp_path):
+    code = (
+        "import sys\n"
+        "from soboheat import cli\n"
+        f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(sorted(m for m in ('sympy', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))\n"
+    )
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "[]"
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(-2, 10), n=st.integers(-2, 10),
+       r=st.text(alphabet="0123456789/.-x ", max_size=8))
+def test_fuzz_exponents_exits_0_or_2_with_one_error_line(tmp_path_factory, m, n, r):
+    out = tmp_path_factory.getbasetemp() / "fuzz-exponents"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["exponents", f"--m={m}", f"--n={n}", f"--r={r}", "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2)
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=st.one_of(st.text(max_size=12),
+                      st.text(alphabet="0123456789.:,x-+einfa ", max_size=16)))
+def test_fuzz_grid_and_box_specs(text):
+    try:
+        counts = cli._parse_grid(text, 2)
+    except cli.ConfigError:
+        pass
+    else:
+        assert len(counts) == 2 and all(isinstance(c, int) and c >= 1 for c in counts)
+    try:
+        box = cli._parse_box(text, 2)
+    except cli.ConfigError:
+        pass
+    else:
+        assert len(box) == 2
+        assert all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in box)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from soboheat import geometry as geo
 
@@ -11,11 +12,14 @@ def test_make_chart_rejects_unknown_model():
         geo.make_chart("klein-bottle")
 
 
+def _metric(chart, pts):
+    return chart.conformal_factor(pts)[:, None, None] * np.eye(chart.n)
+
+
 def test_euclidean_metric_is_identity():
     chart = geo.make_chart("euclidean", n=3)
-    pts = chart.box_grid(3).reshape(-1, 3)
-    g = chart.metric(pts)
-    assert np.allclose(g, np.eye(3))
+    pts = geo.grid_points(chart.lo, chart.hi, 3)
+    assert np.allclose(_metric(chart, pts), np.eye(3))
     assert np.allclose(geo.christoffel(chart, pts), 0.0)
     assert np.allclose(geo.ricci(chart, pts), 0.0)
 
@@ -36,16 +40,14 @@ def test_halfplane_ricci_is_minus_metric():
     chart = geo.make_chart("hyperbolic-halfplane")
     pts = np.array([[0.3, 0.8], [-1.0, 2.0], [0.0, 1.0]])
     ric = geo.ricci(chart, pts)
-    g = chart.metric(pts)
-    assert np.allclose(ric, -g, atol=1e-10)
+    assert np.allclose(ric, -_metric(chart, pts), atol=1e-10)
 
 
 def test_poincare_ball_curvature_minus_one():
     chart = geo.make_chart("hyperbolic-ball")
     pts = np.array([[0.0, 0.0], [0.2, 0.1], [-0.3, 0.25]])
     ric = geo.ricci(chart, pts)
-    g = chart.metric(pts)
-    assert np.allclose(ric, -g, atol=1e-9)
+    assert np.allclose(ric, -_metric(chart, pts), atol=1e-9)
 
 
 def test_halfplane_distance_closed_form():
@@ -155,3 +157,55 @@ def test_multi_indices_counts():
     assert len(geo.multi_indices(2, 2)) == 3
     assert len(geo.multi_indices(3, 2)) == 6
     assert len(geo.multi_indices_up_to(2, 3)) == 2 + 3 + 4
+
+
+FIVE_CHARTS = [("euclidean", {}), ("perturbed-euclidean", {"a": 0.3, "frequency": 1.3}),
+               ("hyperbolic-halfplane", {}), ("hyperbolic-ball", {}), ("flat-torus", {"L": 4.0})]
+
+
+@pytest.mark.parametrize("name,kw", FIVE_CHARTS)
+def test_second_christoffel_derivative_matches_central_difference(name, kw):
+    chart = geo.make_chart(name, **kw)
+    rng = np.random.default_rng(3)
+    span = chart.hi - chart.lo
+    pts = chart.lo + (0.1 + 0.8 * rng.random((40, chart.n))) * span
+    exact = geo._gamma_map(geo._phi_jet(chart, pts, 3)[2])  # (..., l, m, i, k, j)
+    h = 1e-5
+    for axis in range(chart.n):
+        step = np.zeros(chart.n)
+        step[axis] = h
+        fd = (geo.christoffel_derivative(chart, pts + step)
+              - geo.christoffel_derivative(chart, pts - step)) / (2 * h)
+        scale = max(1.0, float(np.max(np.abs(exact))))
+        assert np.max(np.abs(fd - exact[:, axis])) <= 1e-6 * scale
+
+
+def _sympy_ricci(f, xs):
+    """Generic Ricci tensor of g = f delta from the Levi-Civita connection."""
+    n = len(xs)
+    g = sp.eye(n) * f
+    ginv = g.inv()
+    gam = [[[sum(ginv[i, l] * (sp.diff(g[l, k], xs[j]) + sp.diff(g[l, j], xs[k])
+                               - sp.diff(g[k, j], xs[l])) for l in range(n)) / 2
+             for j in range(n)] for k in range(n)] for i in range(n)]
+    ric = sp.zeros(n, n)
+    for j in range(n):
+        for k in range(n):
+            ric[j, k] = sum(sp.diff(gam[i][j][k], xs[i]) - sp.diff(gam[i][j][i], xs[k])
+                            + sum(gam[i][i][p] * gam[p][j][k] - gam[i][k][p] * gam[p][j][i]
+                                  for p in range(n))
+                            for i in range(n))
+    return sp.lambdify(xs, ric, modules="numpy")
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_ricci_matches_generic_sympy_ricci(n):
+    a, w = 0.3, 1.3
+    chart = geo.make_chart("perturbed-euclidean", n=n, a=a, frequency=w)
+    xs = sp.symbols(f"x0:{n}")
+    ric_fn = _sympy_ricci(1 + sp.Float(a) * sp.sin(sp.Float(w) * xs[0]), xs)
+    pts = np.random.default_rng(5).uniform(0.5, 9.5, (25, n))
+    got = geo.ricci(chart, pts)
+    for x, ric in zip(pts, got):
+        want = np.array(ric_fn(*x), dtype=float)
+        assert np.allclose(ric, want, rtol=1e-12, atol=1e-14)
