@@ -15,6 +15,11 @@ and by R_CAP, since only min(1, R'/2) is ever used), found by bracketing
 plus bisection on the monotone predicate; the admissible radius is
 R(c) = min(1, R'(c)/2).  R' is 1-Lipschitz in geodesic distance and the
 field satisfies slow variation: R(y) in [R(x)/2, 2 R(x)] on B(x, R(x)).
+
+A radius field runs the search of all its centers in lockstep, with one
+batched predicate evaluation per round over at most POINT_BUDGET sample
+points at a time; is_admissible and admissible_radius are the same code
+on a batch of one.
 """
 
 from __future__ import annotations
@@ -29,12 +34,14 @@ from .geometry import (
     MetricChart,
     ball_fits_domain,
     ball_sample_points,
+    budget_blocks,
     flat_boundary_distance,
     grid_points,
     multi_indices_up_to,
 )
 
 R_CAP = 2.5  # radii beyond this never affect min(1, R'/2)
+POINT_BUDGET = 1 << 16  # sample points per batched predicate evaluation
 
 
 class DegeneratePointError(DomainError):
@@ -57,84 +64,155 @@ class AdmissibilityParams:
             raise DomainError("sample_density must be >= 8")
 
 
-def _polar_ball_samples(chart: MetricChart, center, R: float, params: AdmissibilityParams):
-    """Polar sample of a 2-D geodesic ball, or None if it exits the domain.
-
-    Ray lengths to the geodesic sphere are found by vectorized bisection,
-    so the boundary ring is sampled exactly.  The pattern is built from
-    the center, making it equivariant under chart isometries that fix
-    the sampling resolution (e.g. rotations of the disc model) — an
-    axis-aligned grid would bias the sup in condition 2 by orientation.
-    """
-    center = np.asarray(center, dtype=float)
+def _polar_shape(R: float, params: AdmissibilityParams) -> tuple[int, int]:
+    """(rays, points per ray) of the polar sample of a 2-D ball of radius R."""
     J = max(48, int(math.ceil(2 * math.pi * R * params.sample_density)))
     K = max(6, int(math.ceil(R * params.sample_density)))
-    theta = 2 * math.pi * np.arange(J) / J
-    u = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    return J, K
+
+
+def _grid_per_axis(R: float, params: AdmissibilityParams) -> int:
+    return max(9, int(math.ceil(2 * R * params.sample_density)) + 1)
+
+
+def _sample_size(chart: MetricChart, R: float, params: AdmissibilityParams) -> int:
+    """Upper bound on the sample points of a ball of radius R."""
+    if chart.n == 2:
+        J, K = _polar_shape(R, params)
+        return J * K + 1
+    return _grid_per_axis(R, params) ** chart.n
+
+
+def _polar_ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
+    """Polar samples of 2-D geodesic balls B(centers[j], radii[j]): one
+    point array per ball, None where the ball exits the domain.
+
+    Ray lengths to the geodesic spheres are found by one vectorized
+    bisection over the rays of all the balls, so each boundary ring is
+    sampled exactly.  The pattern is built from the center, making it
+    equivariant under chart isometries that fix the sampling resolution
+    (e.g. rotations of the disc model) — an axis-aligned grid would bias
+    the sup in condition 2 by orientation.
+    """
+    shapes = [_polar_shape(R, params) for R in radii.tolist()]
+    rays = np.array([J for J, _ in shapes])
+    dirs = {}
+    for J in set(rays.tolist()):
+        theta = 2 * math.pi * np.arange(J) / J
+        dirs[J] = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
+    u = np.concatenate([dirs[J] for J in rays.tolist()])
+    c = np.repeat(centers, rays, axis=0)
+    r = np.repeat(radii, rays)
     # chart-length to the domain boundary along each ray
-    t_dom = np.full(J, np.inf)
+    t_dom = np.full(len(u), np.inf)
     for i in range(2):
         if chart.periodic[i]:
             continue
         with np.errstate(divide="ignore"):
-            t_hi = (chart.hi[i] - center[i]) / u[:, i]
-            t_lo = (chart.lo[i] - center[i]) / u[:, i]
+            t_hi = (chart.hi[i] - c[:, i]) / u[:, i]
+            t_lo = (chart.lo[i] - c[:, i]) / u[:, i]
         for t in (t_hi, t_lo):
             pos = t > 0
             t_dom[pos] = np.minimum(t_dom[pos], t[pos])
     t_dom = np.minimum(t_dom, 1e6)
-    # bisect d(center, center + t u) = R on each ray
-    hi = np.minimum(R / math.sqrt(chart.f_min), t_dom)
-    if np.any(chart.distance(chart.wrap(center + hi[:, None] * u), center[None, :]) < R):
-        return None  # some ray hits the domain boundary inside the ball
-    lo = np.zeros(J)
+    # a ball exits the domain when one of its rays hits the boundary
+    # inside it; the others bisect d(center, center + t u) = R on each ray
+    hi = np.minimum(r / math.sqrt(chart.f_min), t_dom)
+    exits = chart.distance(chart.wrap(c + hi[:, None] * u), c) < r
+    fits = ~np.logical_or.reduceat(exits, np.cumsum(rays) - rays)
+    keep = np.repeat(fits, rays)
+    u, c, r, hi = u[keep], c[keep], r[keep], hi[keep]
+    lo = np.zeros(len(u))
     for _ in range(40):
         mid = 0.5 * (lo + hi)
-        inside = chart.distance(chart.wrap(center + mid[:, None] * u), center[None, :]) < R
+        inside = chart.distance(chart.wrap(c + mid[:, None] * u), c) < r
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     t_sphere = 0.5 * (lo + hi)
-    s = (np.arange(1, K + 1) / K)[:, None]
-    pts = center[None, None, :] + (s * t_sphere[None, :])[:, :, None] * u[None, :, :]
-    pts = chart.wrap(pts.reshape(-1, 2))
-    return np.concatenate([center[None, :], pts], axis=0)
+    samples = [None] * len(radii)
+    first = 0
+    for j in np.flatnonzero(fits):
+        J, K = shapes[j]
+        t, uj = t_sphere[first:first + J], u[first:first + J]
+        first += J
+        s = (np.arange(1, K + 1) / K)[:, None]
+        pts = centers[j][None, None, :] + (s * t[None, :])[:, :, None] * uj[None, :, :]
+        samples[j] = np.concatenate([centers[j][None, :], chart.wrap(pts.reshape(-1, 2))], axis=0)
+    return samples
 
 
-def _ball_samples(chart: MetricChart, center, R: float, params: AdmissibilityParams):
-    """Sample of the geodesic ball, or None when it exits the domain."""
+def _ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
+    """Samples of geodesic balls, None for those that exit the domain; in
+    3-D each ball is sampled on its own grid."""
     if chart.n == 2:
-        return _polar_ball_samples(chart, center, R, params)
-    if not ball_fits_domain(chart, center, R):
-        return None
-    per_axis = max(9, int(math.ceil(2 * R * params.sample_density)) + 1)
-    pts, _ = ball_sample_points(chart, center, R, per_axis)
-    return pts
+        return _polar_ball_samples(chart, centers, radii, params)
+    samples = []
+    for center, R in zip(centers, radii.tolist()):
+        inside = ball_fits_domain(chart, center, R)
+        samples.append(ball_sample_points(chart, center, R, _grid_per_axis(R, params))[0]
+                       if inside else None)
+    return samples
 
 
-def is_admissible(chart: MetricChart, center, R: float, params: AdmissibilityParams) -> bool:
-    """Both admissibility conditions on a sample grid of B(center, R)."""
-    center = np.asarray(center, dtype=float)
-    if R <= 0:
-        return False
+def _conditions_hold(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
+    """Both admissibility conditions on the samples of each B(centers[j], radii[j])."""
+    samples = _ball_samples(chart, centers, radii, params)
+    ok = np.array([pts is not None for pts in samples])
+    idx = np.flatnonzero(ok)
+    if len(idx) == 0:
+        return ok
+    sizes = np.array([len(samples[j]) for j in idx])
+    pts = np.concatenate([samples[j] for j in idx], axis=0)
+    fc = chart.conformal_factor(centers[idx])
+    ratio = chart.conformal_factor(pts) / np.repeat(fc, sizes)
+    starts = np.cumsum(sizes) - sizes
+    band = ~((np.minimum.reduceat(ratio, starts) < 1 - params.eps)
+             | (np.maximum.reduceat(ratio, starts) > 1 + params.eps))
+    ok[idx[~band]] = False
+    if not band.any():
+        return ok
+    pts = pts[np.repeat(band, sizes)]
+    idx, sizes, fc = idx[band], sizes[band], fc[band]
+    starts = np.cumsum(sizes) - sizes
+    betas = multi_indices_up_to(chart.n, params.m)
+    sups = [np.maximum.reduceat(np.abs(chart.conformal_derivative(pts, beta)), starts)
+            for beta in betas]
+    for row, j in enumerate(idx):
+        R, f = float(radii[j]), float(fc[row])
+        total = 0.0
+        for beta, sup in zip(betas, sups):
+            k = sum(beta)
+            total += R**k * (float(sup[row]) / f ** (1 + k / 2))
+            if total > params.eps:
+                ok[j] = False
+                break
+    return ok
+
+
+def _admissible(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
+    """The admissibility predicate at every (centers[j], radii[j]).
+
+    Balls are sampled and checked in runs of at most POINT_BUDGET sample
+    points (a ball with more points is checked alone)."""
+    ok = ~(radii <= 0)
     if chart.is_flat:
         # constant metric: both conditions hold exactly; only the
         # domain containment can fail
-        return _flat_cap(chart, center) >= R
-    pts = _ball_samples(chart, center, R, params)
-    if pts is None:
-        return False
-    fc = float(chart.conformal_factor(center[None])[0])
-    ratio = chart.conformal_factor(pts) / fc
-    if ratio.min() < 1 - params.eps or ratio.max() > 1 + params.eps:
-        return False
-    total = 0.0
-    for beta in multi_indices_up_to(chart.n, params.m):
-        k = sum(beta)
-        sup = float(np.max(np.abs(chart.conformal_derivative(pts, beta)))) / fc ** (1 + k / 2)
-        total += R**k * sup
-        if total > params.eps:
-            return False
-    return True
+        for j in np.flatnonzero(ok):
+            ok[j] = _flat_cap(chart, centers[j]) >= radii[j]
+        return ok
+    todo = np.flatnonzero(ok)
+    sizes = [_sample_size(chart, R, params) for R in radii[todo].tolist()]
+    for start, stop in budget_blocks(sizes, POINT_BUDGET):
+        j = todo[start:stop]
+        ok[j] = _conditions_hold(chart, centers[j], radii[j], params)
+    return ok
+
+
+def is_admissible(chart: MetricChart, center, R: float, params: AdmissibilityParams) -> bool:
+    """Both admissibility conditions on a sample of B(center, R)."""
+    center = np.asarray(center, dtype=float)
+    return bool(_admissible(chart, center[None], np.array([R], dtype=float), params)[0])
 
 
 def _flat_cap(chart: MetricChart, center) -> float:
@@ -162,6 +240,58 @@ def domain_cap(chart: MetricChart, center, tol: float = 1e-3) -> float:
     return max(cap - tol, 0.0)
 
 
+_TEST, _BRACKET, _BISECT, _DONE = range(4)  # per-center phases of _radii
+
+
+def _radii(chart: MetricChart, centers, params: AdmissibilityParams):
+    """(R', R, truncated, iterations, degenerate) at every center.
+
+    Each center runs the same search: a degeneracy test at the bisection
+    tolerance, bracket doubling from min(1, cap) up to the domain cap,
+    then bisection down to the tolerance.  The centers advance in
+    lockstep, with one batched predicate call per round over the
+    unresolved ones; iterations counts a center's bracket and bisection
+    steps.
+    """
+    N = len(centers)
+    tol = params.bisection_tol
+    cap = np.array([domain_cap(chart, c, tol) for c in centers], dtype=float)
+    r_prime = np.zeros(N)
+    truncated = np.zeros(N, dtype=bool)
+    iterations = np.zeros(N, dtype=int)
+    degenerate = cap <= tol
+    lo = np.full(N, tol)
+    hi = np.zeros(N)
+    R = np.minimum(1.0, cap)
+    phase = np.where(degenerate, _DONE, _TEST)
+    while True:
+        act = np.flatnonzero(phase != _DONE)
+        if len(act) == 0:
+            break
+        p = phase[act]
+        radius = np.where(p == _TEST, tol,
+                          np.where(p == _BRACKET, R[act], 0.5 * (lo[act] + hi[act])))
+        ok = _admissible(chart, centers[act], radius, params)
+        iterations[act[p != _TEST]] += 1
+        test, passed = act[p == _TEST], ok[p == _TEST]
+        degenerate[test[~passed]] = True
+        phase[test] = np.where(passed, _BRACKET, _DONE)
+        # bracket doubling: stop at the cap (truncated) or at the first failure
+        up, down = act[(p == _BRACKET) & ok], act[(p == _BRACKET) & ~ok]
+        lo[up] = R[up]
+        at_cap = R[up] >= cap[up] - 1e-15
+        stop, grow = up[at_cap], up[~at_cap]
+        r_prime[stop], truncated[stop], phase[stop] = cap[stop], True, _DONE
+        R[grow] = np.minimum(2 * R[grow], cap[grow])
+        hi[down], phase[down] = R[down], _BISECT
+        bis = p == _BISECT
+        lo[act[bis & ok]] = radius[bis & ok]
+        hi[act[bis & ~ok]] = radius[bis & ~ok]
+        narrow = (phase == _BISECT) & ~(hi - lo > tol)
+        r_prime[narrow], phase[narrow] = lo[narrow], _DONE
+    return r_prime, np.minimum(1.0, r_prime / 2.0), truncated, iterations, degenerate
+
+
 def admissible_radius(chart: MetricChart, center, params: AdmissibilityParams):
     """Supremal admissible radius R' and R = min(1, R'/2) at one center.
 
@@ -171,32 +301,11 @@ def admissible_radius(chart: MetricChart, center, params: AdmissibilityParams):
     center = np.asarray(center, dtype=float)
     if not np.all(chart.contains(center)):
         raise DomainError("center outside the working domain")
-    tol = params.bisection_tol
-    cap = domain_cap(chart, center, tol)
-    if cap <= tol or not is_admissible(chart, center, tol, params):
-        raise DegeneratePointError(f"no admissible radius above {tol} at {center.tolist()}")
-    iterations = 0
-    lo_r = tol
-    hi_r = None
-    R = min(1.0, cap)
-    while True:
-        iterations += 1
-        if is_admissible(chart, center, R, params):
-            lo_r = R
-            if R >= cap - 1e-15:
-                return cap, min(1.0, cap / 2.0), True, iterations
-            R = min(2 * R, cap)
-        else:
-            hi_r = R
-            break
-    while hi_r - lo_r > tol:
-        iterations += 1
-        mid = 0.5 * (lo_r + hi_r)
-        if is_admissible(chart, center, mid, params):
-            lo_r = mid
-        else:
-            hi_r = mid
-    return lo_r, min(1.0, lo_r / 2.0), False, iterations
+    r_prime, r_eps, truncated, iterations, degenerate = _radii(chart, center[None], params)
+    if degenerate[0]:
+        raise DegeneratePointError(
+            f"no admissible radius above {params.bisection_tol} at {center.tolist()}")
+    return float(r_prime[0]), float(r_eps[0]), bool(truncated[0]), int(iterations[0])
 
 
 @dataclass
@@ -239,20 +348,13 @@ class RadiusField:
 
 
 def radius_field(chart: MetricChart, grid_points, params: AdmissibilityParams) -> RadiusField:
-    """Map admissible_radius over a list/grid of centers (row-major order)."""
+    """admissible_radius at every center of a list/grid (row-major
+    order), all centers searched together; degenerate centers get
+    R' = R = 0 and degenerate = True."""
     pts = np.asarray(grid_points, dtype=float).reshape(-1, chart.n)
-    N = len(pts)
-    r_prime = np.zeros(N)
-    r_eps = np.zeros(N)
-    trunc = np.zeros(N, dtype=bool)
-    iters = np.zeros(N, dtype=int)
-    degen = np.zeros(N, dtype=bool)
-    for j in range(N):
-        try:
-            r_prime[j], r_eps[j], trunc[j], iters[j] = admissible_radius(chart, pts[j], params)
-        except DegeneratePointError:
-            degen[j] = True
-    return RadiusField(chart, params, pts, r_prime, r_eps, trunc, iters, degen)
+    if not np.all(chart.contains(pts)):
+        raise DomainError("center outside the working domain")
+    return RadiusField(chart, params, pts, *_radii(chart, pts, params))
 
 
 def grid_centers(chart: MetricChart, per_axis, margin: float = 0.0) -> np.ndarray:

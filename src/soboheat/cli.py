@@ -143,10 +143,14 @@ def _radius_field(cfg):
     margin = _get(cfg, "margin", 0.0, cast=float)
     box = _parse_box(_get(cfg, "box"), chart.n)
     if box is None:
-        pts = admissible.grid_centers(chart, per_axis, margin)
+        lo, hi, per = chart.lo, chart.hi, np.array(chart.periodic)
     else:
-        lo, hi = np.transpose(box)
-        pts = grid_points(lo + margin, hi - margin, per_axis)
+        # every --box axis is shrunk and sampled end to end
+        (lo, hi), per = np.transpose(box), np.zeros(chart.n, dtype=bool)
+    lo, hi = np.where(per, lo, lo + margin), np.where(per, hi, hi - margin)
+    if not np.all(hi > lo):
+        raise ConfigError(f"margin {margin:g} leaves an empty box")
+    pts = grid_points(lo, hi, per_axis, endpoint=~per)
     return admissible.radius_field(chart, pts, params)
 
 
@@ -310,8 +314,20 @@ def cmd_verify(cfg) -> int:
     return 0 if all(res["passed"] for res in results) else 1
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one `prog: error: message` line, without
+    the usage block."""
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: error: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="soboheat",
         description="Admissible radius fields, Vitali coverings, weighted norms, "
         "and heat-flow estimate experiments on model surfaces.",
@@ -390,7 +406,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     try:
         cfg = _load_config(args)
         return args.func(cfg)

@@ -6,11 +6,14 @@ A greedy pass in decreasing-radius order keeps a pairwise disjoint core
 family; the 5-fold dilates form the cover.  Certificates are measured on
 a probe grid: full coverage, and a maximum overlap count bounded by
 T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated family B(x, R(x)/10)
-obeys the level-scaled bound T * 2^(n k).
+obeys the level-scaled bound T * 2^(n k).  Overlap counts screen
+(probe, ball) pairs with a KD-tree and check the screened pairs exactly,
+at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -18,9 +21,11 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .admissible import AdmissibilityParams, RadiusField, is_admissible
-from .geometry import DomainError, MetricChart, grid_points
+from .geometry import DomainError, MetricChart, budget_blocks, grid_points
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
+PAIR_BUDGET = 1 << 14  # (probe, ball) pairs per distance call when counting memberships;
+# a chord distance holds 32 floats per pair, so this keeps its arrays to a few MB
 
 
 def overlap_bound(n: int, eps: float) -> float:
@@ -126,18 +131,29 @@ def _factor_range_on_box(chart: MetricChart, lo, hi, inflate=0.0):
 
 
 def _count_memberships(chart: MetricChart, probes, centers, radii, f_min_box):
-    """Per-probe count of geodesic balls containing the probe."""
+    """Per-probe count of geodesic balls containing the probe.
+
+    The KD-tree screens (probe, ball) pairs by a chart radius that surely
+    contains each ball; the screened pairs of consecutive balls are then
+    checked exactly in blocks of at most PAIR_BUDGET pairs, one distance
+    call per block (a ball with more pairs is checked in slices).
+    """
     tree, origin = _kdtree(chart, probes)
-    # chart radius that surely contains the geodesic ball
     chart_r = radii / math.sqrt(f_min_box)
+    query = centers - origin
+    screened = tree.query_ball_point(query, chart_r, return_length=True, workers=-1)
     counts = np.zeros(len(probes), dtype=int)
-    hits = tree.query_ball_point(centers - origin, chart_r, workers=-1)
-    for j, h in enumerate(hits):
-        if not h:
-            continue
-        h = np.asarray(h, dtype=int)
-        d = chart.distance(probes[h], centers[j][None, :])
-        counts[h[d <= radii[j]]] += 1
+    for start, stop in budget_blocks(screened, PAIR_BUDGET):
+        hits = tree.query_ball_point(query[start:stop], chart_r[start:stop], workers=-1,
+                                     return_sorted=False)
+        sizes = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
+        probe = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
+                            count=int(sizes.sum()))
+        ball = np.repeat(np.arange(start, stop), sizes)
+        for first in range(0, len(probe), PAIR_BUDGET):
+            p, b = probe[first:first + PAIR_BUDGET], ball[first:first + PAIR_BUDGET]
+            inside = chart.distance(probes[p], centers[b]) <= radii[b]
+            counts += np.bincount(p[inside], minlength=len(probes))
     return counts
 
 

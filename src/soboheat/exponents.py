@@ -33,6 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .geometry import NumericalError
+
 RationalLike = Union[int, Fraction, str]
 
 VARIANTS = ("sections", "functions")
@@ -150,13 +152,15 @@ def bootstrap_table(m: int, n: int, r: RationalLike, variant: str = "sections") 
     # kept as a guard against regressions in the step rules).
     for k in range(ks + 1):
         if variant == "sections":
-            assert b[k] == 4 * m * k + 2 * m
-            assert d[k] == 4 * m * k + m if k >= 1 else d[k] == m
-            if k >= 1:
-                assert a[k] == min(a0, Fraction(5 * m))
+            closed = (b[k] == 4 * m * k + 2 * m,
+                      d[k] == (4 * m * k + m if k >= 1 else m),
+                      k == 0 or a[k] == min(a0, Fraction(5 * m)))
         else:
-            assert b[k] == k * (4 * m - 1) + 2 * m
-            assert d[k] == m + k * (4 * m - 1)
+            closed = (b[k] == k * (4 * m - 1) + 2 * m,
+                      d[k] == m + k * (4 * m - 1))
+        if not all(closed):
+            raise NumericalError(f"bootstrap step {k} departs from the closed forms "
+                                 f"(m={m}, n={n}, r={r}, variant {variant})")
 
     if ks == 0:
         beta, gamma, delta = a0, b[0], d[0]

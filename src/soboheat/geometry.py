@@ -75,6 +75,19 @@ def grid_points(lo, hi, per_axis, endpoint=True) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
 
 
+def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
+    """[start, stop) runs of consecutive items whose sizes sum to at most
+    budget, in order; an item larger than budget forms a run of its own."""
+    cum = np.cumsum(sizes)
+    blocks, start = [], 0
+    while start < len(cum):
+        base = cum[start - 1] if start else 0
+        stop = max(int(np.searchsorted(cum, base + budget, side="right")), start + 1)
+        blocks.append((start, stop))
+        start = stop
+    return blocks
+
+
 # 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_X = 0.5 * (_GL_X + 1.0)

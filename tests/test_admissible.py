@@ -150,3 +150,113 @@ def test_center_outside_domain_raises():
 
 def test_degenerate_error_is_domain_error():
     assert issubclass(adm.DegeneratePointError, DomainError)
+
+
+def sequential_field(chart, pts, p):
+    """radius_field's search run one center and one public is_admissible
+    call at a time: (r_prime, r_eps, truncated, iterations, degenerate)."""
+    tol = p.bisection_tol
+    rows = []
+    for c in pts:
+        cap = adm.domain_cap(chart, c, tol)
+        if cap <= tol or not adm.is_admissible(chart, c, tol, p):
+            rows.append((0.0, 0.0, False, 0, True))
+            continue
+        it, lo, hi, R = 0, tol, None, min(1.0, cap)
+        while hi is None:
+            it += 1
+            if not adm.is_admissible(chart, c, R, p):
+                hi = R
+            elif R >= cap - 1e-15:
+                break
+            else:
+                lo, R = R, min(2 * R, cap)
+        if hi is None:
+            rows.append((cap, min(1.0, cap / 2.0), True, it, False))
+            continue
+        while hi - lo > tol:
+            it += 1
+            mid = 0.5 * (lo + hi)
+            if adm.is_admissible(chart, c, mid, p):
+                lo = mid
+            else:
+                hi = mid
+        rows.append((lo, min(1.0, lo / 2.0), False, it, False))
+    return [np.array(col) for col in zip(*rows)]
+
+
+# per chart: centers with at least one truncated (domain-capped) one and,
+# on charts with a boundary, a degenerate one on it
+LOCKSTEP_CASES = {
+    "euclidean": ({}, params(), [[0.0, 5.0], [5.0, 5.0], [0.4, 9.9], [3.0, 7.0]]),
+    "flat-torus": ({"L": 4.0}, params(), [[0.0, 0.0], [1.3, 3.9]]),
+    "perturbed-euclidean": ({}, params(), [[0.0, 5.0], [5.0, 5.0], [5.2, 4.1], [9.95, 3.0],
+                                          [1.0, 1.0]]),
+    "hyperbolic-halfplane": ({}, params(), [[0.0, 0.25], [0.0, 0.26], [0.0, 1.0], [0.5, 1.7],
+                                           [1.99, 2.0]]),
+    "hyperbolic-ball": ({}, params(), [[0.6, 0.0], [0.0, 0.0], [0.1, -0.05], [0.58, 0.3]]),
+    "perturbed-euclidean-3d": ({"n": 3}, params(sample_density=8.0, bisection_tol=0.1),
+                               [[0.0, 5.0, 5.0], [5.0, 5.0, 5.0], [9.5, 5.0, 5.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LOCKSTEP_CASES))
+def test_radius_field_matches_sequential_search(case):
+    """The lockstep search gives bit for bit what one center at a time
+    through the public predicate gives."""
+    kw, p, pts = LOCKSTEP_CASES[case]
+    chart = make_chart(case.removesuffix("-3d"), **kw)
+    pts = np.array(pts)
+    fld = adm.radius_field(chart, pts, p)
+    got = [fld.r_prime, fld.r_eps, fld.truncated, fld.iterations, fld.degenerate]
+    want = sequential_field(chart, pts, p)
+    for a, b in zip(got, want):
+        assert a.dtype.kind == b.dtype.kind and a.tobytes() == b.astype(a.dtype).tobytes()
+    assert fld.truncated.any() and (fld.degenerate.any() or all(chart.periodic))
+
+
+def test_predicate_batches_stay_within_point_budget(monkeypatch):
+    """With a budget small enough to split every round into several
+    batches, no distance call of the predicate exceeds it, and the field
+    equals the one computed with the default budget."""
+    chart = make_chart("hyperbolic-ball")
+    pts = adm.grid_centers(chart, 4, margin=0.2)
+    p = params()
+    ref = adm.radius_field(chart, pts, p)
+    budget = 2000
+    monkeypatch.setattr(adm, "POINT_BUDGET", budget)
+    pairs, inside, rounds = [], [], []
+    distance, predicate = chart.distance, adm._admissible
+
+    def recording(x, y):
+        if inside:
+            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
+        return distance(x, y)
+
+    def counting(*args):
+        inside.append(True)
+        rounds.append(len(args[1]))
+        try:
+            return predicate(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(chart, "distance", recording)
+    monkeypatch.setattr(adm, "_admissible", counting)
+    fld = adm.radius_field(chart, pts, p)
+    assert max(pairs) <= budget
+    # one batch makes at most 41 distance calls (exit check + 40 bisection
+    # steps), so more calls than that per round means rounds were split
+    assert len(pairs) > 41 * len(rounds)
+    for name in ("r_prime", "r_eps", "truncated", "iterations", "degenerate"):
+        assert np.array_equal(getattr(fld, name), getattr(ref, name))
+
+
+def test_is_admissible_is_a_batch_of_one():
+    chart = make_chart("hyperbolic-halfplane")
+    p = params()
+    c = np.array([0.3, 1.2])
+    radii = np.array([0.0, -1.0, 0.01, 0.05, 0.3])
+    batch = adm._admissible(chart, np.repeat(c[None], len(radii), axis=0), radii, p)
+    assert batch.tolist() == [adm.is_admissible(chart, c, R, p) for R in radii]
+    assert batch.tolist() == [False, False, True, True, False]

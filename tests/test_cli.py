@@ -158,6 +158,9 @@ def test_config_parse_error(tmp_path, capsys):
     ["exponents", "--m", "2", "--n", "4", "--r", "1/0"],
     ["cover", "--model", "euclidean", "--k", "-1", "--grid", "4x4",
      "--box", "4.3:5.7,4.3:5.7", "--cover-box", "4.5:5.5,4.5:5.5"],
+    # the margin empties the box: reversed on --box, empty on the working box
+    ["radius", "--model", "euclidean", "--grid", "3x3", "--box", "4:5,4:5", "--margin", "0.8"],
+    ["radius", "--model", "hyperbolic-ball", "--grid", "3x3", "--margin", "0.6"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert run(argv + ["--out", str(tmp_path)]) == 2
@@ -165,6 +168,32 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_margin_on_periodic_axes_is_ignored(tmp_path):
+    assert run(["radius", "--model", "flat-torus", "--grid", "3x3", "--margin", "5",
+                "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["exponents", "--m", "2", "--n", "4", "--r", "-x"], "soboheat exponents: error: "),
+    (["exponents", "--m", "2", "--n", "4", "--r", "4", "--bogus"], "soboheat: error: "),
+    (["bogus"], "soboheat: error: "),
+    ([], "soboheat: error: "),
+])
+def test_usage_errors_print_one_error_line(capsys, argv, prefix):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(prefix)
+    assert captured.out == ""
+
+
+def test_help_keeps_its_usage_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(["exponents", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: soboheat exponents")
 
 
 @pytest.mark.parametrize("spec", ["1:inf,2:3", "4.5:nan,4.5:5.5", "-inf:0,0:1"])

@@ -109,3 +109,69 @@ def test_empty_field_rejected():
     fld = adm.radius_field(chart, np.empty((0, 2)), adm.AdmissibilityParams(m=2, eps=0.2))
     with pytest.raises((DomainError, ValueError)):
         cov.build_admissible_covering(fld, 0, box=BOX)
+
+
+# per chart: a probe box (lo, hi) and the largest ball radius; the torus
+# box straddles the seam x1 = L and wraps
+MEMBERSHIP_CASES = {
+    "euclidean": ({}, [4.0, 4.0], [5.0, 5.0], 0.3),
+    "perturbed-euclidean": ({}, [4.6, 4.6], [5.4, 5.4], 0.2),
+    "hyperbolic-halfplane": ({}, [-0.3, 0.7], [0.3, 1.3], 0.2),
+    "hyperbolic-ball": ({}, [-0.3, -0.3], [0.3, 0.3], 0.3),
+    "flat-torus": ({"L": 4.0}, [3.4, 1.0], [4.6, 2.0], 0.3),
+}
+
+
+def membership_inputs(name, n_probes=600, n_balls=80, seed=0):
+    kw, lo, hi, r_max = MEMBERSHIP_CASES[name]
+    chart = make_chart(name, **kw)
+    rng = np.random.default_rng(seed)
+    probes = chart.wrap(rng.uniform(lo, hi, size=(n_probes, 2)))
+    centers = chart.wrap(rng.uniform(lo, hi, size=(n_balls, 2)))
+    radii = rng.uniform(0.2, 1.0, n_balls) * r_max
+    lo_c, hi_c = np.maximum(lo, chart.lo), np.minimum(hi, chart.hi)
+    f_min_box, _ = cov._factor_range_on_box(chart, lo_c, hi_c, inflate=r_max)
+    return chart, probes, centers, radii, f_min_box
+
+
+@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CASES))
+@pytest.mark.parametrize("budget", [cov.PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
+def test_count_memberships_equals_brute_force(name, budget, monkeypatch):
+    """Counts over the KD-tree-screened pair blocks equal counts over the
+    full probe x ball distance matrix; a budget of 7 pairs splits the
+    balls into many blocks and slices every ball with more pairs."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
+    chart, probes, centers, radii, f_min_box = membership_inputs(name)
+    counts = cov._count_memberships(chart, probes, centers, radii, f_min_box)
+    d = chart.distance(probes[:, None, :], centers[None, :, :])
+    want = np.count_nonzero(d <= radii[None, :], axis=1)
+    assert want.max() >= 2
+    assert np.array_equal(counts, want)
+
+
+def test_membership_blocks_stay_within_pair_budget(monkeypatch):
+    """Coverings with far more screened pairs than the budget count them
+    in several distance calls, none above the budget."""
+    fld = euclid_field()
+    chart = fld.chart
+    pairs, inside = [], []
+    distance, count = chart.distance, cov._count_memberships
+
+    def recording(x, y):
+        if inside:
+            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
+        return distance(x, y)
+
+    def counting(*args):
+        inside.append(True)
+        try:
+            return count(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(chart, "distance", recording)
+    monkeypatch.setattr(cov, "_count_memberships", counting)
+    c = cov.build_admissible_covering(fld, 2, box=BOX)
+    cov.certify_dilated_overlap(c, box=BOX)
+    assert sum(pairs) > 4 * cov.PAIR_BUDGET
+    assert max(pairs) <= cov.PAIR_BUDGET

@@ -1,5 +1,9 @@
+import ast
 import math
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -105,3 +109,22 @@ def test_render_table_mentions_terminals():
     t = ex.bootstrap_table(2, 4, 4)
     text = ex.render_table(t)
     assert "beta=3" in text and "gamma=12" in text and "delta=10" in text
+
+
+def test_no_assert_in_the_package():
+    """Guards stay in force under python -O, which strips asserts."""
+    src = Path(ex.__file__).parent
+    found = [f"{path.name}:{node.lineno}" for path in sorted(src.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_exponents_report_is_the_same_under_python_O(tmp_path):
+    reports = []
+    for flags in ([], ["-O"]):
+        out = tmp_path / ("opt" if flags else "plain")
+        res = subprocess.run([sys.executable, *flags, "-m", "soboheat.cli", "exponents", "--m", "2",
+                              "--n", "4", "--r", "4", "--out", str(out)],
+                             capture_output=True, text=True, check=True)
+        reports.append((res.stdout.replace(str(out), ""), (out / "exponents.json").read_text()))
+    assert reports[0] == reports[1]

@@ -209,3 +209,11 @@ def test_ricci_matches_generic_sympy_ricci(n):
     for x, ric in zip(pts, got):
         want = np.array(ric_fn(*x), dtype=float)
         assert np.allclose(ric, want, rtol=1e-12, atol=1e-14)
+
+
+def test_budget_blocks_split_runs_at_the_budget():
+    from soboheat.geometry import budget_blocks
+
+    assert budget_blocks([3, 2, 1, 10, 4, 2, 6], 6) == [(0, 3), (3, 4), (4, 6), (6, 7)]
+    assert budget_blocks([], 6) == []
+    assert budget_blocks(np.zeros(5, dtype=int), 6) == [(0, 5)]
