@@ -65,16 +65,13 @@ def _get(cfg, key, default=None, required=False, cast=None):
 
 def _chart_from_config(cfg):
     name = _get(cfg, "model", required=True)
-    kwargs = {}
-    if name == "euclidean":
-        kwargs["n"] = _get(cfg, "n", 2, cast=int)
+    kwargs = {"n": _get(cfg, "n", 2, cast=int)}
     if name == "perturbed-euclidean":
         kwargs["a"] = _get(cfg, "a", 0.1, cast=float)
         freq = _get(cfg, "frequency", None, cast=float)
         if freq is not None:
             kwargs["frequency"] = freq
     if name == "flat-torus":
-        kwargs["n"] = _get(cfg, "n", 2, cast=int)
         kwargs["L"] = _get(cfg, "L", 4.0, cast=float)
     return make_chart(name, **kwargs)
 

@@ -1,10 +1,12 @@
 """Model Riemannian manifolds as analytic coordinate charts.
 
 Every chart in the catalog is conformally flat: g_ij(x) = f(x) delta_ij
-with a closed-form conformal factor f.  Partial derivatives of f up to
-order 3 are generated symbolically at construction time and compiled to
-vectorized numpy callables.  With phi = (1/2) log f, the connection and
-curvature are closed forms in the derivatives of phi:
+with a closed-form conformal factor f.  Each model also gives the partial
+derivatives of f up to order 3 in closed form (constant on the flat
+charts; a derivative of one 1-D profile on perturbed-Euclidean and the
+half-plane; polynomials in x over powers of 1 - |x|^2 on the disc).
+With phi = (1/2) log f, the connection and curvature are closed forms in
+the derivatives of phi:
 
   Gamma^i_kj = delta_ik d_j phi + delta_ij d_k phi - delta_kj d_i phi,
 
@@ -13,13 +15,13 @@ d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
 
   Rc = -(n-2) (d^2 phi - d phi (x) d phi) - (lap phi + (n-2) |d phi|^2) delta.
 
-No finite differences enter.
+No finite differences and no symbolic algebra enter.
 
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
 chord length along the straight chart segment is used (Gauss-Legendre
-quadrature), which is exact in the flat limit and within the factor
-sqrt((1+a)/(1-a)) of the true distance.
+quadrature of sqrt(f), which depends on x_1 only), which is exact in the
+flat limit and within the factor sqrt((1+a)/(1-a)) of the true distance.
 """
 
 from __future__ import annotations
@@ -95,22 +97,24 @@ _GL_W = 0.5 * _GL_W
 
 
 class MetricChart:
-    """A conformally flat analytic chart g_ij = f(x) delta_ij on a box."""
+    """A conformally flat analytic chart g_ij = f(x) delta_ij on a box.
+
+    jet(x, beta) is the model's closed form of d^beta f at the points x
+    (beta = 0 gives f), for |beta| <= M_MAX; is_flat says f is constant.
+    """
 
     def __init__(
         self,
         name: str,
         dim: int,
-        factor_expr: sp.Expr,
-        symbols: tuple[sp.Symbol, ...],
         lo,
         hi,
         periodic: tuple[bool, ...],
         distance_fn: Callable,
+        jet: Callable,
+        is_flat: bool,
         params: dict | None = None,
     ):
-        import sympy as sp
-
         self.name = name
         self.n = dim
         self.lo = np.asarray(lo, dtype=float)
@@ -118,26 +122,14 @@ class MetricChart:
         self.periodic = tuple(periodic)
         self.params = dict(params or {})
         self._distance_fn = distance_fn
-        self._symbols = symbols
-        self._factor_expr = factor_expr
-        self._derivs: dict[tuple[int, ...], Callable] = {}
-        zero = tuple([0] * dim)
-        exprs = {zero: factor_expr}
-        for beta in multi_indices_up_to(dim, M_MAX):
-            expr = factor_expr
-            for axis, k in enumerate(beta):
-                if k:
-                    expr = sp.diff(expr, symbols[axis], k)
-            exprs[beta] = expr
-        for beta, expr in exprs.items():
-            self._derivs[beta] = sp.lambdify(symbols, expr, modules="numpy")
-        self.is_flat = all(expr == 0 for beta, expr in exprs.items() if sum(beta) > 0)
+        self.jet = jet
+        self.is_flat = is_flat
         # Conformal-factor range over the working box, for chart<->geodesic
         # distance conversion factors.
         fvals = self.conformal_factor(grid_points(self.lo, self.hi, 33))
         self.f_min = float(np.min(fvals))
         self.f_max = float(np.max(fvals))
-        if self.f_min <= 0:
+        if not self.f_min > 0:
             raise NumericalError(f"chart {name}: conformal factor not positive on the box")
 
     # -- basic queries -------------------------------------------------
@@ -160,20 +152,16 @@ class MetricChart:
                 x[..., i] = self.lo[i] + np.mod(x[..., i] - self.lo[i], L)
         return x
 
-    def _eval(self, beta: tuple[int, ...], x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        cols = [x[..., i] for i in range(self.n)]
-        val = self._derivs[beta](*cols)
-        return np.broadcast_to(np.asarray(val, dtype=float), x.shape[:-1]).copy()
-
     def conformal_factor(self, x) -> np.ndarray:
-        return self._eval(tuple([0] * self.n), x)
+        return self.jet(np.asarray(x, dtype=float), (0,) * self.n)
 
     def conformal_derivative(self, x, beta) -> np.ndarray:
         beta = tuple(int(b) for b in beta)
+        if len(beta) != self.n or min(beta) < 0:
+            raise CapabilityError(f"multi-index {beta} does not fit a {self.n}-D chart")
         if sum(beta) > M_MAX:
             raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
-        return self._eval(beta, x)
+        return self.jet(np.asarray(x, dtype=float), beta)
 
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
@@ -184,7 +172,70 @@ class MetricChart:
         return self._distance_fn(self, x, y)
 
 
-# -- catalog ----------------------------------------------------------
+# -- catalog: conformal factors ----------------------------------------
+
+
+class AxisProfile:
+    """Jet of a factor that depends on one coordinate only,
+    f(x) = profile(x[axis], 0), where profile(t, k) is the k-th derivative
+    of f along that axis; every other partial derivative is 0."""
+
+    def __init__(self, axis: int, profile: Callable):
+        self.axis = axis
+        self.profile = profile
+
+    def __call__(self, x, beta) -> np.ndarray:
+        k = beta[self.axis]
+        if sum(beta) > k:
+            return np.zeros(x.shape[:-1])
+        return self.profile(x[..., self.axis], k)
+
+
+def _unit_profile(t, k):
+    """f = 1: the flat charts."""
+    return np.full(np.shape(t), 1.0 if k == 0 else 0.0)
+
+
+def _sine_profile(a: float, w: float) -> Callable:
+    """f = 1 + a sin(w t): d^k f = a w^k (sin, cos, -sin, -cos)(w t)."""
+
+    def profile(t, k):
+        if k == 0:
+            return 1.0 + a * np.sin(w * t)
+        trig = np.cos if k % 2 else np.sin
+        sign = 1.0 if k % 4 < 2 else -1.0
+        return sign * (a * w**k) * trig(w * t)
+
+    return profile
+
+
+def _inverse_square_profile(t, k):
+    """f = t^-2: d^k f = (-1)^k (k + 1)! t^-(k + 2)."""
+    if k == 0:
+        return t**-2.0
+    return (-1) ** k * math.factorial(k + 1) / t ** (k + 2)
+
+
+def _disc_jet(x, beta) -> np.ndarray:
+    """f = 4 u^-2 with u = 1 - |x|^2:
+    d_i f = 16 x_i u^-3,
+    d_ij f = 16 delta_ij u^-3 + 96 x_i x_j u^-4,
+    d_ijk f = 96 (delta_ij x_k + delta_ik x_j + delta_jk x_i) u^-4 + 768 x_i x_j x_k u^-5."""
+    u = 1.0 - (x[..., 0] ** 2 + x[..., 1] ** 2)
+    idx = [axis for axis, k in enumerate(beta) for _ in range(k)]
+    xs = [x[..., i] for i in idx]
+    if len(idx) == 0:
+        return 4.0 / u**2
+    if len(idx) == 1:
+        return 16.0 * xs[0] / u**3
+    if len(idx) == 2:
+        return 16.0 * (idx[0] == idx[1]) / u**3 + 96.0 * xs[0] * xs[1] / u**4
+    i, j, k = idx
+    deltas = (i == j) * xs[2] + (i == k) * xs[1] + (j == k) * xs[0]
+    return 96.0 * deltas / u**4 + 768.0 * xs[0] * xs[1] * xs[2] / u**5
+
+
+# -- catalog: distances -----------------------------------------------
 
 
 def _dist_euclidean(chart, x, y):
@@ -212,75 +263,92 @@ def _dist_poincare_ball(chart, x, y):
 
 
 def _dist_chord(chart, x, y):
-    """Length of the straight chart segment in the conformal metric."""
+    """Length of the straight chart segment in the conformal metric, on a
+    chart whose jet is an AxisProfile: the quadrature nodes are built and
+    f is evaluated on that one coordinate."""
     x, y = np.broadcast_arrays(x, y)
-    seg = np.linalg.norm(y - x, axis=-1)
-    pts = x[..., None, :] + _GL_X[:, None] * (y - x)[..., None, :]
-    f = chart.conformal_factor(pts)
-    integral = np.sum(_GL_W * np.sqrt(f), axis=-1)
+    step = y - x
+    seg = np.linalg.norm(step, axis=-1)
+    axis = chart.jet.axis
+    t = x[..., axis, None] + _GL_X * step[..., axis, None]
+    integral = np.sum(_GL_W * np.sqrt(chart.jet.profile(t, 0)), axis=-1)
     return seg * integral
 
 
 CATALOG = ("euclidean", "perturbed-euclidean", "hyperbolic-halfplane", "hyperbolic-ball", "flat-torus")
 
 
+def _finite(label: str, value) -> float:
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{label} must be finite, got {value}")
+    return value
+
+
+def _dim(name: str, params: dict, allowed: tuple[int, ...]) -> int:
+    n = int(params.get("n", 2))
+    if n not in allowed:
+        raise DomainError(f"{name} chart supports n = {' or '.join(map(str, allowed))}, got {n}")
+    return n
+
+
+def _box(name: str, params: dict, default, n: int):
+    """(lo, hi) of the box parameter: n finite, non-empty [lo, hi] pairs."""
+    box = params.get("box", default)
+    if len(box) != n:
+        raise DomainError(f"{name} box needs {n} intervals, got {len(box)}")
+    lo = [_finite("box bound", b[0]) for b in box]
+    hi = [_finite("box bound", b[1]) for b in box]
+    if not all(l < h for l, h in zip(lo, hi)):
+        raise DomainError(f"{name} box has an empty interval")
+    return lo, hi
+
+
 def make_chart(name: str, **params) -> MetricChart:
     """Instantiate a catalog chart by name.
 
-    Accepted parameters: n (euclidean, 2 or 3), box (all non-periodic
+    Accepted parameters: n (2 or 3 on euclidean, perturbed-euclidean and
+    flat-torus; 2 on the hyperbolic models), box (all non-periodic
     models, list of per-axis [lo, hi]), a and frequency (perturbed
     euclidean), L (flat torus side).
     """
-    import sympy as sp
-
     if name == "euclidean":
-        n = int(params.get("n", 2))
-        if n not in (2, 3):
-            raise DomainError(f"euclidean chart supports n in (2, 3), got {n}")
-        syms = sp.symbols(f"x0:{n}")
-        box = params.get("box", [[0.0, 10.0]] * n)
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return MetricChart(name, n, sp.Integer(1), syms, lo, hi, (False,) * n, _dist_euclidean, params)
+        n = _dim(name, params, (2, 3))
+        lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
+        return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean,
+                           AxisProfile(0, _unit_profile), True, params)
     if name == "perturbed-euclidean":
-        n = int(params.get("n", 2))
-        a = float(params.get("a", 0.1))
-        freq = float(params.get("frequency", 1.0))
+        n = _dim(name, params, (2, 3))
+        a = _finite("perturbation amplitude", params.get("a", 0.1))
+        freq = _finite("frequency", params.get("frequency", 1.0))
         if not 0 <= a < 1:
             raise DomainError(f"perturbation amplitude must be in [0, 1), got {a}")
-        syms = sp.symbols(f"x0:{n}")
-        expr = 1 + sp.Float(a) * sp.sin(sp.Float(freq) * syms[0])
-        box = params.get("box", [[0.0, 10.0]] * n)
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return MetricChart(name, n, expr, syms, lo, hi, (False,) * n, _dist_chord,
+        lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
+        return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord,
+                           AxisProfile(0, _sine_profile(a, freq)), a == 0 or freq == 0,
                            {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
-        syms = sp.symbols("x0:2")
-        expr = 1 / syms[1] ** 2
-        box = params.get("box", [[-2.0, 2.0], [0.25, 4.0]])
-        if box[1][0] <= 0:
+        _dim(name, params, (2,))
+        lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
+        if lo[1] <= 0:
             raise DomainError("half-plane box must satisfy y > 0")
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return MetricChart(name, 2, expr, syms, lo, hi, (False, False), _dist_halfplane, params)
+        return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane,
+                           AxisProfile(1, _inverse_square_profile), False, params)
     if name == "hyperbolic-ball":
-        syms = sp.symbols("x0:2")
-        rho2 = syms[0] ** 2 + syms[1] ** 2
-        expr = 4 / (1 - rho2) ** 2
-        box = params.get("box", [[-0.6, 0.6], [-0.6, 0.6]])
-        corner = math.hypot(max(abs(box[0][0]), abs(box[0][1])), max(abs(box[1][0]), abs(box[1][1])))
+        _dim(name, params, (2,))
+        lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
+        corner = math.hypot(max(abs(lo[0]), abs(hi[0])), max(abs(lo[1]), abs(hi[1])))
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
-        lo = [b[0] for b in box]
-        hi = [b[1] for b in box]
-        return MetricChart(name, 2, expr, syms, lo, hi, (False, False), _dist_poincare_ball, params)
+        return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
+                           False, params)
     if name == "flat-torus":
-        L = float(params.get("L", 2 * math.pi))
-        n = int(params.get("n", 2))
-        syms = sp.symbols(f"x0:{n}")
-        return MetricChart(name, n, sp.Integer(1), syms, [0.0] * n, [L] * n, (True,) * n,
-                           _dist_torus, {"L": L})
+        n = _dim(name, params, (2, 3))
+        L = _finite("torus side L", params.get("L", 2 * math.pi))
+        if not L > 0:
+            raise DomainError(f"torus side L must be positive, got {L}")
+        return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus,
+                           AxisProfile(0, _unit_profile), True, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 

@@ -17,12 +17,15 @@ spatial norm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CapabilityError, DomainError, MetricChart, christoffel
+from .geometry import CapabilityError, DomainError, MetricChart, budget_blocks, christoffel
+
+NORM_BUDGET = 1 << 16  # grid nodes per block of time slices in a Bochner norm
 
 
 class Grid:
@@ -70,26 +73,29 @@ class Grid:
 
     @property
     def gamma(self):
+        """Gamma^u_ij at the nodes, index axes first: (u, i, j, *shape)."""
         if self._gamma is None:
-            flat = self.points.reshape(-1, self.chart.n)
-            self._gamma = christoffel(self.chart, flat).reshape(
-                self.shape + (self.chart.n,) * 3
-            )
+            n = self.chart.n
+            flat = self.points.reshape(-1, n)
+            gamma = christoffel(self.chart, flat).reshape(self.shape + (n,) * 3)
+            self._gamma = np.ascontiguousarray(np.moveaxis(gamma, (-3, -2, -1), (0, 1, 2)))
         return self._gamma
 
-    def partial(self, arr: np.ndarray, axis: int) -> np.ndarray:
-        """Second-order d/dx_axis; periodic axes wrap, others use
-        one-sided second-order stencils at the edges."""
+    def partial(self, arr: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
+        """Second-order d/dx_axis of arr, whose grid axes start after lead
+        leading axes; periodic axes wrap, others use one-sided
+        second-order stencils at the edges."""
+        at = lead + axis
         if self.chart.periodic[axis]:
             padded = np.concatenate(
-                [np.take(arr, [-2, -1], axis=axis), arr, np.take(arr, [0, 1], axis=axis)],
-                axis=axis,
+                [np.take(arr, [-2, -1], axis=at), arr, np.take(arr, [0, 1], axis=at)],
+                axis=at,
             )
-            g = np.gradient(padded, self.h[axis], axis=axis, edge_order=2)
+            g = np.gradient(padded, self.h[axis], axis=at, edge_order=2)
             sl = [slice(None)] * g.ndim
-            sl[axis] = slice(2, -2)
+            sl[at] = slice(2, -2)
             return g[tuple(sl)]
-        return np.gradient(arr, self.h[axis], axis=axis, edge_order=2)
+        return np.gradient(arr, self.h[axis], axis=at, edge_order=2)
 
     def ball_mask(self, center, radius: float) -> np.ndarray:
         flat = self.points.reshape(-1, self.chart.n)
@@ -138,44 +144,50 @@ class DiscreteField:
 
 def _covariant_step(grid: Grid, tensor: np.ndarray, rank: int) -> np.ndarray:
     """One covariant derivative of a rank-(0, rank) lower-index tensor
-    field (rank <= 2); the new index is inserted after the grid axes."""
+    field stored index axes first: tensor[idx] is one component over any
+    leading (e.g. time) axes and the grid axes.  The new index comes
+    first:
+
+      (D T)_{m idx} = d_m T_idx - sum_p sum_l Gamma^l_{m idx_p} T_{idx, idx_p -> l}.
+
+    Every operation is on whole contiguous components, so the cost of a
+    block of time slices grows with its node count only."""
     n = grid.chart.n
-    nd = len(grid.shape)
-    parts = np.stack([grid.partial(tensor, ax) for ax in range(n)], axis=nd)
-    if rank == 0:
-        return parts
-    gamma = grid.gamma  # (*shape, u, i, j) = Gamma^u_{ij}
-    if rank == 1:
-        return parts - np.einsum("...lij,...l->...ij", gamma, tensor)
-    if rank == 2:
-        c1 = np.einsum("...lmi,...lj->...mij", gamma, tensor)
-        c2 = np.einsum("...lmj,...il->...mij", gamma, tensor)
-        return parts - c1 - c2
-    raise CapabilityError("covariant derivative implemented for rank <= 2")
+    gamma = grid.gamma
+    lead = tensor.ndim - rank - len(grid.shape)
+    out = np.empty((n,) + tensor.shape)
+    for m in range(n):
+        for idx in itertools.product(range(n), repeat=rank):
+            d = grid.partial(tensor[idx], m, lead)
+            for p, a in enumerate(idx):
+                for l in range(n):
+                    d -= gamma[l, m, a] * tensor[idx[:p] + (l,) + idx[p + 1:]]
+            out[(m,) + idx] = d
+    return out
 
 
 def covariant_tensors(field: DiscreteField, order: int, values=None) -> list:
-    """[T_0, ..., T_order] where T_j is the j-th covariant derivative."""
+    """[T_0, ..., T_order] where T_j is the j-th covariant derivative, its
+    index axes last; values may carry leading axes (a block of time
+    slices)."""
     grid = field.grid
     if order > 2:
         raise CapabilityError("covariant derivatives available up to order 2")
     vals = field.values if values is None else values
-    base_rank = 1 if field.kind == "one-form" else 0
+    rank = 1 if field.kind == "one-form" else 0
+    cur = np.ascontiguousarray(np.moveaxis(vals, -1, 0)) if rank else vals
     tensors = [vals]
-    cur, rank = vals, base_rank
     for _ in range(order):
         cur = _covariant_step(grid, cur, rank)
         rank += 1
-        tensors.append(cur)
+        tensors.append(np.moveaxis(cur, tuple(range(rank)), tuple(range(-rank, 0))))
     return tensors
 
 
 def tensor_modulus(grid: Grid, tensor: np.ndarray, rank: int) -> np.ndarray:
-    """Pointwise |T|_g, indices raised with g^{-1} = f^{-1} delta."""
-    nd = len(grid.shape)
-    sq = tensor**2
-    for _ in range(tensor.ndim - nd):
-        sq = sq.sum(axis=-1)
+    """Pointwise |T|_g of a tensor with rank trailing index axes, indices
+    raised with g^{-1} = f^{-1} delta."""
+    sq = np.sum(tensor**2, axis=tuple(range(-rank, 0)))
     return np.sqrt(sq) * grid.f ** (-rank / 2.0)
 
 
@@ -205,15 +217,20 @@ def _node_weights(grid: Grid, req: NormRequest) -> np.ndarray:
     return q
 
 
-def _spatial_norm(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) -> float:
+def _spatial_norms(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) -> np.ndarray:
+    """The spatial norm of every slice vals[s] along a leading axis."""
     grid = field.grid
     base_rank = 1 if field.kind == "one-form" else 0
     tensors = covariant_tensors(field, req.l, values=vals)
-    total = 0.0
+    total = np.zeros(len(vals))
     for j, T in enumerate(tensors):
         mod = tensor_modulus(grid, T, base_rank + j)
-        total += float(np.sum(mod**req.r * q)) ** (1.0 / req.r)
+        total += np.sum((mod**req.r * q).reshape(len(vals), -1), axis=1) ** (1.0 / req.r)
     return total
+
+
+def _spatial_norm(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) -> float:
+    return float(_spatial_norms(field, vals[None], req, q)[0])
 
 
 def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
@@ -230,7 +247,10 @@ def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     else:
         sel = np.ones(len(t), dtype=bool)
     idx = np.flatnonzero(sel)
-    vals = np.array([_spatial_norm(field, field.values[j], req, q) for j in idx])
+    # blocks of consecutive slices of at most NORM_BUDGET grid nodes
+    blocks = budget_blocks(np.full(len(idx), math.prod(field.grid.shape)), NORM_BUDGET)
+    vals = np.concatenate([_spatial_norms(field, field.values[idx[a:b]], req, q)
+                           for a, b in blocks] or [np.zeros(0)])
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
 
 

@@ -161,13 +161,37 @@ def test_config_parse_error(tmp_path, capsys):
     # the margin empties the box: reversed on --box, empty on the working box
     ["radius", "--model", "euclidean", "--grid", "3x3", "--box", "4:5,4:5", "--margin", "0.8"],
     ["radius", "--model", "hyperbolic-ball", "--grid", "3x3", "--margin", "0.6"],
+    # chart parameters: non-finite, non-positive side, unsupported dimension
+    ["radius", "--model", "perturbed-euclidean", "--grid", "2x2", "--config", {"frequency": "nan"}],
+    ["radius", "--model", "perturbed-euclidean", "--grid", "2x2", "--config", {"a": "inf"}],
+    ["solve", "--model", "flat-torus", "--grid", "8x8", "--config", {"L": -3}],
+    ["radius", "--model", "flat-torus", "--grid", "2x2", "--L", "0"],
+    ["radius", "--model", "flat-torus", "--grid", "2x2", "--L", "-2"],
+    ["radius", "--model", "flat-torus", "--grid", "2x2", "--L", "nan"],
+    ["radius", "--model", "hyperbolic-ball", "--grid", "2", "--n", "3"],
+    ["radius", "--model", "hyperbolic-halfplane", "--grid", "2", "--n", "3"],
+    ["radius", "--model", "perturbed-euclidean", "--grid", "2", "--n", "4"],
+    ["radius", "--model", "euclidean", "--grid", "2", "--n", "1"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
+    # a dict stands for a config file with that content
+    cfg = tmp_path / "cfg.json"
+    for a in argv:
+        if isinstance(a, dict):
+            cfg.write_text(json.dumps(a))
+    argv = [str(cfg) if isinstance(a, dict) else a for a in argv]
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+    # the error names the bad input, not the default margin it met later
+    assert "--margin" in argv or "leaves an empty box" not in err
+
+
+@pytest.mark.parametrize("name", ["euclidean", "perturbed-euclidean", "flat-torus"])
+def test_chart_from_config_passes_the_dimension(name):
+    assert cli._chart_from_config({"model": name, "n": 3}).n == 3
 
 
 def test_margin_on_periodic_axes_is_ignored(tmp_path):
@@ -203,14 +227,22 @@ def test_parse_box_rejects_non_finite_bounds(spec):
 
 
 def test_exponents_imports_no_heavy_modules(tmp_path):
-    code = (
-        "import sys\n"
-        "from soboheat import cli\n"
-        f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {str(tmp_path)!r}]) == 0\n"
-        "print(sorted(m for m in ('sympy', 'scipy.spatial', 'scipy.sparse') if m in sys.modules))\n"
-    )
-    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
-    assert res.stdout.splitlines()[-1] == "[]"
+    # (calls, modules they must leave unloaded)
+    runs = [
+        (f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {str(tmp_path)!r}]) == 0\n",
+         ("sympy", "scipy.spatial", "scipy.sparse")),
+        # closed-form factor jets: charts and radius fields need no symbolic algebra
+        ("from soboheat.geometry import CATALOG, make_chart\n"
+         "charts = [make_chart(name) for name in CATALOG]\n"
+         "assert cli.main(['radius', '--model', 'perturbed-euclidean', '--grid', '2x2', '--margin', '4',"
+         f" '--out', {str(tmp_path)!r}]) == 0\n",
+         ("sympy",)),
+    ]
+    for calls, heavy in runs:
+        code = ("import sys\nfrom soboheat import cli\n" + calls
+                + f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+        assert res.stdout.splitlines()[-1] == "[]"
 
 
 @settings(max_examples=200, deadline=None)

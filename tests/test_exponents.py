@@ -119,6 +119,23 @@ def test_no_assert_in_the_package():
     assert found == []
 
 
+def test_no_sympy_import_in_the_package():
+    """Every factor jet is a closed form; sympy is a test oracle only."""
+    src = Path(ex.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "sympy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_exponents_report_is_the_same_under_python_O(tmp_path):
     reports = []
     for flags in ([], ["-O"]):

@@ -217,3 +217,75 @@ def test_budget_blocks_split_runs_at_the_budget():
     assert budget_blocks([3, 2, 1, 10, 4, 2, 6], 6) == [(0, 3), (3, 4), (4, 6), (6, 7)]
     assert budget_blocks([], 6) == []
     assert budget_blocks(np.zeros(5, dtype=int), 6) == [(0, 5)]
+
+
+# The factors as the models define them, for sympy to differentiate.
+def _factor_expr(name, xs, a=0.0, w=1.0):
+    if name == "perturbed-euclidean":
+        return 1 + sp.Float(a) * sp.sin(sp.Float(w) * xs[0])
+    if name == "hyperbolic-halfplane":
+        return 1 / xs[1] ** 2
+    if name == "hyperbolic-ball":
+        return 4 / (1 - xs[0] ** 2 - xs[1] ** 2) ** 2
+    return sp.Integer(1)
+
+
+JET_CASES = [("euclidean", 2, {}), ("euclidean", 3, {}),
+             ("perturbed-euclidean", 2, {"a": 0.3, "frequency": 1.7}),
+             ("perturbed-euclidean", 3, {"a": 0.45, "frequency": 0.6}),
+             ("perturbed-euclidean", 2, {"a": 0.0, "frequency": 2.0}),
+             ("perturbed-euclidean", 3, {"a": 0.2, "frequency": 0.0}),
+             ("hyperbolic-halfplane", 2, {}), ("hyperbolic-ball", 2, {}),
+             ("flat-torus", 2, {"L": 4.0}), ("flat-torus", 3, {"L": 3.0})]
+
+
+@pytest.mark.parametrize("name,n,kw", JET_CASES)
+def test_closed_form_jets_match_sympy_derivatives(name, n, kw):
+    chart = geo.make_chart(name, n=n, **kw)
+    xs = sp.symbols(f"x0:{n}")
+    expr = _factor_expr(name, xs, kw.get("a", 0.0), kw.get("frequency", 1.0))
+    pts = chart.lo + np.random.default_rng(11).random((200, n)) * (chart.hi - chart.lo)
+    for beta in [(0,) * n] + geo.multi_indices_up_to(n, geo.M_MAX):
+        d = expr
+        for x, k in zip(xs, beta):
+            d = sp.diff(d, x, k) if k else d
+        want = sp.lambdify(xs, d, "numpy")
+        want = np.broadcast_to(np.asarray(want(*pts.T), dtype=float), len(pts))
+        got = chart.conformal_derivative(pts, beta)
+        assert got.shape == (len(pts),)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0, err_msg=f"{name} {beta}")
+    flat = all(sp.diff(expr, x) == 0 for x in xs)
+    assert chart.is_flat == flat
+
+
+def test_conformal_derivative_rejects_bad_multi_indices():
+    chart = geo.make_chart("hyperbolic-ball")
+    x = np.zeros((1, 2))
+    for beta in [(2, 2), (1, 0, 0), (-1, 1)]:
+        with pytest.raises(geo.CapabilityError):
+            chart.conformal_derivative(x, beta)
+
+
+def _chord_on_full_points(chart, x, y):
+    """The chord with the quadrature nodes built in full and f evaluated on
+    every coordinate."""
+    x, y = np.broadcast_arrays(x, y)
+    seg = np.linalg.norm(y - x, axis=-1)
+    pts = x[..., None, :] + geo._GL_X[:, None] * (y - x)[..., None, :]
+    f = chart.conformal_factor(pts)
+    return seg * np.sum(geo._GL_W * np.sqrt(f), axis=-1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chord_on_x1_equals_chord_on_full_points(n):
+    chart = geo.make_chart("perturbed-euclidean", n=n, a=0.4, frequency=1.3)
+    rng = np.random.default_rng(7)
+    x = rng.uniform(0.0, 10.0, (500, n))
+    y = rng.uniform(0.0, 10.0, (500, n))
+    shapes = [(x, y), (x[:, None, :], y[None, :40, :]), (x[:3, None, None, :], y[:20].reshape(4, 5, n)),
+              (x[0], y), (x[:1], y[:1])]
+    for xs, ys in shapes:
+        got = chart.distance(xs, ys)
+        want = _chord_on_full_points(chart, xs, ys)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)

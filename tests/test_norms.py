@@ -193,3 +193,79 @@ def test_region_mask_built_once_per_time_indexed_request(monkeypatch):
     value = norms.sobolev_norm(u, req)
     assert len(calls) == 1
     assert value == expect
+
+
+def _bochner_norm_slice_by_slice(field, req):
+    """The Bochner norm with one spatial norm per time slice."""
+    q = norms._node_weights(field.grid, req)
+    s = req.s if req.s is not None else req.r
+    t = field.times
+    sel = np.ones(len(t), dtype=bool)
+    if req.window is not None:
+        sel = (t >= req.window[0] - 1e-12) & (t <= req.window[1] + 1e-12)
+    idx = np.flatnonzero(sel)
+    vals = np.array([norms._spatial_norm(field, field.values[j], req, q) for j in idx])
+    return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
+
+
+@pytest.mark.parametrize("budget", [1, 3 * 21 * 21, norms.NORM_BUDGET])
+@pytest.mark.parametrize("name,kind", [("hyperbolic-halfplane", "scalar"),
+                                       ("perturbed-euclidean", "scalar"),
+                                       ("flat-torus", "one-form")])
+def test_time_blocked_norms_match_slice_by_slice(monkeypatch, budget, name, kind):
+    monkeypatch.setattr(norms, "NORM_BUDGET", budget)
+    chart = make_chart(name)
+    box = {"hyperbolic-halfplane": [(-0.5, 0.5), (0.75, 1.5)],
+           "perturbed-euclidean": [(4.0, 6.0), (4.0, 6.0)]}.get(name, [(0.0, chart.hi[0])] * 2)
+    grid = norms.Grid.over_box(chart, box, 21)
+    times = np.linspace(0.0, 1.0, 11)
+    rng = np.random.default_rng(4)
+    shape = (len(times),) + grid.shape + ((2,) if kind == "one-form" else ())
+    field = norms.DiscreteField(grid, rng.standard_normal(shape), kind, times)
+    center = np.array([(lo + hi) / 2.0 for lo, hi in box])
+    for req in [norms.NormRequest(r=2.0, l=0), norms.NormRequest(r=3.0, l=1, s=2.0),
+                norms.NormRequest(r=4.0, l=2, region=(center, 0.3), window=(0.15, 0.75)),
+                norms.NormRequest(r=2.5, l=2, weight=rng.random(grid.shape)),
+                norms.NormRequest(r=2.0, l=1, window=(2.0, 3.0))]:  # no slice in the window
+        want = _bochner_norm_slice_by_slice(field, req)
+        assert norms.sobolev_norm(field, req) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def _covariant_tensors_einsum(grid, vals, rank, order):
+    """Covariant derivatives with the index axes last, contracted with
+    einsum against Gamma^u_ij stored index-last."""
+    n = grid.chart.n
+    nd = len(grid.shape)
+    gamma = np.moveaxis(grid.gamma, (0, 1, 2), (-3, -2, -1))
+    tensors = [vals]
+    for _ in range(order):
+        parts = np.stack([grid.partial(vals, ax) for ax in range(n)], axis=nd)
+        if rank == 0:
+            vals = parts
+        elif rank == 1:
+            vals = parts - np.einsum("...lij,...l->...ij", gamma, vals)
+        else:
+            vals = (parts - np.einsum("...lmi,...lj->...mij", gamma, vals)
+                    - np.einsum("...lmj,...il->...mij", gamma, vals))
+        rank += 1
+        tensors.append(vals)
+    return tensors
+
+
+@pytest.mark.parametrize("kind", ["scalar", "one-form"])
+def test_covariant_tensors_match_einsum_reference(kind):
+    chart = make_chart("hyperbolic-halfplane")
+    grid = norms.Grid.over_box(chart, [(-0.5, 0.5), (0.75, 1.5)], 17)
+    rng = np.random.default_rng(9)
+    times = np.linspace(0.0, 1.0, 3)
+    shape = (len(times),) + grid.shape + ((2,) if kind == "one-form" else ())
+    field = norms.DiscreteField(grid, rng.standard_normal(shape), kind, times)
+    blocked = norms.covariant_tensors(field, 2)
+    for j in range(len(times)):
+        want = _covariant_tensors_einsum(grid, field.values[j], int(kind == "one-form"), 2)
+        got = norms.covariant_tensors(field, 2, values=field.values[j])
+        for g, b, w in zip(got, blocked, want):
+            assert g.shape == w.shape and b[j].shape == w.shape
+            scale = np.max(np.abs(w))
+            assert np.max(np.abs(g - w)) <= 1e-13 * scale
+            assert np.max(np.abs(b[j] - w)) <= 1e-13 * scale
