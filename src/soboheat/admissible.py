@@ -32,10 +32,9 @@ import numpy as np
 from .geometry import (
     DomainError,
     MetricChart,
-    ball_fits_domain,
+    ball_bbox,
     ball_sample_points,
     budget_blocks,
-    flat_boundary_distance,
     grid_points,
     multi_indices_up_to,
 )
@@ -85,7 +84,7 @@ def _sample_size(chart: MetricChart, R: float, params: AdmissibilityParams) -> i
 
 def _polar_ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
     """Polar samples of 2-D geodesic balls B(centers[j], radii[j]): one
-    point array per ball, None where the ball exits the domain.
+    point array per ball, None where the ball does not fit the domain.
 
     Ray lengths to the geodesic spheres are found by one vectorized
     bisection over the rays of all the balls, so each boundary ring is
@@ -94,34 +93,26 @@ def _polar_ball_samples(chart: MetricChart, centers, radii, params: Admissibilit
     (e.g. rotations of the disc model) — an axis-aligned grid would bias
     the sup in condition 2 by orientation.
     """
+    samples = [None] * len(radii)
+    box_lo, box_hi, fits = ball_bbox(chart, centers, radii)
+    idx = np.flatnonzero(fits)
+    if len(idx) == 0:
+        return samples
     shapes = [_polar_shape(R, params) for R in radii.tolist()]
-    rays = np.array([J for J, _ in shapes])
+    rays = np.array([shapes[j][0] for j in idx])
     dirs = {}
     for J in set(rays.tolist()):
         theta = 2 * math.pi * np.arange(J) / J
         dirs[J] = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
     u = np.concatenate([dirs[J] for J in rays.tolist()])
-    c = np.repeat(centers, rays, axis=0)
-    r = np.repeat(radii, rays)
-    # chart-length to the domain boundary along each ray
-    t_dom = np.full(len(u), np.inf)
-    for i in range(2):
-        if chart.periodic[i]:
-            continue
-        with np.errstate(divide="ignore"):
-            t_hi = (chart.hi[i] - c[:, i]) / u[:, i]
-            t_lo = (chart.lo[i] - c[:, i]) / u[:, i]
-        for t in (t_hi, t_lo):
-            pos = t > 0
-            t_dom[pos] = np.minimum(t_dom[pos], t[pos])
-    t_dom = np.minimum(t_dom, 1e6)
-    # a ball exits the domain when one of its rays hits the boundary
-    # inside it; the others bisect d(center, center + t u) = R on each ray
-    hi = np.minimum(r / math.sqrt(chart.f_min), t_dom)
-    exits = chart.distance(chart.wrap(c + hi[:, None] * u), c) < r
-    fits = ~np.logical_or.reduceat(exits, np.cumsum(rays) - rays)
-    keep = np.repeat(fits, rays)
-    u, c, r, hi = u[keep], c[keep], r[keep], hi[keep]
+    c = np.repeat(centers[idx], rays, axis=0)
+    r = np.repeat(radii[idx], rays)
+    # each ray meets its geodesic sphere before it leaves the ball's box;
+    # bisect d(center, center + t u) = R between the center and that exit
+    gap = np.where(u > 0, np.repeat(box_hi[idx], rays, axis=0) - c,
+                   c - np.repeat(box_lo[idx], rays, axis=0))
+    with np.errstate(divide="ignore"):
+        hi = np.min(gap / np.abs(u), axis=1)
     lo = np.zeros(len(u))
     for _ in range(40):
         mid = 0.5 * (lo + hi)
@@ -129,9 +120,8 @@ def _polar_ball_samples(chart: MetricChart, centers, radii, params: Admissibilit
         lo = np.where(inside, mid, lo)
         hi = np.where(inside, hi, mid)
     t_sphere = 0.5 * (lo + hi)
-    samples = [None] * len(radii)
     first = 0
-    for j in np.flatnonzero(fits):
+    for j in idx.tolist():
         J, K = shapes[j]
         t, uj = t_sphere[first:first + J], u[first:first + J]
         first += J
@@ -142,16 +132,13 @@ def _polar_ball_samples(chart: MetricChart, centers, radii, params: Admissibilit
 
 
 def _ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
-    """Samples of geodesic balls, None for those that exit the domain; in
-    3-D each ball is sampled on its own grid."""
+    """Samples of geodesic balls, None for those that do not fit the
+    domain; in 3-D each ball is sampled on its own grid."""
     if chart.n == 2:
         return _polar_ball_samples(chart, centers, radii, params)
-    samples = []
-    for center, R in zip(centers, radii.tolist()):
-        inside = ball_fits_domain(chart, center, R)
-        samples.append(ball_sample_points(chart, center, R, _grid_per_axis(R, params))[0]
-                       if inside else None)
-    return samples
+    fits = ball_bbox(chart, centers, radii)[2]
+    return [ball_sample_points(chart, center, R, _grid_per_axis(R, params))[0] if ok else None
+            for center, R, ok in zip(centers, radii.tolist(), fits.tolist())]
 
 
 def _conditions_hold(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
@@ -198,9 +185,7 @@ def _admissible(chart: MetricChart, centers, radii, params: AdmissibilityParams)
     if chart.is_flat:
         # constant metric: both conditions hold exactly; only the
         # domain containment can fail
-        for j in np.flatnonzero(ok):
-            ok[j] = _flat_cap(chart, centers[j]) >= radii[j]
-        return ok
+        return ok & (_flat_cap(chart, centers) >= radii)
     todo = np.flatnonzero(ok)
     sizes = [_sample_size(chart, R, params) for R in radii[todo].tolist()]
     for start, stop in budget_blocks(sizes, POINT_BUDGET):
@@ -215,29 +200,36 @@ def is_admissible(chart: MetricChart, center, R: float, params: AdmissibilityPar
     return bool(_admissible(chart, center[None], np.array([R], dtype=float), params)[0])
 
 
-def _flat_cap(chart: MetricChart, center) -> float:
-    """Exact domain cap for constant-factor metrics."""
-    return min(R_CAP, flat_boundary_distance(chart, center))
+def _flat_cap(chart: MetricChart, centers):
+    """Domain cap on a constant-factor chart, in closed form: the ball box
+    is center +- R / sqrt(f), so the cap is sqrt(f) times the chart gap to
+    the nearest face, or half the period on a periodic axis."""
+    gap = np.where(chart.periodic, (chart.hi - chart.lo) / 2.0,
+                   np.minimum(centers - chart.lo, chart.hi - centers))
+    f = chart.conformal_factor(centers)
+    return np.minimum(R_CAP, np.maximum(np.min(gap, axis=-1), 0.0) * np.sqrt(f))
 
 
-def domain_cap(chart: MetricChart, center, tol: float = 1e-3) -> float:
-    """Largest radius (up to R_CAP) whose ball stays in the working domain:
-    the geodesic distance from the center to the nearest boundary face."""
+def domain_cap(chart: MetricChart, center, tol: float = 1e-3):
+    """Largest radius (up to R_CAP) whose ball fits the working domain by
+    the rule of geometry.ball_bbox, less tol on a non-flat chart.  center
+    is one point (n,) or points (..., n); the caps take its leading shape.
+
+    The ball box grows with the radius, so the rule is bisected between 0
+    and R_CAP down to rounding.
+    """
     center = np.asarray(center, dtype=float)
     if chart.is_flat:
         return _flat_cap(chart, center)
-    cap = R_CAP
-    n = chart.n
-    for i in range(n):
-        if chart.periodic[i]:
-            cap = min(cap, (chart.hi[i] - chart.lo[i]) / 2.0 * math.sqrt(chart.f_min))
-            continue
-        on_face = np.arange(n) == i
-        for bound in (chart.lo[i], chart.hi[i]):
-            face = grid_points(np.where(on_face, bound, chart.lo), np.where(on_face, bound, chart.hi),
-                               np.where(on_face, 1, 257))
-            cap = min(cap, float(np.min(chart.distance(face, center[None, :]))))
-    return max(cap - tol, 0.0)
+    lo = np.zeros(center.shape[:-1])
+    hi = np.full(center.shape[:-1], R_CAP)
+    at_cap = ball_bbox(chart, center, hi)[2]
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        fits = ball_bbox(chart, center, mid)[2]
+        lo = np.where(fits, mid, lo)
+        hi = np.where(fits, hi, mid)
+    return np.maximum(np.where(at_cap, R_CAP, lo) - tol, 0.0)
 
 
 _TEST, _BRACKET, _BISECT, _DONE = range(4)  # per-center phases of _radii
@@ -255,7 +247,7 @@ def _radii(chart: MetricChart, centers, params: AdmissibilityParams):
     """
     N = len(centers)
     tol = params.bisection_tol
-    cap = np.array([domain_cap(chart, c, tol) for c in centers], dtype=float)
+    cap = domain_cap(chart, centers, tol)
     r_prime = np.zeros(N)
     truncated = np.zeros(N, dtype=bool)
     iterations = np.zeros(N, dtype=int)

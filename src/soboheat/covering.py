@@ -32,29 +32,27 @@ def overlap_bound(n: int, eps: float) -> float:
     return ((1 + eps) / (1 - eps)) ** (n / 2.0) * 100.0**n
 
 
-def vitali_select(balls, distance_fn) -> list:
-    """Greedy disjoint subfamily, decreasing radius, ties by input index.
+def vitali_select(radii, touching) -> np.ndarray:
+    """Greedy disjoint subfamily: balls in decreasing radius, ties by
+    index, each kept unless it touches a ball kept before it.  touching
+    holds the index pairs of the balls that meet.
 
-    Returns the selected indices.  Every input ball intersects a selected
-    ball of larger-or-equal radius and is contained in its 5-fold dilate.
+    Returns the selected indices, ascending.  Every input ball intersects
+    a selected ball of larger-or-equal radius and is contained in its
+    5-fold dilate.
     """
-    if len(balls) == 0:
-        return []
-    centers = np.asarray([b[0] for b in balls], dtype=float)
-    radii = np.asarray([b[1] for b in balls], dtype=float)
+    radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise DomainError("all radii must be positive")
-    order = np.lexsort((np.arange(len(balls)), -radii))
-    selected = []
-    for i in order:
-        ok = True
-        for j in selected:
-            if distance_fn(centers[i], centers[j]) <= radii[i] + radii[j]:
-                ok = False
-                break
-        if ok:
-            selected.append(int(i))
-    return sorted(selected)
+    adj = [[] for _ in range(len(radii))]
+    for a, b in touching:
+        adj[a].append(b)
+        adj[b].append(a)
+    chosen = np.zeros(len(radii), dtype=bool)
+    for i in np.lexsort((np.arange(len(radii)), -radii)):
+        if not any(chosen[j] for j in adj[i]):
+            chosen[i] = True
+    return np.flatnonzero(chosen)
 
 
 def _spaced_grid(lo, hi, spacing, endpoint=True):
@@ -121,13 +119,21 @@ class Covering:
         )
 
 
-def _factor_range_on_box(chart: MetricChart, lo, hi, inflate=0.0):
-    """(f_min, f_max) of the conformal factor over a box, slightly inflated
-    and clipped to the working domain."""
-    lo = np.maximum(np.asarray(lo, dtype=float) - inflate, chart.lo)
-    hi = np.minimum(np.asarray(hi, dtype=float) + inflate, chart.hi)
-    f = chart.conformal_factor(grid_points(lo, hi, 33))
-    return float(f.min()), float(f.max())
+def _grown_box(chart: MetricChart, lo, hi, reach):
+    """The box [lo, hi] grown by reach on every side and clipped to the
+    working domain."""
+    return np.maximum(np.asarray(lo) - reach, chart.lo), np.minimum(np.asarray(hi) + reach, chart.hi)
+
+
+def _touching_pairs(chart: MetricChart, centers, radii, f_min):
+    """(pairs, screened): the index pairs (i < j) of balls that meet,
+    d(c_i, c_j) <= r_i + r_j, and the number of pairs checked.  Balls meet
+    only within chart distance 2 max(r) / sqrt(f_min), with f_min a lower
+    bound of f near them; the KD-tree screens pairs by that distance."""
+    tree, _ = _kdtree(chart, centers)
+    pairs = tree.query_pairs(2.0 * float(np.max(radii)) / math.sqrt(f_min), output_type="ndarray")
+    d = chart.distance(centers[pairs[:, 0]], centers[pairs[:, 1]])
+    return pairs[d <= radii[pairs[:, 0]] + radii[pairs[:, 1]]], len(pairs)
 
 
 def _count_memberships(chart: MetricChart, probes, centers, radii, f_min_box):
@@ -180,7 +186,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     if r_min_est <= 0:
         raise DomainError("radius field lower bound vanishes on the box")
     r_core_min = 2.0**-k * r_min_est / (5 * ETA)
-    f_min_box, f_max_box = _factor_range_on_box(chart, lo, hi, inflate=r_min_est)
+    f_min_box, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, r_min_est))
     # geodesic candidate spacing ~ candidate_factor * r_core_min, so a
     # probe's nearest candidate ball reaches it through the 5-fold dilate
     spacing = candidate_factor * r_core_min / math.sqrt(f_max_box)
@@ -189,26 +195,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     keep = r_eps_cand > 0
     candidates, r_eps_cand = candidates[keep], r_eps_cand[keep]
     core = 2.0**-k * r_eps_cand / (5 * ETA)
-
-    # greedy selection with a neighbor prefilter (balls can only meet
-    # within chart distance (r_i + r_j)/sqrt(f_min))
-    cutoff = 2.0 * float(np.max(core)) / math.sqrt(f_min_box)
-    tree, _ = _kdtree(chart, candidates)
-    neighbor_pairs = tree.query_pairs(cutoff, output_type="ndarray")
-    adj = [[] for _ in range(len(candidates))]
-    if len(neighbor_pairs):
-        a_idx, b_idx = neighbor_pairs[:, 0], neighbor_pairs[:, 1]
-        d_pairs = chart.distance(candidates[a_idx], candidates[b_idx])
-        touching = d_pairs <= core[a_idx] + core[b_idx]
-        for a, b in neighbor_pairs[touching]:
-            adj[a].append(b)
-            adj[b].append(a)
-    order = np.lexsort((np.arange(len(candidates)), -core))
-    chosen = np.zeros(len(candidates), dtype=bool)
-    for i in order:
-        if not any(chosen[j] for j in adj[i]):
-            chosen[i] = True
-    sel = np.flatnonzero(chosen)
+    sel = vitali_select(core, _touching_pairs(chart, candidates, core, f_min_box)[0])
     centers = candidates[sel]
     core_sel = core[sel]
     cover_sel = 5.0 * core_sel
@@ -229,17 +216,10 @@ def check_core_disjointness(covering: Covering) -> dict:
     """Exact pairwise check d(x_i, x_j) > r_i + r_j on the core family."""
     chart = covering.chart
     c = covering.centers
-    r = covering.core_radii
-    f_min_box, _ = _factor_range_on_box(chart, c.min(axis=0), c.max(axis=0),
-                                        inflate=float(np.max(covering.r_eps)))
-    cutoff = 2.0 * float(np.max(r)) / math.sqrt(f_min_box)
-    tree, _ = _kdtree(chart, c)
-    pairs = tree.query_pairs(cutoff, output_type="ndarray")
-    bad = 0
-    if len(pairs):
-        d = chart.distance(c[pairs[:, 0]], c[pairs[:, 1]])
-        bad = int(np.count_nonzero(d <= r[pairs[:, 0]] + r[pairs[:, 1]]))
-    return {"pairs_screened": len(pairs), "violations": bad}
+    f_min_box, _ = chart.factor_range(*_grown_box(chart, c.min(axis=0), c.max(axis=0),
+                                                  float(np.max(covering.r_eps))))
+    touching, screened = _touching_pairs(chart, c, covering.core_radii, f_min_box)
+    return {"pairs_screened": screened, "violations": len(touching)}
 
 
 def certify_dilated_overlap(covering: Covering, box=None) -> dict:
@@ -249,7 +229,7 @@ def certify_dilated_overlap(covering: Covering, box=None) -> dict:
     n = chart.n
     radii = covering.r_eps / ETA
     lo, hi, endpoint = _target_box(chart, box)
-    f_min_box, f_max_box = _factor_range_on_box(chart, lo, hi, inflate=float(np.max(radii)))
+    f_min_box, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, float(np.max(radii))))
     probes = _spaced_grid(lo, hi, float(np.min(radii)) / (4.0 * math.sqrt(f_max_box)), endpoint)
     counts = _count_memberships(chart, probes, covering.centers, radii, f_min_box)
     bound = covering.t_bound * 2.0 ** (n * covering.k)

@@ -17,6 +17,11 @@ d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
 
 No finite differences and no symbolic algebra enter.
 
+Two more closed forms per model say where a ball lies and how f varies
+on it: the exact range of f over a box (`MetricChart.factor_range`) and
+a chart box that contains the geodesic ball (`ball_bbox`), whose place
+in the domain decides whether the ball fits.  Nothing is sampled.
+
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
 chord length along the straight chart segment is used (Gauss-Legendre
@@ -100,7 +105,10 @@ class MetricChart:
     """A conformally flat analytic chart g_ij = f(x) delta_ij on a box.
 
     jet(x, beta) is the model's closed form of d^beta f at the points x
-    (beta = 0 gives f), for |beta| <= M_MAX; is_flat says f is constant.
+    (beta = 0 gives f), for |beta| <= M_MAX; factor_range(lo, hi) is the
+    exact (min, max) of f over a box; ball_box(chart, c, R) is a chart box
+    (lo, hi) that contains the geodesic ball B(c, R); is_flat says f is
+    constant.
     """
 
     def __init__(
@@ -112,6 +120,8 @@ class MetricChart:
         periodic: tuple[bool, ...],
         distance_fn: Callable,
         jet: Callable,
+        factor_range: Callable,
+        ball_box: Callable,
         is_flat: bool,
         params: dict | None = None,
     ):
@@ -123,13 +133,10 @@ class MetricChart:
         self.params = dict(params or {})
         self._distance_fn = distance_fn
         self.jet = jet
+        self._factor_range = factor_range
+        self._ball_box = ball_box
         self.is_flat = is_flat
-        # Conformal-factor range over the working box, for chart<->geodesic
-        # distance conversion factors.
-        fvals = self.conformal_factor(grid_points(self.lo, self.hi, 33))
-        self.f_min = float(np.min(fvals))
-        self.f_max = float(np.max(fvals))
-        if not self.f_min > 0:
+        if not self.factor_range(self.lo, self.hi)[0] > 0:
             raise NumericalError(f"chart {name}: conformal factor not positive on the box")
 
     # -- basic queries -------------------------------------------------
@@ -163,6 +170,11 @@ class MetricChart:
             raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
         return self.jet(np.asarray(x, dtype=float), beta)
 
+    def factor_range(self, lo, hi):
+        """Exact (min, max) of f over the box [lo, hi]; lo and hi may carry
+        leading axes of boxes."""
+        return self._factor_range(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
+
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
 
@@ -178,11 +190,13 @@ class MetricChart:
 class AxisProfile:
     """Jet of a factor that depends on one coordinate only,
     f(x) = profile(x[axis], 0), where profile(t, k) is the k-th derivative
-    of f along that axis; every other partial derivative is 0."""
+    of f along that axis; every other partial derivative is 0.
+    extrema(t0, t1) is the (min, max) of f over t0 <= x[axis] <= t1."""
 
-    def __init__(self, axis: int, profile: Callable):
+    def __init__(self, axis: int, profile: Callable, extrema: Callable):
         self.axis = axis
         self.profile = profile
+        self.extrema = extrema
 
     def __call__(self, x, beta) -> np.ndarray:
         k = beta[self.axis]
@@ -190,10 +204,18 @@ class AxisProfile:
             return np.zeros(x.shape[:-1])
         return self.profile(x[..., self.axis], k)
 
+    def range(self, lo, hi):
+        return self.extrema(lo[..., self.axis], hi[..., self.axis])
+
 
 def _unit_profile(t, k):
     """f = 1: the flat charts."""
     return np.full(np.shape(t), 1.0 if k == 0 else 0.0)
+
+
+def _unit_extrema(t0, t1):
+    one = np.ones(np.shape(t0))
+    return one, one
 
 
 def _sine_profile(a: float, w: float) -> Callable:
@@ -209,11 +231,34 @@ def _sine_profile(a: float, w: float) -> Callable:
     return profile
 
 
+def _sine_extrema(a: float, w: float) -> Callable:
+    """f = 1 + a sin(w t) over [t0, t1]: the endpoint values, and 1 - a
+    or 1 + a where w t meets a trough -pi/2 + 2 pi k or a crest
+    pi/2 + 2 pi k (a >= 0)."""
+
+    def extrema(t0, t1):
+        f0, f1 = 1.0 + a * np.sin(w * t0), 1.0 + a * np.sin(w * t1)
+        s0, s1 = np.minimum(w * t0, w * t1), np.maximum(w * t0, w * t1)
+
+        def meets(phase):
+            return np.ceil((s0 - phase) / (2 * np.pi)) <= np.floor((s1 - phase) / (2 * np.pi))
+
+        return (np.where(meets(-np.pi / 2), 1.0 - a, np.minimum(f0, f1)),
+                np.where(meets(np.pi / 2), 1.0 + a, np.maximum(f0, f1)))
+
+    return extrema
+
+
 def _inverse_square_profile(t, k):
     """f = t^-2: d^k f = (-1)^k (k + 1)! t^-(k + 2)."""
     if k == 0:
         return t**-2.0
     return (-1) ** k * math.factorial(k + 1) / t ** (k + 2)
+
+
+def _inverse_square_extrema(t0, t1):
+    """f = t^-2 falls on t > 0."""
+    return t1**-2.0, t0**-2.0
 
 
 def _disc_jet(x, beta) -> np.ndarray:
@@ -233,6 +278,14 @@ def _disc_jet(x, beta) -> np.ndarray:
     i, j, k = idx
     deltas = (i == j) * xs[2] + (i == k) * xs[1] + (j == k) * xs[0]
     return 96.0 * deltas / u**4 + 768.0 * xs[0] * xs[1] * xs[2] / u**5
+
+
+def _disc_range(lo, hi):
+    """f = 4 / (1 - |x|^2)^2 grows with |x|: its extremes over a box are at
+    the box points nearest to and farthest from the origin."""
+    near = 1.0 - np.sum(np.clip(0.0, lo, hi) ** 2, axis=-1)
+    far = 1.0 - np.sum(np.maximum(lo**2, hi**2), axis=-1)
+    return 4.0 / near**2, 4.0 / far**2
 
 
 # -- catalog: distances -----------------------------------------------
@@ -275,6 +328,47 @@ def _dist_chord(chart, x, y):
     return seg * integral
 
 
+# -- catalog: boxes that contain geodesic balls ------------------------
+# Each takes centers c (..., n) and radii R (...) and returns (lo, hi).
+
+
+def _box_flat(chart, c, R):
+    """f constant: the ball is the chart ball of radius R / sqrt(f)."""
+    w = (R / np.sqrt(chart.conformal_factor(c)))[..., None]
+    return c - w, c + w
+
+
+def _box_perturbed(chart, c, R):
+    """f >= 1 - a keeps every curve of length <= R from c inside the slab
+    |x1 - c1| <= R / sqrt(1 - a); with m the least f on that slab the
+    curve has chart length <= R / sqrt(m), so the ball lies in
+    c +- R / sqrt(m)."""
+    reach = (R / math.sqrt(1.0 - chart.params["a"]))[..., None]
+    m, _ = chart.factor_range(c - reach, c + reach)
+    w = (R / np.sqrt(m))[..., None]
+    return c - w, c + w
+
+
+def _box_halfplane(chart, c, R):
+    """B((x0, y0), R) is the Euclidean disc with center (x0, y0 cosh R) and
+    radius y0 sinh R: x0 +- y0 sinh R across, y0 e^-R to y0 e^R up."""
+    x0, y0 = c[..., 0], c[..., 1]
+    half = y0 * np.sinh(R)
+    return np.stack([x0 - half, y0 * np.exp(-R)], -1), np.stack([x0 + half, y0 * np.exp(R)], -1)
+
+
+def _box_disc(chart, c, R):
+    """B(c, R) is the Euclidean disc whose diameter along c / |c| runs from
+    tanh((s - R)/2) to tanh((s + R)/2), where s = 2 artanh |c|."""
+    rho = np.linalg.norm(c, axis=-1)
+    s = 2.0 * np.arctanh(rho)
+    t1, t2 = np.tanh((s - R) / 2.0), np.tanh((s + R) / 2.0)
+    unit = np.divide(c, rho[..., None], out=np.zeros_like(c), where=rho[..., None] > 0)
+    mid = unit * ((t1 + t2) / 2.0)[..., None]
+    half = ((t2 - t1) / 2.0)[..., None]
+    return mid - half, mid + half
+
+
 CATALOG = ("euclidean", "perturbed-euclidean", "hyperbolic-halfplane", "hyperbolic-ball", "flat-torus")
 
 
@@ -315,8 +409,9 @@ def make_chart(name: str, **params) -> MetricChart:
     if name == "euclidean":
         n = _dim(name, params, (2, 3))
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
-        return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean,
-                           AxisProfile(0, _unit_profile), True, params)
+        jet = AxisProfile(0, _unit_profile, _unit_extrema)
+        return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean, jet, jet.range,
+                           _box_flat, True, params)
     if name == "perturbed-euclidean":
         n = _dim(name, params, (2, 3))
         a = _finite("perturbation amplitude", params.get("a", 0.1))
@@ -324,16 +419,17 @@ def make_chart(name: str, **params) -> MetricChart:
         if not 0 <= a < 1:
             raise DomainError(f"perturbation amplitude must be in [0, 1), got {a}")
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
-        return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord,
-                           AxisProfile(0, _sine_profile(a, freq)), a == 0 or freq == 0,
-                           {"a": a, "frequency": freq})
+        jet = AxisProfile(0, _sine_profile(a, freq), _sine_extrema(a, freq))
+        return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord, jet, jet.range,
+                           _box_perturbed, a == 0 or freq == 0, {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
         if lo[1] <= 0:
             raise DomainError("half-plane box must satisfy y > 0")
-        return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane,
-                           AxisProfile(1, _inverse_square_profile), False, params)
+        jet = AxisProfile(1, _inverse_square_profile, _inverse_square_extrema)
+        return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane, jet, jet.range,
+                           _box_halfplane, False, params)
     if name == "hyperbolic-ball":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
@@ -341,14 +437,15 @@ def make_chart(name: str, **params) -> MetricChart:
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
         return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
-                           False, params)
+                           _disc_range, _box_disc, False, params)
     if name == "flat-torus":
         n = _dim(name, params, (2, 3))
         L = _finite("torus side L", params.get("L", 2 * math.pi))
         if not L > 0:
             raise DomainError(f"torus side L must be positive, got {L}")
-        return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus,
-                           AxisProfile(0, _unit_profile), True, {"L": L})
+        jet = AxisProfile(0, _unit_profile, _unit_extrema)
+        return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus, jet, jet.range,
+                           _box_flat, True, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 
@@ -438,110 +535,23 @@ def ricci_sup_norm(chart: MetricChart, points) -> float:
 # -- geodesic balls in chart coordinates ------------------------------
 
 
-def ball_bbox(chart: MetricChart, center, radius: float, per_axis: int = 17):
-    """Chart bounding box of a geodesic ball, by sublevel-set scanning.
-
-    Starting from the flat-limit guess (half-width radius/sqrt(f(center))),
-    the box is grown until the sampled set {d(center, .) <= radius} no
-    longer touches the box faces, then shrunk to that set plus one cell
-    of margin.  Returns (lo, hi, inside); inside=False means the ball
-    reaches the boundary of the working domain.
-    """
+def ball_bbox(chart: MetricChart, center, radius):
+    """(lo, hi, inside): the model's closed-form chart box that contains the
+    geodesic ball B(center, radius), and whether the ball fits the working
+    domain, which holds when the box lies within [lo, hi] on every
+    non-periodic axis and spans at most one period on a periodic one (a
+    wider ball wraps onto itself).  center (..., n) and radius (...) may
+    carry leading axes of balls."""
     center = np.asarray(center, dtype=float)
-    n = chart.n
-    fc = float(chart.conformal_factor(center[None])[0])
-    w = np.full(n, radius / math.sqrt(fc))
-    inside = bool(np.all(chart.contains(center)))
-    lo = center - w
-    hi = center + w
-    half_period = np.array(
-        [(chart.hi[i] - chart.lo[i]) / 2.0 if chart.periodic[i] else np.inf for i in range(n)]
-    )
-    for _ in range(12):
-        lo_c = np.empty(n)
-        hi_c = np.empty(n)
-        clip_lo = np.zeros(n, dtype=bool)
-        clip_hi = np.zeros(n, dtype=bool)
-        for i in range(n):
-            if chart.periodic[i]:
-                lo_c[i] = max(lo[i], center[i] - half_period[i])
-                hi_c[i] = min(hi[i], center[i] + half_period[i])
-                clip_lo[i] = lo_c[i] > lo[i]
-                clip_hi[i] = hi_c[i] < hi[i]
-            else:
-                lo_c[i] = max(lo[i], chart.lo[i])
-                hi_c[i] = min(hi[i], chart.hi[i])
-                clip_lo[i] = lo_c[i] > lo[i]
-                clip_hi[i] = hi_c[i] < hi[i]
-        pts = chart.wrap(grid_points(lo_c, hi_c, per_axis))
-        ok = chart.contains(pts)
-        d = np.full(len(pts), np.inf)
-        d[ok] = chart.distance(pts[ok], center[None, :])
-        mask = (d <= radius).reshape((per_axis,) * n)
-        if not mask.any():
-            # radius below grid resolution; keep the flat-limit box
-            return center - w, center + w, inside
-        cell = (hi_c - lo_c) / (per_axis - 1)
-        idx = np.argwhere(mask)
-        new_lo = lo_c + (idx.min(axis=0) - 1) * cell
-        new_hi = lo_c + (idx.max(axis=0) + 1) * cell
-        touch_lo = idx.min(axis=0) == 0
-        touch_hi = idx.max(axis=0) == per_axis - 1
-        need_lo = touch_lo & ~clip_lo
-        need_hi = touch_hi & ~clip_hi
-        if not (need_lo.any() or need_hi.any()):
-            lo, hi = new_lo, new_hi
-            break
-        lo = center - np.where(need_lo, 1.8, 1.0) * np.maximum(center - new_lo, 1e-12)
-        hi = center + np.where(need_hi, 1.8, 1.0) * np.maximum(new_hi - center, 1e-12)
-    for i in range(n):
-        if chart.periodic[i]:
-            lo[i] = max(lo[i], center[i] - half_period[i])
-            hi[i] = min(hi[i], center[i] + half_period[i])
-        else:
-            lo[i] = max(lo[i], chart.lo[i])
-            hi[i] = min(hi[i], chart.hi[i])
-    if inside:
-        # the ball leaves the domain iff some boundary-face point is
-        # within the radius; sample each face over the box extent
-        for i in range(n):
-            if chart.periodic[i]:
-                continue
-            on_face = np.arange(n) == i
-            for bound in (chart.lo[i], chart.hi[i]):
-                face = grid_points(np.where(on_face, bound, lo), np.where(on_face, bound, hi),
-                                   np.where(on_face, 1, 65))
-                if np.any(chart.distance(face, center[None, :]) <= radius):
-                    inside = False
-                    break
-            if not inside:
-                break
+    radius = np.asarray(radius, dtype=float)
+    lo, hi = chart._ball_box(chart, center, radius)
+    inside = np.all(np.where(chart.periodic, hi - lo <= chart.hi - chart.lo,
+                             (lo >= chart.lo) & (hi <= chart.hi)), axis=-1)
     return lo, hi, inside
 
 
-def flat_boundary_distance(chart: MetricChart, center) -> float:
-    """Largest radius whose geodesic ball around center stays in the domain,
-    on a constant-factor chart (the geodesic ball of radius R is the chart
-    ball of radius R/sqrt(f)): the chart gap to the nearest face, or half
-    the period on periodic axes, times sqrt(f)."""
-    gap = min(
-        (chart.hi[i] - chart.lo[i]) / 2.0
-        if chart.periodic[i]
-        else min(center[i] - chart.lo[i], chart.hi[i] - center[i])
-        for i in range(chart.n)
-    )
-    f = float(chart.conformal_factor(center[None])[0])
-    return max(gap, 0.0) * math.sqrt(f)
-
-
 def ball_fits_domain(chart: MetricChart, center, radius: float) -> bool:
-    center = np.asarray(center, dtype=float)
-    if not np.all(chart.contains(center)):
-        return False
-    if chart.is_flat:
-        return flat_boundary_distance(chart, center) >= radius
-    _, _, inside = ball_bbox(chart, center, radius)
-    return inside
+    return bool(ball_bbox(chart, center, radius)[2])
 
 
 def ball_sample_points(chart: MetricChart, center, radius: float, per_axis):
@@ -566,19 +576,16 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     stated tolerances at moderate resolutions.
     """
     center = np.asarray(center, dtype=float)
-    lo, hi, inside = ball_bbox(chart, center, radius, per_axis=33)
+    lo, hi, inside = ball_bbox(chart, center, radius)
     if not inside:
         raise DomainError("geodesic ball exits the working domain")
     n = chart.n
     res = int(quadrature_resolution)
     h = (hi - lo) / res
     cell = float(np.prod(h))
-    # chart-to-geodesic conversion for the boundary band, from the local
-    # factor range over the bbox (the chart-wide range can be far wider)
-    f_probe = chart.conformal_factor(grid_points(lo, hi, 9))
-    # geodesic radius of a cell is at most (|h|/2) sqrt(f); the full
-    # diagonal keeps a 2x safety margin
-    band = float(np.linalg.norm(h)) * math.sqrt(float(np.max(f_probe)))
+    # geodesic radius of a cell is at most (|h|/2) sqrt(f), with f at most
+    # its maximum over the ball's box; the full diagonal keeps a 2x margin
+    band = float(np.linalg.norm(h)) * math.sqrt(float(chart.factor_range(lo, hi)[1]))
     sub_per_axis = 8 if n == 2 else 4
     sub = (np.arange(sub_per_axis) + 0.5) / sub_per_axis - 0.5
     offsets = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n) * h

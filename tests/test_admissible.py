@@ -245,9 +245,9 @@ def test_predicate_batches_stay_within_point_budget(monkeypatch):
     monkeypatch.setattr(adm, "_admissible", counting)
     fld = adm.radius_field(chart, pts, p)
     assert max(pairs) <= budget
-    # one batch makes at most 41 distance calls (exit check + 40 bisection
-    # steps), so more calls than that per round means rounds were split
-    assert len(pairs) > 41 * len(rounds)
+    # one batch makes 40 distance calls (the bisection steps), so more
+    # calls than that per round means rounds were split
+    assert len(pairs) > 40 * len(rounds)
     for name in ("r_prime", "r_eps", "truncated", "iterations", "degenerate"):
         assert np.array_equal(getattr(fld, name), getattr(ref, name))
 
@@ -260,3 +260,35 @@ def test_is_admissible_is_a_batch_of_one():
     batch = adm._admissible(chart, np.repeat(c[None], len(radii), axis=0), radii, p)
     assert batch.tolist() == [adm.is_admissible(chart, c, R, p) for R in radii]
     assert batch.tolist() == [False, False, True, True, False]
+
+
+def test_perturbed_radius_field_is_lipschitz_across_the_minimum_of_f():
+    """Centers around x1 = 3 pi / 2, where f = 1 + 0.1 sin(x1) is least
+    (x1 = 4.7467 is a center): R' stays near its neighbours' ~0.9 and the
+    field is 1-Lipschitz."""
+    chart = make_chart("perturbed-euclidean", a=0.1, frequency=1.0, box=[[0.0, 10.0], [0.0, 10.0]])
+    axes = [np.linspace(4.48, 5.28, 4), np.linspace(4.47, 5.27, 4)]
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    fld = adm.radius_field(chart, pts, params(bisection_tol=1e-3))
+    assert adm.check_lipschitz(fld)["violations"] == 0
+    assert np.all(fld.r_prime > 0.5)
+
+
+def test_halfplane_domain_cap_is_the_distance_to_the_nearest_face():
+    """B((x0, y0), R) spans heights y0 e^-R to y0 e^R and widths x0 +-
+    y0 sinh R, so the cap is min(log(y0/lo_y), log(hi_y/y0),
+    asinh(gap_x/y0)), up to R_CAP, less tol."""
+    chart = make_chart("hyperbolic-halfplane")
+    (lo_x, lo_y), (hi_x, hi_y) = chart.lo, chart.hi
+    rng = np.random.default_rng(29)
+    centers = np.concatenate([rng.uniform(chart.lo, chart.hi, (40, 2)),
+                              [[0.0, 0.26], [1.95, 1.0], [0.0, 3.9], [0.0, 1.0]]])
+    tol = 1e-3
+    for x0, y0 in centers:
+        gap_x = min(x0 - lo_x, hi_x - x0)
+        want = min(math.log(y0 / lo_y), math.log(hi_y / y0), math.asinh(gap_x / y0), adm.R_CAP)
+        assert adm.domain_cap(chart, np.array([x0, y0]), tol) == pytest.approx(max(want - tol, 0.0),
+                                                                             abs=1e-12)
+    caps = adm.domain_cap(chart, centers, tol)
+    assert caps.shape == (len(centers),)
+    assert caps.tolist() == [adm.domain_cap(chart, c, tol) for c in centers]

@@ -25,25 +25,29 @@ def test_overlap_bound_formula():
     assert cov.overlap_bound(3, 0.1) == pytest.approx((1.1 / 0.9) ** 1.5 * 100**3)
 
 
+def _touching_1d(xs, rs):
+    """Index pairs of the 1-D balls (xs[i], rs[i]) that meet."""
+    return [(i, j) for i in range(len(xs)) for j in range(i + 1, len(xs))
+            if abs(xs[i] - xs[j]) <= rs[i] + rs[j]]
+
+
 def test_vitali_select_greedy_disjoint():
     # three collinear unit balls: greedy keeps the outer two
-    balls = [(np.array([0.0]), 1.0), (np.array([1.5]), 1.0), (np.array([3.0]), 1.0)]
-    dist = lambda a, b: abs(float(a[0] - b[0]))
-    kept = cov.vitali_select(balls, dist)
-    centers = sorted(float(balls[i][0][0]) for i in kept)
+    xs, rs = [0.0, 1.5, 3.0], [1.0, 1.0, 1.0]
+    kept = cov.vitali_select(rs, _touching_1d(xs, rs))
+    centers = sorted(xs[i] for i in kept)
     assert centers == [0.0, 3.0]
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 10), st.floats(0.1, 1.0)), min_size=1, max_size=30))
 def test_vitali_selected_balls_disjoint(data):
-    balls = [(np.array([x]), r) for x, r in data]
-    dist = lambda a, b: abs(float(a[0] - b[0]))
-    kept = cov.vitali_select(balls, dist)
+    xs, rs = [x for x, _ in data], [r for _, r in data]
+    kept = cov.vitali_select(rs, _touching_1d(xs, rs))
     for i in kept:
         for j in kept:
             if i < j:
-                assert dist(balls[i][0], balls[j][0]) > balls[i][1] + balls[j][1]
+                assert abs(xs[i] - xs[j]) > rs[i] + rs[j]
 
 
 def test_build_covering_euclidean_level0():
@@ -129,8 +133,7 @@ def membership_inputs(name, n_probes=600, n_balls=80, seed=0):
     probes = chart.wrap(rng.uniform(lo, hi, size=(n_probes, 2)))
     centers = chart.wrap(rng.uniform(lo, hi, size=(n_balls, 2)))
     radii = rng.uniform(0.2, 1.0, n_balls) * r_max
-    lo_c, hi_c = np.maximum(lo, chart.lo), np.minimum(hi, chart.hi)
-    f_min_box, _ = cov._factor_range_on_box(chart, lo_c, hi_c, inflate=r_max)
+    f_min_box, _ = chart.factor_range(*cov._grown_box(chart, lo, hi, r_max))
     return chart, probes, centers, radii, f_min_box
 
 

@@ -122,6 +122,26 @@ def test_ball_fits_domain():
     # from (0,1): the domain floor y=0.25 is at distance log(4) ~ 1.386
     assert geo.ball_fits_domain(hp, np.array([0.0, 1.0]), 1.3)
     assert not geo.ball_fits_domain(hp, np.array([0.0, 1.0]), 1.45)
+    # near the floor: y0 e^-R >= 0.25 iff R <= log(1.2)
+    assert geo.ball_fits_domain(hp, np.array([1.0, 0.3]), 0.18)
+    assert not geo.ball_fits_domain(hp, np.array([1.0, 0.3]), 0.19)
+    # disc: B(0, R) is the Euclidean disc of radius tanh(R/2), inside the
+    # box [-0.6, 0.6]^2 iff R <= 2 artanh(0.6) ~ 1.386
+    disc = geo.make_chart("hyperbolic-ball")
+    assert geo.ball_fits_domain(disc, np.array([0.0, 0.0]), 1.38)
+    assert not geo.ball_fits_domain(disc, np.array([0.0, 0.0]), 1.39)
+    # torus: a ball fits while it spans at most one period (R <= L/2)
+    torus = geo.make_chart("flat-torus", n=3, L=4.0)
+    assert geo.ball_fits_domain(torus, np.array([0.1, 3.9, 2.0]), 2.0)
+    assert not geo.ball_fits_domain(torus, np.array([0.1, 3.9, 2.0]), 2.01)
+    # perturbed: f >= 0.9, so the box is c +- R / sqrt(0.9) once the
+    # slab around c reaches the minimum of f at x1 = 3 pi / 2
+    pert = geo.make_chart("perturbed-euclidean", n=3, a=0.1)
+    assert geo.ball_fits_domain(pert, np.array([5.0, 5.0, 5.0]), 4.7)
+    assert not geo.ball_fits_domain(pert, np.array([5.0, 5.0, 5.0]), 4.8)
+    # one call answers for many balls
+    lo, hi, inside = geo.ball_bbox(hp, np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.3, 1.45]))
+    assert lo.shape == hi.shape == (2, 2) and inside.tolist() == [True, False]
 
 
 def test_cmt_bound_zero_on_flat_space():
@@ -289,3 +309,93 @@ def test_chord_on_x1_equals_chord_on_full_points(n):
         want = _chord_on_full_points(chart, xs, ys)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# (model, chart parameters) for the closed-form ranges and ball boxes, in
+# 2-D and, where the model has it, 3-D
+RANGE_CASES = [("euclidean", {"n": 2}), ("euclidean", {"n": 3}),
+               ("perturbed-euclidean", {"n": 2, "a": 0.3, "frequency": 1.3}),
+               ("perturbed-euclidean", {"n": 3, "a": 0.1, "frequency": -2.0}),
+               ("hyperbolic-halfplane", {}), ("hyperbolic-ball", {}),
+               ("flat-torus", {"n": 2, "L": 4.0}), ("flat-torus", {"n": 3, "L": 3.0})]
+
+
+def _case_id(case):
+    return f"{case[0]}-{case[1].get('n', 2)}d"
+
+
+@pytest.mark.parametrize("name,kw", RANGE_CASES, ids=map(_case_id, RANGE_CASES))
+def test_factor_range_bounds_dense_samples_of_random_boxes(name, kw):
+    """The exact range contains every sampled value of f, and dense
+    samples reach it (to the sampling's resolution)."""
+    chart = geo.make_chart(name, **kw)
+    rng = np.random.default_rng(17)
+    per_axis = 65 if chart.n == 2 else 17
+    for _ in range(40):
+        a, b = chart.lo + rng.random((2, chart.n)) * (chart.hi - chart.lo)
+        lo, hi = np.minimum(a, b), np.maximum(a, b)
+        f_min, f_max = chart.factor_range(lo, hi)
+        pts = np.concatenate([geo.grid_points(lo, hi, per_axis),
+                              lo + rng.random((2000, chart.n)) * (hi - lo)])
+        f = chart.conformal_factor(pts)
+        assert f_min <= f.min() and f.max() <= f_max
+        assert f.min() - f_min <= 1e-3 * f_min and f_max - f.max() <= 1e-3 * f_max
+    # boxes as an array: one range per box
+    boxes = chart.lo + rng.random((5, 2, chart.n)) * (chart.hi - chart.lo)
+    lo, hi = boxes.min(axis=1), boxes.max(axis=1)
+    f_min, f_max = chart.factor_range(lo, hi)
+    for j in range(5):
+        assert (f_min[j], f_max[j]) == chart.factor_range(lo[j], hi[j])
+
+
+def test_perturbed_factor_range_reaches_the_trough():
+    # f = 1 + 0.1 sin(x1) is least at x1 = 3 pi / 2, between two samples
+    chart = geo.make_chart("perturbed-euclidean", a=0.1)
+    f_min, f_max = chart.factor_range([4.6, 0.0], [4.8, 1.0])
+    assert f_min == 0.9
+    assert f_max == max(chart.conformal_factor(np.array([[4.6, 0.0], [4.8, 0.0]])))
+    f_min, f_max = chart.factor_range([0.0, 0.0], [10.0, 10.0])
+    assert (f_min, f_max) == (0.9, 1.1)
+
+
+# (model, chart parameters, centers, radii): balls of every model, among
+# them a torus ball across the seam and half-plane balls near the floor
+BOX_CASES = [
+    ("euclidean", {"n": 2}, [[5.0, 5.0], [0.3, 9.0]], [1.0, 0.7]),
+    ("euclidean", {"n": 3}, [[5.0, 5.0, 5.0]], [1.2]),
+    ("perturbed-euclidean", {"n": 2, "a": 0.3, "frequency": 1.3}, [[4.7, 5.0], [2.0, 3.0]], [1.5, 0.4]),
+    ("perturbed-euclidean", {"n": 3, "a": 0.1}, [[4.7, 5.0, 5.0]], [1.0]),
+    ("hyperbolic-halfplane", {}, [[0.0, 1.0], [1.0, 0.3], [-1.5, 0.26]], [0.8, 0.5, 0.05]),
+    ("hyperbolic-ball", {}, [[0.0, 0.0], [0.3, -0.4], [-0.55, 0.1]], [0.9, 0.6, 0.2]),
+    ("flat-torus", {"n": 2, "L": 4.0}, [[0.1, 3.9], [2.0, 2.0]], [1.0, 1.9]),
+    ("flat-torus", {"n": 3, "L": 3.0}, [[2.9, 0.2, 1.5]], [1.2]),
+]
+
+
+@pytest.mark.parametrize("name,kw,centers,radii", BOX_CASES, ids=map(_case_id, BOX_CASES))
+def test_ball_box_contains_densely_sampled_ball(name, kw, centers, radii):
+    """Every sampled point with distance <= R lies in the ball's box (on a
+    periodic axis, its image nearest the center does).  Samples fill
+    three times the box; on the flat and hyperbolic models the ball
+    reaches every face of its box."""
+    chart = geo.make_chart(name, **kw)
+    rng = np.random.default_rng(23)
+    per = np.array(chart.periodic)
+    period = chart.hi - chart.lo
+    count = 200_000 if chart.n == 2 else 400_000
+    for c, R in zip(np.array(centers), radii):
+        lo, hi, _ = geo.ball_bbox(chart, c, R)
+        pts = c + (rng.random((count, chart.n)) - 0.5) * 3.0 * (hi - lo)
+        if name == "hyperbolic-halfplane":
+            pts = pts[pts[:, 1] > 0]
+        if name == "hyperbolic-ball":
+            pts = pts[np.sum(pts**2, axis=1) < 1]
+        pts = chart.wrap(pts)
+        ball = pts[chart.distance(pts, c[None]) <= R]
+        assert len(ball) > 1000
+        ball = np.where(per, ball + np.round((c - ball) / period) * period, ball)
+        slack = 1e-12 * (1.0 + np.abs(c))
+        assert np.all(ball >= lo - slack) and np.all(ball <= hi + slack)
+        if name != "perturbed-euclidean":
+            reach = (hi - lo) * (0.03 if chart.n == 2 else 0.08)
+            assert np.all(ball.min(axis=0) <= lo + reach) and np.all(ball.max(axis=0) >= hi - reach)
