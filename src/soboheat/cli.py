@@ -133,17 +133,15 @@ def _json_dump(obj) -> str:
 
 def _radius_field(cfg):
     """Radius field on the --grid centers of --box (default: the working
-    box, periodic axes without their repeated end), shrunk by --margin."""
+    box), shrunk by --margin; an axis spanning a whole period is neither
+    shrunk nor sampled at its repeated end."""
     chart = _chart_from_config(cfg)
     params = _params_from_config(cfg)
     per_axis = _parse_grid(_get(cfg, "grid", "8x8"), chart.n)
     margin = _get(cfg, "margin", 0.0, cast=float)
     box = _parse_box(_get(cfg, "box"), chart.n)
-    if box is None:
-        lo, hi, per = chart.lo, chart.hi, np.array(chart.periodic)
-    else:
-        # every --box axis is shrunk and sampled end to end
-        (lo, hi), per = np.transpose(box), np.zeros(chart.n, dtype=bool)
+    lo, hi = (chart.lo, chart.hi) if box is None else chart.sub_box(box)
+    per = chart.full_period(lo, hi)
     lo, hi = np.where(per, lo, lo + margin), np.where(per, hi, hi - margin)
     if not np.all(hi > lo):
         raise ConfigError(f"margin {margin:g} leaves an empty box")

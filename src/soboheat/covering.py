@@ -6,26 +6,29 @@ A greedy pass in decreasing-radius order keeps a pairwise disjoint core
 family; the 5-fold dilates form the cover.  Certificates are measured on
 a probe grid: full coverage, and a maximum overlap count bounded by
 T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated family B(x, R(x)/10)
-obeys the level-scaled bound T * 2^(n k).  Overlap counts screen
-(probe, ball) pairs with a KD-tree and check the screened pairs exactly,
-at most PAIR_BUDGET pairs per distance call.
+obeys the level-scaled bound T * 2^(n k).
+
+Probes and candidate centers are lattices of the box, so the nodes within
+chart reach of a ball form an index box per axis (a few boxes on a
+periodic axis, one per image of the center).  Overlap counts and
+touching pairs enumerate those boxes, keep the nodes within chart reach
+of the center (nearest image on the torus) and check the kept pairs
+exactly, at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .admissible import AdmissibilityParams, RadiusField, is_admissible
 from .geometry import DomainError, MetricChart, budget_blocks, grid_points
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
-PAIR_BUDGET = 1 << 14  # (probe, ball) pairs per distance call when counting memberships;
-# a chord distance holds 32 floats per pair, so this keeps its arrays to a few MB
+PAIR_BUDGET = 1 << 14  # (node, ball) pairs per distance call and index-box nodes per run
+# of balls; a chord distance holds 32 floats per pair, so this keeps its arrays to a few MB
 
 
 def overlap_bound(n: int, eps: float) -> float:
@@ -55,45 +58,50 @@ def vitali_select(radii, touching) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-def _spaced_grid(lo, hi, spacing, endpoint=True):
-    """grid_points of the box with nodes about `spacing` apart (at least
-    2 per axis)."""
+class _Lattice:
+    """Row-major nodes of a box: count[i] linspace nodes step[i] apart from
+    lo[i] on axis i (hi[i] left out where endpoint[i] is False)."""
+
+    def __init__(self, lo, hi, count, endpoint):
+        self.lo = np.asarray(lo, dtype=float)
+        self.count = np.asarray(count, dtype=int)
+        ends = np.asarray(endpoint, dtype=bool)
+        self.step = (np.asarray(hi, dtype=float) - self.lo) / (self.count - ends)
+        self.axes = [np.linspace(lo[i], hi[i], count[i], endpoint=ends[i])
+                     for i in range(len(lo))]
+        self.points = grid_points(lo, hi, count, ends)
+
+    def __len__(self):
+        return len(self.points)
+
+
+def _spaced_grid(lo, hi, spacing, endpoint=True) -> _Lattice:
+    """Lattice of the box with nodes about `spacing` apart (at least 2 per
+    axis)."""
     counts = [max(2, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1) for i in range(len(lo))]
-    return grid_points(lo, hi, counts, endpoint)
+    return _Lattice(lo, hi, counts, np.broadcast_to(endpoint, (len(lo),)))
 
 
 def _target_box(chart: MetricChart, box):
     """(lo, hi, endpoint) of a covering target box (None: the working
-    box); a periodic axis spanning its full period leaves out hi."""
-    if box is None:
-        lo, hi = chart.lo, chart.hi
-    else:
-        lo = np.asarray([b[0] for b in box], dtype=float)
-        hi = np.asarray([b[1] for b in box], dtype=float)
-    endpoint = [not (chart.periodic[i] and hi[i] - lo[i] >= (chart.hi[i] - chart.lo[i]) - 1e-12)
-                for i in range(chart.n)]
-    return lo, hi, endpoint
-
-
-def _kdtree(chart: MetricChart, pts):
-    """(tree, origin): a KD-tree over pts - origin.  On a fully periodic
-    chart the tree is toroidal with the chart's periods and origin is
-    chart.lo; otherwise origin is 0.  Query points subtract origin too."""
-    if all(chart.periodic):
-        return cKDTree(pts - chart.lo, boxsize=chart.hi - chart.lo), chart.lo
-    return cKDTree(pts), 0.0
+    box); an axis spanning a whole period leaves out hi."""
+    lo, hi = (chart.lo, chart.hi) if box is None else chart.sub_box(box)
+    return lo, hi, ~chart.full_period(lo, hi)
 
 
 class Covering:
-    """Finite (k, eps)-admissible covering with its measured certificate."""
+    """Finite (k, eps)-admissible covering with its measured certificate.
+    The centers are the nodes[i] of the candidate lattice it was built on."""
 
-    def __init__(self, chart, k, eps, centers, core_radii, cover_radii,
+    def __init__(self, chart, k, eps, lattice, nodes, core_radii, cover_radii,
                  r_eps, overlap, coverage_fraction, t_bound):
         self.chart = chart
+        self.lattice = lattice
+        self.nodes = np.asarray(nodes)
         self.k = int(k)
         self.eta = ETA
         self.eps = float(eps)
-        self.centers = np.asarray(centers, dtype=float)
+        self.centers = lattice.points[self.nodes]
         self.core_radii = np.asarray(core_radii, dtype=float)
         self.cover_radii = np.asarray(cover_radii, dtype=float)
         self.r_eps = np.asarray(r_eps, dtype=float)
@@ -125,41 +133,107 @@ def _grown_box(chart: MetricChart, lo, hi, reach):
     return np.maximum(np.asarray(lo) - reach, chart.lo), np.minimum(np.asarray(hi) + reach, chart.hi)
 
 
-def _touching_pairs(chart: MetricChart, centers, radii, f_min):
-    """(pairs, screened): the index pairs (i < j) of balls that meet,
-    d(c_i, c_j) <= r_i + r_j, and the number of pairs checked.  Balls meet
-    only within chart distance 2 max(r) / sqrt(f_min), with f_min a lower
-    bound of f near them; the KD-tree screens pairs by that distance."""
-    tree, _ = _kdtree(chart, centers)
-    pairs = tree.query_pairs(2.0 * float(np.max(radii)) / math.sqrt(f_min), output_type="ndarray")
-    d = chart.distance(centers[pairs[:, 0]], centers[pairs[:, 1]])
-    return pairs[d <= radii[pairs[:, 0]] + radii[pairs[:, 1]]], len(pairs)
+def _index_boxes(chart: MetricChart, lattice: _Lattice, centers, reach):
+    """(first, size), each (balls, n, 3): on every axis the lattice indices
+    first + [0, size) that may lie within chart reach of the center's
+    images c - L, c, c + L (L the period; 0 on a non-periodic axis).  The
+    three ranges are disjoint and in order, so their sizes add up to the
+    ball's index count on that axis.  Each range is rounded outward by up
+    to a node, so rounding drops no node within reach; the exact test is
+    the caller's."""
+    period = np.where(chart.periodic, chart.hi - chart.lo, 0.0)
+    images = centers[:, :, None] + period[:, None] * np.array([-1.0, 0.0, 1.0])
+    lo = lattice.lo[:, None]
+    step = lattice.step[:, None]
+    count = lattice.count[:, None]
+    r = reach[:, None, None]
+    first = np.clip(np.floor((images - r - lo) / step), 0, count).astype(np.intp)
+    end = np.clip(np.floor((images + r - lo) / step) + 2, 0, count).astype(np.intp)
+    end = np.maximum(end, first)
+    # first and end grow with the image, so a range overlaps only the
+    # ranges before it and starts where the last one ended
+    first[..., 1:] = np.maximum(first[..., 1:], end[..., :-1])
+    return first, end - first
 
 
-def _count_memberships(chart: MetricChart, probes, centers, radii, f_min_box):
+def _axis_nodes(chart: MetricChart, lattice: _Lattice, centers, first, size, axis):
+    """(index, sq): every ball's lattice indices on the axis, ball after
+    ball (its three ranges of _index_boxes in turn), and their squared
+    chart displacements from the center, the nearest image on a periodic
+    axis."""
+    seg = size[:, axis].ravel()
+    ends = np.cumsum(seg)
+    index = np.arange(int(seg.sum())) + np.repeat(first[:, axis].ravel() - (ends - seg), seg)
+    owner = np.repeat(np.arange(len(centers)), size[:, axis].sum(axis=-1))
+    d = np.abs(lattice.axes[axis][index] - centers[owner, axis])
+    if chart.periodic[axis]:
+        d = np.minimum(d, (chart.hi - chart.lo)[axis] - d)
+    return index, d * d
+
+
+def _lattice_pairs(chart: MetricChart, lattice: _Lattice, centers, reach):
+    """(node, ball) index arrays, at most PAIR_BUDGET long, of the lattice
+    nodes whose chart displacement from centers[ball] (nearest image on a
+    periodic axis) is at most reach[ball].  The balls go in runs whose
+    index boxes hold at most PAIR_BUDGET nodes (a larger box is a run of
+    its own); each run starts from one entry per ball and grows it axis by
+    axis into the nodes of the ball's index box, dropping the entries whose
+    squared displacement so far exceeds reach^2."""
+    first, size = _index_boxes(chart, lattice, centers, reach)
+    width = size.sum(axis=-1)
+    begin = np.cumsum(width, axis=0) - width
+    axes = [_axis_nodes(chart, lattice, centers, first, size, i) for i in range(chart.n)]
+    strides = np.append(np.cumprod(lattice.count[:0:-1])[::-1], 1)
+    reach2 = reach**2
+    for start, stop in budget_blocks(np.prod(width, axis=-1), PAIR_BUDGET):
+        ball = np.arange(start, stop)
+        node = np.zeros(len(ball), dtype=np.intp)
+        sq = np.zeros(len(ball))
+        for i, (index, axis_sq) in enumerate(axes):
+            w = width[ball, i]
+            parent = np.repeat(np.arange(len(ball)), w)
+            j = np.arange(len(parent)) + np.repeat(begin[ball, i] - (np.cumsum(w) - w), w)
+            ball = ball[parent]
+            node = node[parent] + index[j] * strides[i]
+            sq = sq[parent] + axis_sq[j]
+            inside = sq <= reach2[ball]
+            ball, node, sq = ball[inside], node[inside], sq[inside]
+        for cut in range(0, len(node), PAIR_BUDGET):
+            yield node[cut:cut + PAIR_BUDGET], ball[cut:cut + PAIR_BUDGET]
+
+
+def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
+    """(pairs, screened): the index pairs (i < j) of the balls centered at
+    the lattice nodes[i] that meet, d(c_i, c_j) <= r_i + r_j, and the
+    number of pairs checked.  Balls meet only within chart distance
+    2 max(r) / sqrt(f_min), with f_min a lower bound of f near them; the
+    lattice screens pairs by that distance."""
+    centers = lattice.points[nodes]
+    ball_of = np.full(len(lattice), -1)
+    ball_of[nodes] = np.arange(len(nodes))
+    reach = np.full(len(nodes), 2.0 * float(np.max(radii)) / math.sqrt(f_min))
+    found, screened = [], 0
+    for node, i in _lattice_pairs(chart, lattice, centers, reach):
+        j = ball_of[node]
+        i, j = i[j > i], j[j > i]
+        screened += len(i)
+        meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
+        found.append(np.stack([i[meet], j[meet]], axis=-1))
+    return np.concatenate(found), screened
+
+
+def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii, f_min_box):
     """Per-probe count of geodesic balls containing the probe.
 
-    The KD-tree screens (probe, ball) pairs by a chart radius that surely
-    contains each ball; the screened pairs of consecutive balls are then
-    checked exactly in blocks of at most PAIR_BUDGET pairs, one distance
-    call per block (a ball with more pairs is checked in slices).
+    The probe lattice screens (probe, ball) pairs by a chart radius that
+    surely contains each ball; the screened pairs are then checked exactly,
+    at most PAIR_BUDGET pairs per distance call.
     """
-    tree, origin = _kdtree(chart, probes)
-    chart_r = radii / math.sqrt(f_min_box)
-    query = centers - origin
-    screened = tree.query_ball_point(query, chart_r, return_length=True, workers=-1)
     counts = np.zeros(len(probes), dtype=int)
-    for start, stop in budget_blocks(screened, PAIR_BUDGET):
-        hits = tree.query_ball_point(query[start:stop], chart_r[start:stop], workers=-1,
-                                     return_sorted=False)
-        sizes = np.fromiter(map(len, hits), dtype=np.intp, count=len(hits))
-        probe = np.fromiter(itertools.chain.from_iterable(hits), dtype=np.intp,
-                            count=int(sizes.sum()))
-        ball = np.repeat(np.arange(start, stop), sizes)
-        for first in range(0, len(probe), PAIR_BUDGET):
-            p, b = probe[first:first + PAIR_BUDGET], ball[first:first + PAIR_BUDGET]
-            inside = chart.distance(probes[p], centers[b]) <= radii[b]
-            counts += np.bincount(p[inside], minlength=len(probes))
+    reach = radii / math.sqrt(f_min_box)
+    for p, b in _lattice_pairs(chart, probes, centers, reach):
+        inside = chart.distance(probes.points[p], centers[b]) <= radii[b]
+        counts += np.bincount(p[inside], minlength=len(probes))
     return counts
 
 
@@ -181,7 +255,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     lo, hi, endpoint = _target_box(chart, box)
 
     # certified R at a coarse probe of the box to size the candidate grid
-    corners = _spaced_grid(lo, hi, float(np.max(hi - lo)) / 8.0)
+    corners = _spaced_grid(lo, hi, float(np.max(hi - lo)) / 8.0).points
     r_min_est = float(np.min(field.lower_bound_at(corners)))
     if r_min_est <= 0:
         raise DomainError("radius field lower bound vanishes on the box")
@@ -190,25 +264,25 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     # geodesic candidate spacing ~ candidate_factor * r_core_min, so a
     # probe's nearest candidate ball reaches it through the 5-fold dilate
     spacing = candidate_factor * r_core_min / math.sqrt(f_max_box)
-    candidates = _spaced_grid(lo, hi, spacing, endpoint)
-    r_eps_cand = field.lower_bound_at(candidates)
-    keep = r_eps_cand > 0
-    candidates, r_eps_cand = candidates[keep], r_eps_cand[keep]
+    lattice = _spaced_grid(lo, hi, spacing, endpoint)
+    r_eps_cand = field.lower_bound_at(lattice.points)
+    nodes = np.flatnonzero(r_eps_cand > 0)
+    r_eps_cand = r_eps_cand[nodes]
     core = 2.0**-k * r_eps_cand / (5 * ETA)
-    sel = vitali_select(core, _touching_pairs(chart, candidates, core, f_min_box)[0])
-    centers = candidates[sel]
+    sel = vitali_select(core, _touching_pairs(chart, lattice, nodes, core, f_min_box)[0])
+    nodes = nodes[sel]
     core_sel = core[sel]
     cover_sel = 5.0 * core_sel
 
     probes = _spaced_grid(lo, hi, float(np.min(cover_sel)) / (4.0 * math.sqrt(f_max_box)), endpoint)
-    counts = _count_memberships(chart, probes, centers, cover_sel, f_min_box)
+    counts = _count_memberships(chart, probes, lattice.points[nodes], cover_sel, f_min_box)
     coverage = float(np.mean(counts >= 1))
     if coverage < 1.0:
         raise DomainError(
             f"{int(np.sum(counts == 0))} probe points uncovered at level {k}; "
             "densify the radius-field sample grid or shrink the box"
         )
-    return Covering(chart, k, eps, centers, core_sel, cover_sel, r_eps_cand[sel],
+    return Covering(chart, k, eps, lattice, nodes, core_sel, cover_sel, r_eps_cand[sel],
                     int(counts.max()), coverage, overlap_bound(n, eps))
 
 
@@ -218,7 +292,8 @@ def check_core_disjointness(covering: Covering) -> dict:
     c = covering.centers
     f_min_box, _ = chart.factor_range(*_grown_box(chart, c.min(axis=0), c.max(axis=0),
                                                   float(np.max(covering.r_eps))))
-    touching, screened = _touching_pairs(chart, c, covering.core_radii, f_min_box)
+    touching, screened = _touching_pairs(chart, covering.lattice, covering.nodes,
+                                         covering.core_radii, f_min_box)
     return {"pairs_screened": screened, "violations": len(touching)}
 
 

@@ -150,6 +150,27 @@ class MetricChart:
             ok &= (x[..., i] >= self.lo[i] + margin) & (x[..., i] <= self.hi[i] - margin)
         return ok
 
+    def sub_box(self, box):
+        """(lo, hi) arrays of a box of per-axis (lo, hi) pairs; raises
+        DomainError unless it lies inside the working box, periodic axes
+        included."""
+        if len(box) != self.n:
+            raise DomainError(f"box needs {self.n} intervals, got {len(box)}")
+        lo = np.asarray([b[0] for b in box], dtype=float)
+        hi = np.asarray([b[1] for b in box], dtype=float)
+        if not (np.all(lo >= self.lo) and np.all(hi <= self.hi)):
+            inner = ", ".join(f"{a:g}:{b:g}" for a, b in zip(lo, hi))
+            outer = ", ".join(f"{a:g}:{b:g}" for a, b in zip(self.lo, self.hi))
+            raise DomainError(f"box {inner} leaves the working box {outer} of chart {self.name}")
+        return lo, hi
+
+    def full_period(self, lo, hi) -> np.ndarray:
+        """Per axis: [lo, hi] spans the whole period of a periodic axis.  A
+        grid over such an axis wraps and leaves hi out; every other axis
+        is an interval with two ends."""
+        span = np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)
+        return np.array(self.periodic) & (span >= (self.hi - self.lo) * (1 - 1e-12))
+
     def wrap(self, x):
         """Fold periodic coordinates back into [lo, hi)."""
         x = np.array(x, dtype=float)
@@ -296,8 +317,9 @@ def _dist_euclidean(chart, x, y):
 
 
 def _dist_torus(chart, x, y):
-    L = chart.hi - chart.lo
-    d = np.abs(x - y)
+    """Per axis |x - y| folded into [0, L), then the shorter way round."""
+    L = chart.params["L"]
+    d = np.fmod(np.abs(x - y), L)
     d = np.minimum(d, L - d)
     return np.linalg.norm(d, axis=-1)
 

@@ -8,9 +8,9 @@ the lumped mass matrix W of quadrature weights, each implicit Euler step
 solves the SPD system (W + dt K) u+ = W (u + dt forcing), which is
 factored once per solve (sparse LU); every step's residual is checked.
 Homogeneous Dirichlet data is imposed by restriction to interior nodes;
-fully periodic grids need no boundary handling.
+an axis that wraps (Grid.wraps: a whole period) has no boundary.
 
-One-forms (2-D, fully periodic grids only) use a discrete-exterior-
+One-forms (2-D grids that wrap on both axes only) use a discrete-exterior-
 calculus Hodge Laplacian d delta + delta d with diagonal Hodge stars on
 the staggered edge grid.
 """
@@ -48,7 +48,7 @@ def discrete_laplacian(grid: Grid):
     for ax in range(n):
         # half-node metric coefficient f^(n/2-1) on each axis edge
         p_idx = idx
-        if chart.periodic[ax]:
+        if grid.wraps[ax]:
             q_idx = np.roll(idx, -1, axis=ax)
             mid = grid.points.copy()
             step = np.zeros(n)
@@ -82,7 +82,7 @@ def discrete_laplacian(grid: Grid):
 def interior_mask(grid: Grid) -> np.ndarray:
     mask = np.ones(grid.shape, dtype=bool)
     for ax in range(grid.chart.n):
-        if grid.chart.periodic[ax]:
+        if grid.wraps[ax]:
             continue
         sl = [slice(None)] * grid.chart.n
         for edge in (0, -1):
@@ -109,8 +109,7 @@ class ParabolicProblem:
                 f"(horizon + margin)/dt = {ratio:.12g} is not a whole number of steps"
             )
         if self.kind == "one-form":
-            chart = self.grid.chart
-            if chart.n != 2 or not all(chart.periodic):
+            if self.grid.chart.n != 2 or not all(self.grid.wraps):
                 raise CapabilityError("one-form problems need a fully periodic 2-D grid")
         elif self.kind != "scalar":
             raise DomainError(f"unknown problem kind {self.kind!r}")

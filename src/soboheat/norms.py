@@ -29,13 +29,17 @@ NORM_BUDGET = 1 << 16  # grid nodes per block of time slices in a Bochner norm
 
 
 class Grid:
-    """Uniform rectangular chart grid with metric quadrature weights."""
+    """Uniform rectangular chart grid with metric quadrature weights.
 
-    def __init__(self, chart: MetricChart, axes):
+    wraps[i] says axis i spans a whole period and closes on itself (no end
+    node, no boundary); every other axis has two boundary ends."""
+
+    def __init__(self, chart: MetricChart, axes, wraps):
         self.chart = chart
         self.axes = [np.asarray(a, dtype=float) for a in axes]
         if len(self.axes) != chart.n:
             raise DomainError("one axis per chart dimension required")
+        self.wraps = tuple(bool(w) for w in wraps)
         self.shape = tuple(len(a) for a in self.axes)
         if min(self.shape) < 2:
             raise DomainError(f"grid {self.shape} needs at least 2 nodes per axis")
@@ -48,9 +52,9 @@ class Grid:
         flat = self.points.reshape(-1, chart.n)
         self.f = chart.conformal_factor(flat).reshape(self.shape)
         self.quadrature = float(np.prod(self.h)) * self.f ** (chart.n / 2.0)
-        # trapezoid end-weights on non-periodic axes
+        # trapezoid end-weights on the axes with two ends
         for i in range(chart.n):
-            if chart.periodic[i]:
+            if self.wraps[i]:
                 continue
             w = np.ones(self.shape[i])
             w[0] = w[-1] = 0.5
@@ -61,15 +65,14 @@ class Grid:
 
     @classmethod
     def over_box(cls, chart: MetricChart, box, per_axis):
+        """per_axis nodes over a box inside the working box; an axis that
+        spans a whole period wraps."""
         per_axis = np.broadcast_to(np.asarray(per_axis, dtype=int), (chart.n,))
-        axes = []
-        for i in range(chart.n):
-            lo, hi = box[i]
-            if chart.periodic[i] and abs((hi - lo) - (chart.hi[i] - chart.lo[i])) < 1e-12:
-                axes.append(np.linspace(lo, hi, int(per_axis[i]), endpoint=False))
-            else:
-                axes.append(np.linspace(lo, hi, int(per_axis[i])))
-        return cls(chart, axes)
+        lo, hi = chart.sub_box(box)
+        wraps = chart.full_period(lo, hi)
+        axes = [np.linspace(lo[i], hi[i], int(per_axis[i]), endpoint=not wraps[i])
+                for i in range(chart.n)]
+        return cls(chart, axes, wraps)
 
     @property
     def gamma(self):
@@ -83,10 +86,10 @@ class Grid:
 
     def partial(self, arr: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         """Second-order d/dx_axis of arr, whose grid axes start after lead
-        leading axes; periodic axes wrap, others use one-sided
+        leading axes; wrapping axes wrap, others use one-sided
         second-order stencils at the edges."""
         at = lead + axis
-        if self.chart.periodic[axis]:
+        if self.wraps[axis]:
             padded = np.concatenate(
                 [np.take(arr, [-2, -1], axis=at), arr, np.take(arr, [0, 1], axis=at)],
                 axis=at,

@@ -172,6 +172,10 @@ def test_config_parse_error(tmp_path, capsys):
     ["radius", "--model", "hyperbolic-halfplane", "--grid", "2", "--n", "3"],
     ["radius", "--model", "perturbed-euclidean", "--grid", "2", "--n", "4"],
     ["radius", "--model", "euclidean", "--grid", "2", "--n", "1"],
+    # boxes that leave the working box, periodic axes included
+    ["cover", "--model", "flat-torus", "--grid", "3x3", "--cover-box", "3.4:4.6,1:2"],
+    ["radius", "--model", "flat-torus", "--grid", "9x9", "--box", "0:8,0:8"],
+    ["solve", "--model", "euclidean", "--grid", "8x8", "--box", "9:11,4:6"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content
@@ -231,6 +235,9 @@ def test_exponents_imports_no_heavy_modules(tmp_path):
     runs = [
         (f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {str(tmp_path)!r}]) == 0\n",
          ("sympy", "scipy.spatial", "scipy.sparse")),
+        # coverings screen pairs on their own lattices
+        (f"assert cli.main(['cover', '--model', 'flat-torus', '--grid', '3x3', '--out', {str(tmp_path)!r}]) == 0\n",
+         ("sympy", "scipy.spatial")),
         # closed-form factor jets: charts and radius fields need no symbolic algebra
         ("from soboheat.geometry import CATALOG, make_chart\n"
          "charts = [make_chart(name) for name in CATALOG]\n"

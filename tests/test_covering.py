@@ -115,41 +115,88 @@ def test_empty_field_rejected():
         cov.build_admissible_covering(fld, 0, box=BOX)
 
 
-# per chart: a probe box (lo, hi) and the largest ball radius; the torus
-# box straddles the seam x1 = L and wraps
-MEMBERSHIP_CASES = {
-    "euclidean": ({}, [4.0, 4.0], [5.0, 5.0], 0.3),
-    "perturbed-euclidean": ({}, [4.6, 4.6], [5.4, 5.4], 0.2),
-    "hyperbolic-halfplane": ({}, [-0.3, 0.7], [0.3, 1.3], 0.2),
-    "hyperbolic-ball": ({}, [-0.3, -0.3], [0.3, 0.3], 0.3),
-    "flat-torus": ({"L": 4.0}, [3.4, 1.0], [4.6, 2.0], 0.3),
+# per case: chart, a lattice box (lo, hi) with its node spacing and the
+# largest ball radius.  On the torus: the whole period (hi left out), and a
+# sub-box that reaches both sides of the seam x = L, with balls wider than
+# half the period, so that the images c - L, c, c + L overlap.
+LATTICE_CASES = {
+    "euclidean": (("euclidean", {}), [4.0, 4.0], [5.0, 5.0], 1 / 24, 0.3),
+    "perturbed-euclidean": (("perturbed-euclidean", {}), [4.6, 4.6], [5.4, 5.4], 1 / 30, 0.2),
+    "hyperbolic-halfplane": (("hyperbolic-halfplane", {}), [-0.3, 0.7], [0.3, 1.3], 1 / 40, 0.2),
+    "hyperbolic-ball": (("hyperbolic-ball", {}), [-0.3, -0.3], [0.3, 0.3], 1 / 40, 0.3),
+    "flat-torus": (("flat-torus", {"L": 4.0}), [0.2, 1.0], [1.4, 2.0], 1 / 20, 0.3),
+    "flat-torus-whole": (("flat-torus", {"L": 4.0}), [0.0, 0.0], [4.0, 4.0], 1 / 6, 0.6),
+    "flat-torus-seam": (("flat-torus", {"L": 4.0}), [0.0, 0.0], [3.9, 3.9], 1 / 6, 2.5),
+    "euclidean-3d": (("euclidean", {"n": 3}), [4.0, 4.0, 4.0], [5.0, 5.0, 5.0], 1 / 8, 0.3),
 }
 
 
-def membership_inputs(name, n_probes=600, n_balls=80, seed=0):
-    kw, lo, hi, r_max = MEMBERSHIP_CASES[name]
+def lattice_inputs(case, n_balls=80, seed=0):
+    """(chart, lattice, centers, radii, f_min_box) of a LATTICE_CASES case:
+    seeded ball centers in the box and radii up to its largest radius."""
+    (name, kw), lo, hi, spacing, r_max = LATTICE_CASES[case]
     chart = make_chart(name, **kw)
+    lo, hi, endpoint = cov._target_box(chart, list(zip(lo, hi)))
+    lattice = cov._spaced_grid(lo, hi, spacing, endpoint)
     rng = np.random.default_rng(seed)
-    probes = chart.wrap(rng.uniform(lo, hi, size=(n_probes, 2)))
-    centers = chart.wrap(rng.uniform(lo, hi, size=(n_balls, 2)))
+    centers = chart.wrap(rng.uniform(lo, hi, size=(n_balls, chart.n)))
     radii = rng.uniform(0.2, 1.0, n_balls) * r_max
     f_min_box, _ = chart.factor_range(*cov._grown_box(chart, lo, hi, r_max))
-    return chart, probes, centers, radii, f_min_box
+    return chart, lattice, centers, radii, f_min_box
 
 
-@pytest.mark.parametrize("name", sorted(MEMBERSHIP_CASES))
+@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
 @pytest.mark.parametrize("budget", [cov.PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
 def test_count_memberships_equals_brute_force(name, budget, monkeypatch):
-    """Counts over the KD-tree-screened pair blocks equal counts over the
+    """Counts over the lattice-screened pair blocks equal counts over the
     full probe x ball distance matrix; a budget of 7 pairs splits the
     balls into many blocks and slices every ball with more pairs."""
     monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
-    chart, probes, centers, radii, f_min_box = membership_inputs(name)
+    chart, probes, centers, radii, f_min_box = lattice_inputs(name)
     counts = cov._count_memberships(chart, probes, centers, radii, f_min_box)
-    d = chart.distance(probes[:, None, :], centers[None, :, :])
+    d = chart.distance(probes.points[:, None, :], centers[None, :, :])
     want = np.count_nonzero(d <= radii[None, :], axis=1)
     assert want.max() >= 2
     assert np.array_equal(counts, want)
+
+
+def chart_displacement(chart, x, y):
+    """|x - y| in the chart, the nearest image on each periodic axis."""
+    d = np.abs(x - y)
+    return np.linalg.norm(np.where(chart.periodic, np.minimum(d, chart.hi - chart.lo - d), d),
+                          axis=-1)
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
+def test_touching_pairs_equal_brute_force(name):
+    """On a candidate lattice with holes, the touching pairs equal the
+    pairs i < j with d(c_i, c_j) <= r_i + r_j over all pairs, and the
+    screened count equals the number of pairs within the screen's chart
+    distance 2 max(r) / sqrt(f_min)."""
+    chart, lattice, _, _, f_min = lattice_inputs(name)
+    rng = np.random.default_rng(1)
+    nodes = np.flatnonzero(rng.random(len(lattice)) < 0.7)
+    radii = rng.uniform(0.2, 1.0, len(nodes)) * 2.0 * float(np.max(lattice.step))
+    pairs, screened = cov._touching_pairs(chart, lattice, nodes, radii, f_min)
+    c = lattice.points[nodes]
+    i, j = np.triu_indices(len(nodes), 1)
+    meet = chart.distance(c[i], c[j]) <= radii[i] + radii[j]
+    want = chart_displacement(chart, c[i], c[j]) <= 2.0 * np.max(radii) / np.sqrt(f_min)
+    assert meet.sum() > 0 and want.sum() > meet.sum()
+    assert sorted(map(tuple, pairs.tolist())) == list(zip(i[meet].tolist(), j[meet].tolist()))
+    assert screened == int(want.sum())
+
+
+@pytest.mark.parametrize("box", [[(3.4, 4.6), (1.0, 2.0)], [(0.0, 8.0), (0.0, 4.0)],
+                                 [(-0.5, 1.0), (0.0, 1.0)]])
+def test_boxes_outside_the_working_box_are_rejected(box):
+    chart = make_chart("flat-torus", n=2, L=4.0)
+    fld = adm.radius_field(chart, adm.grid_centers(chart, 3), adm.AdmissibilityParams(m=2, eps=0.2))
+    with pytest.raises(DomainError, match="leaves the working box"):
+        cov.build_admissible_covering(fld, 0, box=box)
+    c = cov.build_admissible_covering(fld, 0, box=[(0.0, 1.0), (0.0, 1.0)])
+    with pytest.raises(DomainError, match="leaves the working box"):
+        cov.certify_dilated_overlap(c, box=box)
 
 
 def test_membership_blocks_stay_within_pair_budget(monkeypatch):

@@ -120,7 +120,8 @@ def test_no_assert_in_the_package():
 
 
 def test_no_sympy_import_in_the_package():
-    """Every factor jet is a closed form; sympy is a test oracle only."""
+    """Every factor jet is a closed form, so sympy is a test oracle only;
+    coverings screen pairs on their own lattices, so no scipy.spatial."""
     src = Path(ex.__file__).parent
     found = []
     for path in sorted(src.glob("*.py")):
@@ -128,11 +129,12 @@ def test_no_sympy_import_in_the_package():
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
             else:
                 continue
-            if any(name.split(".")[0] == "sympy" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+            for banned in ("sympy", "scipy.spatial"):
+                if any(name == banned or name.startswith(banned + ".") for name in names):
+                    found.append(f"{path.name}:{node.lineno} {banned}")
     assert found == []
 
 

@@ -70,6 +70,13 @@ def test_torus_distance_wraps():
     assert d[0] == pytest.approx(0.2, rel=1e-12)
 
 
+def test_torus_distance_folds_points_periods_apart():
+    # |x - y| is taken modulo L before the nearer of the two ways round
+    chart = geo.make_chart("flat-torus", n=2, L=4.0)
+    d = chart.distance(np.array([[0.5, 0.5], [0.5, -7.0]]), np.array([[8.4, 0.5], [0.5, 1.5]]))
+    assert d == pytest.approx([0.1, 0.5], rel=1e-12)
+
+
 def test_perturbed_distance_between_flat_and_stretched():
     # f = 1 + a sin(x1) <= 1 + a, so chord length sits between the flat
     # distance and sqrt(1 + a) times it

@@ -218,3 +218,20 @@ def test_inaccurate_step_raises(monkeypatch):
                                dt=0.05)
     with pytest.raises(NumericalError, match="residual"):
         hf.solve_parabolic(prob)
+
+
+def test_torus_sub_box_has_two_ends_like_a_euclidean_box():
+    """A torus grid over less than a whole period does not wrap: partial
+    derivatives and scalar solves equal the euclidean ones bit for bit."""
+    box = [(0.0, 2.0), (0.0, 2.0)]
+    grids = [norms.Grid.over_box(make_chart(name, n=2), box, 17)
+             for name in ("flat-torus", "euclidean")]
+    assert grids[0].wraps == grids[1].wraps == (False, False)
+    sine = [np.sin(3.0 * g.points[..., 0]) for g in grids]
+    assert np.array_equal(grids[0].partial(sine[0], 0), grids[1].partial(sine[1], 0))
+    sols = [hf.solve_parabolic(hf.ParabolicProblem(g, eigen_forcing, horizon=0.1, margin=0.0,
+                                                   dt=0.01)) for g in grids]
+    assert np.array_equal(sols[0].u.values, sols[1].u.values)
+    assert np.all(sols[0].u.values[:, [0, -1], :] == 0)
+    whole = norms.Grid.over_box(make_chart("flat-torus", n=2), [(0.0, L), (0.0, L)], 16)
+    assert whole.wraps == (True, True)
