@@ -16,31 +16,27 @@ plus bisection on the monotone predicate; the admissible radius is
 R(c) = min(1, R'(c)/2).  R' is 1-Lipschitz in geodesic distance and the
 field satisfies slow variation: R(y) in [R(x)/2, 2 R(x)] on B(x, R(x)).
 
+Both suprema are bounded in closed form over a chart box that contains
+the ball (geometry.ball_bbox): the exact range of f over the box, and
+per order k a bound on sum_{|b| = k} sup |d^b f| (MetricChart.jet_bound).
+So a radius that passes really is admissible; nothing is sampled and no
+distance is evaluated.  On a flat chart both conditions hold exactly and
+only the fit decides.
+
 A radius field runs the search of all its centers in lockstep, with one
-batched predicate evaluation per round over at most POINT_BUDGET sample
-points at a time; is_admissible and admissible_radius are the same code
-on a batch of one.
+vectorised predicate evaluation per round; is_admissible and
+admissible_radius are the same code on a batch of one.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (
-    DomainError,
-    MetricChart,
-    ball_bbox,
-    ball_sample_points,
-    budget_blocks,
-    grid_points,
-    multi_indices_up_to,
-)
+from .geometry import M_MAX, DomainError, MetricChart, ball_bbox, grid_points
 
 R_CAP = 2.5  # radii beyond this never affect min(1, R'/2)
-POINT_BUDGET = 1 << 16  # sample points per batched predicate evaluation
 
 
 class DegeneratePointError(DomainError):
@@ -51,151 +47,40 @@ class DegeneratePointError(DomainError):
 class AdmissibilityParams:
     m: int = 2
     eps: float = 0.2
-    sample_density: float = 16.0
     bisection_tol: float = 1e-3
 
     def __post_init__(self):
-        if self.m < 1:
-            raise DomainError("derivative order m must be >= 1")
+        if not 1 <= self.m <= M_MAX:
+            raise DomainError(f"derivative order m must lie in 1..{M_MAX}")
         if not 0 < self.eps <= 1 / 3 + 1e-12:
             raise DomainError("eps must lie in (0, 1/3]")
-        if self.sample_density < 8:
-            raise DomainError("sample_density must be >= 8")
-
-
-def _polar_shape(R: float, params: AdmissibilityParams) -> tuple[int, int]:
-    """(rays, points per ray) of the polar sample of a 2-D ball of radius R."""
-    J = max(48, int(math.ceil(2 * math.pi * R * params.sample_density)))
-    K = max(6, int(math.ceil(R * params.sample_density)))
-    return J, K
-
-
-def _grid_per_axis(R: float, params: AdmissibilityParams) -> int:
-    return max(9, int(math.ceil(2 * R * params.sample_density)) + 1)
-
-
-def _sample_size(chart: MetricChart, R: float, params: AdmissibilityParams) -> int:
-    """Upper bound on the sample points of a ball of radius R."""
-    if chart.n == 2:
-        J, K = _polar_shape(R, params)
-        return J * K + 1
-    return _grid_per_axis(R, params) ** chart.n
-
-
-def _polar_ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
-    """Polar samples of 2-D geodesic balls B(centers[j], radii[j]): one
-    point array per ball, None where the ball does not fit the domain.
-
-    Ray lengths to the geodesic spheres are found by one vectorized
-    bisection over the rays of all the balls, so each boundary ring is
-    sampled exactly.  The pattern is built from the center, making it
-    equivariant under chart isometries that fix the sampling resolution
-    (e.g. rotations of the disc model) — an axis-aligned grid would bias
-    the sup in condition 2 by orientation.
-    """
-    samples = [None] * len(radii)
-    box_lo, box_hi, fits = ball_bbox(chart, centers, radii)
-    idx = np.flatnonzero(fits)
-    if len(idx) == 0:
-        return samples
-    shapes = [_polar_shape(R, params) for R in radii.tolist()]
-    rays = np.array([shapes[j][0] for j in idx])
-    dirs = {}
-    for J in set(rays.tolist()):
-        theta = 2 * math.pi * np.arange(J) / J
-        dirs[J] = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-    u = np.concatenate([dirs[J] for J in rays.tolist()])
-    c = np.repeat(centers[idx], rays, axis=0)
-    r = np.repeat(radii[idx], rays)
-    # each ray meets its geodesic sphere before it leaves the ball's box;
-    # bisect d(center, center + t u) = R between the center and that exit
-    gap = np.where(u > 0, np.repeat(box_hi[idx], rays, axis=0) - c,
-                   c - np.repeat(box_lo[idx], rays, axis=0))
-    with np.errstate(divide="ignore"):
-        hi = np.min(gap / np.abs(u), axis=1)
-    lo = np.zeros(len(u))
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        inside = chart.distance(chart.wrap(c + mid[:, None] * u), c) < r
-        lo = np.where(inside, mid, lo)
-        hi = np.where(inside, hi, mid)
-    t_sphere = 0.5 * (lo + hi)
-    first = 0
-    for j in idx.tolist():
-        J, K = shapes[j]
-        t, uj = t_sphere[first:first + J], u[first:first + J]
-        first += J
-        s = (np.arange(1, K + 1) / K)[:, None]
-        pts = centers[j][None, None, :] + (s * t[None, :])[:, :, None] * uj[None, :, :]
-        samples[j] = np.concatenate([centers[j][None, :], chart.wrap(pts.reshape(-1, 2))], axis=0)
-    return samples
-
-
-def _ball_samples(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> list:
-    """Samples of geodesic balls, None for those that do not fit the
-    domain; in 3-D each ball is sampled on its own grid."""
-    if chart.n == 2:
-        return _polar_ball_samples(chart, centers, radii, params)
-    fits = ball_bbox(chart, centers, radii)[2]
-    return [ball_sample_points(chart, center, R, _grid_per_axis(R, params))[0] if ok else None
-            for center, R, ok in zip(centers, radii.tolist(), fits.tolist())]
-
-
-def _conditions_hold(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
-    """Both admissibility conditions on the samples of each B(centers[j], radii[j])."""
-    samples = _ball_samples(chart, centers, radii, params)
-    ok = np.array([pts is not None for pts in samples])
-    idx = np.flatnonzero(ok)
-    if len(idx) == 0:
-        return ok
-    sizes = np.array([len(samples[j]) for j in idx])
-    pts = np.concatenate([samples[j] for j in idx], axis=0)
-    fc = chart.conformal_factor(centers[idx])
-    ratio = chart.conformal_factor(pts) / np.repeat(fc, sizes)
-    starts = np.cumsum(sizes) - sizes
-    band = ~((np.minimum.reduceat(ratio, starts) < 1 - params.eps)
-             | (np.maximum.reduceat(ratio, starts) > 1 + params.eps))
-    ok[idx[~band]] = False
-    if not band.any():
-        return ok
-    pts = pts[np.repeat(band, sizes)]
-    idx, sizes, fc = idx[band], sizes[band], fc[band]
-    starts = np.cumsum(sizes) - sizes
-    betas = multi_indices_up_to(chart.n, params.m)
-    sups = [np.maximum.reduceat(np.abs(chart.conformal_derivative(pts, beta)), starts)
-            for beta in betas]
-    for row, j in enumerate(idx):
-        R, f = float(radii[j]), float(fc[row])
-        total = 0.0
-        for beta, sup in zip(betas, sups):
-            k = sum(beta)
-            total += R**k * (float(sup[row]) / f ** (1 + k / 2))
-            if total > params.eps:
-                ok[j] = False
-                break
-    return ok
 
 
 def _admissible(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
-    """The admissibility predicate at every (centers[j], radii[j]).
-
-    Balls are sampled and checked in runs of at most POINT_BUDGET sample
-    points (a ball with more points is checked alone)."""
+    """The admissibility predicate at every (centers[j], radii[j]), from
+    the closed-form bounds of each ball's box: the box decides the fit,
+    factor_range the band, and jet_bound the derivative sum."""
     ok = ~(radii <= 0)
     if chart.is_flat:
         # constant metric: both conditions hold exactly; only the
         # domain containment can fail
         return ok & (_flat_cap(chart, centers) >= radii)
-    todo = np.flatnonzero(ok)
-    sizes = [_sample_size(chart, R, params) for R in radii[todo].tolist()]
-    for start, stop in budget_blocks(sizes, POINT_BUDGET):
-        j = todo[start:stop]
-        ok[j] = _conditions_hold(chart, centers[j], radii[j], params)
+    lo, hi, fits = ball_bbox(chart, centers, radii)
+    j = np.flatnonzero(ok & fits)
+    lo, hi, R = lo[j], hi[j], radii[j]
+    fc = chart.conformal_factor(centers[j])
+    f_min, f_max = chart.factor_range(lo, hi)
+    total = np.zeros(len(j))
+    for k in range(1, params.m + 1):
+        total += R**k * (chart.jet_bound(lo, hi, k) / fc ** (1 + k / 2))
+    ok = np.zeros(len(radii), dtype=bool)
+    ok[j] = ~((f_min / fc < 1 - params.eps) | (f_max / fc > 1 + params.eps) | (total > params.eps))
     return ok
 
 
 def is_admissible(chart: MetricChart, center, R: float, params: AdmissibilityParams) -> bool:
-    """Both admissibility conditions on a sample of B(center, R)."""
+    """Both admissibility conditions on B(center, R), from closed-form
+    bounds over the ball's box."""
     center = np.asarray(center, dtype=float)
     return bool(_admissible(chart, center[None], np.array([R], dtype=float), params)[0])
 
@@ -309,11 +194,7 @@ class RadiusField:
     r_eps: np.ndarray  # (N,)
     truncated: np.ndarray  # (N,) bool
     iterations: np.ndarray  # (N,) int
-    degenerate: np.ndarray = field(default=None)  # (N,) bool
-
-    def __post_init__(self):
-        if self.degenerate is None:
-            self.degenerate = np.zeros(len(self.points), dtype=bool)
+    degenerate: np.ndarray  # (N,) bool
 
     def lower_bound_at(self, query) -> np.ndarray:
         """Certified R values at arbitrary points via the 1-Lipschitz

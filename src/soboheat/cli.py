@@ -80,7 +80,6 @@ def _params_from_config(cfg):
     return admissible.AdmissibilityParams(
         m=_get(cfg, "m", 2, cast=int),
         eps=_get(cfg, "eps", 0.2, cast=float),
-        sample_density=_get(cfg, "density", 16.0, cast=float),
         bisection_tol=_get(cfg, "tol", 1e-3, cast=float),
     )
 
@@ -344,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="e.g. 16x16")
     p.add_argument("--margin", type=float)
     p.add_argument("--box", help="lo:hi,lo:hi")
-    p.add_argument("--density", type=float)
     p.add_argument("--tol", type=float)
     p.set_defaults(func=cmd_radius)
 

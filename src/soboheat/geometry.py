@@ -17,10 +17,12 @@ d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
 
 No finite differences and no symbolic algebra enter.
 
-Two more closed forms per model say where a ball lies and how f varies
-on it: the exact range of f over a box (`MetricChart.factor_range`) and
-a chart box that contains the geodesic ball (`ball_bbox`), whose place
-in the domain decides whether the ball fits.  Nothing is sampled.
+Three more closed forms per model say where a ball lies and how f varies
+on it: the exact range of f over a box (`MetricChart.factor_range`), an
+upper bound on its derivatives of one order over a box
+(`MetricChart.jet_bound`), and a chart box that contains the geodesic
+ball (`ball_bbox`), whose place in the domain decides whether the ball
+fits.  Nothing is sampled.
 
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
@@ -106,9 +108,10 @@ class MetricChart:
 
     jet(x, beta) is the model's closed form of d^beta f at the points x
     (beta = 0 gives f), for |beta| <= M_MAX; factor_range(lo, hi) is the
-    exact (min, max) of f over a box; ball_box(chart, c, R) is a chart box
-    (lo, hi) that contains the geodesic ball B(c, R); is_flat says f is
-    constant.
+    exact (min, max) of f over a box; jet_bound(lo, hi, k) bounds
+    sum_{|beta| = k} sup |d^beta f| over a box; ball_box(chart, c, R) is a
+    chart box (lo, hi) that contains the geodesic ball B(c, R); is_flat
+    says f is constant.
     """
 
     def __init__(
@@ -121,6 +124,7 @@ class MetricChart:
         distance_fn: Callable,
         jet: Callable,
         factor_range: Callable,
+        jet_bound: Callable,
         ball_box: Callable,
         is_flat: bool,
         params: dict | None = None,
@@ -134,6 +138,7 @@ class MetricChart:
         self._distance_fn = distance_fn
         self.jet = jet
         self._factor_range = factor_range
+        self._jet_bound = jet_bound
         self._ball_box = ball_box
         self.is_flat = is_flat
         if not self.factor_range(self.lo, self.hi)[0] > 0:
@@ -196,6 +201,13 @@ class MetricChart:
         leading axes of boxes."""
         return self._factor_range(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float))
 
+    def jet_bound(self, lo, hi, k: int):
+        """Upper bound on sum_{|beta| = k} sup |d^beta f| over the box
+        [lo, hi], for k <= M_MAX; lo and hi may carry leading axes of boxes."""
+        if k > M_MAX:
+            raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
+        return self._jet_bound(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), k)
+
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
 
@@ -212,7 +224,8 @@ class AxisProfile:
     """Jet of a factor that depends on one coordinate only,
     f(x) = profile(x[axis], 0), where profile(t, k) is the k-th derivative
     of f along that axis; every other partial derivative is 0.
-    extrema(t0, t1) is the (min, max) of f over t0 <= x[axis] <= t1."""
+    extrema(t0, t1, k) is the (min, max) of the k-th derivative over
+    t0 <= x[axis] <= t1."""
 
     def __init__(self, axis: int, profile: Callable, extrema: Callable):
         self.axis = axis
@@ -225,8 +238,14 @@ class AxisProfile:
             return np.zeros(x.shape[:-1])
         return self.profile(x[..., self.axis], k)
 
-    def range(self, lo, hi):
-        return self.extrema(lo[..., self.axis], hi[..., self.axis])
+    def range(self, lo, hi, k=0):
+        return self.extrema(lo[..., self.axis], hi[..., self.axis], k)
+
+    def bound(self, lo, hi, k):
+        """sup over the box of |d^k f / dx[axis]^k|, the one nonzero term of
+        order k."""
+        low, high = self.range(lo, hi, k)
+        return np.maximum(-low, high)
 
 
 def _unit_profile(t, k):
@@ -234,9 +253,9 @@ def _unit_profile(t, k):
     return np.full(np.shape(t), 1.0 if k == 0 else 0.0)
 
 
-def _unit_extrema(t0, t1):
-    one = np.ones(np.shape(t0))
-    return one, one
+def _unit_extrema(t0, t1, k):
+    value = np.full(np.shape(t0), 1.0 if k == 0 else 0.0)
+    return value, value
 
 
 def _sine_profile(a: float, w: float) -> Callable:
@@ -253,19 +272,24 @@ def _sine_profile(a: float, w: float) -> Callable:
 
 
 def _sine_extrema(a: float, w: float) -> Callable:
-    """f = 1 + a sin(w t) over [t0, t1]: the endpoint values, and 1 - a
-    or 1 + a where w t meets a trough -pi/2 + 2 pi k or a crest
-    pi/2 + 2 pi k (a >= 0)."""
+    """d^k f of f = 1 + a sin(w t) over [t0, t1]: with A = a w^k,
+    d^k f = [k = 0] + |A| sin(w t + shift), shift = k pi/2 (+ pi if A < 0).
+    Its range holds the endpoint values, and [k = 0] -+ |A| where w t + shift
+    meets a trough -pi/2 + 2 pi j or a crest pi/2 + 2 pi j."""
+    profile = _sine_profile(a, w)
 
-    def extrema(t0, t1):
-        f0, f1 = 1.0 + a * np.sin(w * t0), 1.0 + a * np.sin(w * t1)
+    def extrema(t0, t1, k):
+        amp = a * w**k
+        base = 1.0 if k == 0 else 0.0
+        shift = k * np.pi / 2 + (np.pi if amp < 0 else 0.0)
+        f0, f1 = profile(t0, k), profile(t1, k)
         s0, s1 = np.minimum(w * t0, w * t1), np.maximum(w * t0, w * t1)
 
         def meets(phase):
             return np.ceil((s0 - phase) / (2 * np.pi)) <= np.floor((s1 - phase) / (2 * np.pi))
 
-        return (np.where(meets(-np.pi / 2), 1.0 - a, np.minimum(f0, f1)),
-                np.where(meets(np.pi / 2), 1.0 + a, np.maximum(f0, f1)))
+        return (np.where(meets(-np.pi / 2 - shift), base - abs(amp), np.minimum(f0, f1)),
+                np.where(meets(np.pi / 2 - shift), base + abs(amp), np.maximum(f0, f1)))
 
     return extrema
 
@@ -277,9 +301,10 @@ def _inverse_square_profile(t, k):
     return (-1) ** k * math.factorial(k + 1) / t ** (k + 2)
 
 
-def _inverse_square_extrema(t0, t1):
-    """f = t^-2 falls on t > 0."""
-    return t1**-2.0, t0**-2.0
+def _inverse_square_extrema(t0, t1, k):
+    """Each d^k f of f = t^-2 is monotone on t > 0: the ends give its range."""
+    f0, f1 = _inverse_square_profile(t0, k), _inverse_square_profile(t1, k)
+    return np.minimum(f0, f1), np.maximum(f0, f1)
 
 
 def _disc_jet(x, beta) -> np.ndarray:
@@ -309,11 +334,29 @@ def _disc_range(lo, hi):
     return 4.0 / near**2, 4.0 / far**2
 
 
+def _disc_jet_bound(lo, hi, k):
+    """Every term of _disc_jet is a positive multiple of a monomial in x over
+    a power of u = 1 - |x|^2, so it grows with each |x_i| and with 1/u: on
+    the box each |d^beta f| is at most d^beta f at the farthest corner
+    folded into x >= 0."""
+    far = np.maximum(np.abs(lo), np.abs(hi))
+    return sum(_disc_jet(far, beta) for beta in multi_indices(2, k))
+
+
 # -- catalog: distances -----------------------------------------------
 
 
+def _sq_norm(d):
+    """sum_i d[..., i]^2 term by term: a numpy reduction over a last axis
+    of length 2 or 3 costs several times the arithmetic."""
+    total = d[..., 0] ** 2
+    for i in range(1, d.shape[-1]):
+        total = total + d[..., i] ** 2
+    return total
+
+
 def _dist_euclidean(chart, x, y):
-    return np.linalg.norm(x - y, axis=-1)
+    return np.sqrt(_sq_norm(x - y))
 
 
 def _dist_torus(chart, x, y):
@@ -321,18 +364,18 @@ def _dist_torus(chart, x, y):
     L = chart.params["L"]
     d = np.fmod(np.abs(x - y), L)
     d = np.minimum(d, L - d)
-    return np.linalg.norm(d, axis=-1)
+    return np.sqrt(_sq_norm(d))
 
 
 def _dist_halfplane(chart, x, y):
-    dx2 = np.sum((x - y) ** 2, axis=-1)
+    dx2 = _sq_norm(x - y)
     arg = 1.0 + dx2 / (2.0 * x[..., 1] * y[..., 1])
     return np.arccosh(np.maximum(arg, 1.0))
 
 
 def _dist_poincare_ball(chart, x, y):
-    dx2 = np.sum((x - y) ** 2, axis=-1)
-    den = (1.0 - np.sum(x**2, axis=-1)) * (1.0 - np.sum(y**2, axis=-1))
+    dx2 = _sq_norm(x - y)
+    den = (1.0 - _sq_norm(x)) * (1.0 - _sq_norm(y))
     arg = 1.0 + 2.0 * dx2 / den
     return np.arccosh(np.maximum(arg, 1.0))
 
@@ -343,7 +386,7 @@ def _dist_chord(chart, x, y):
     f is evaluated on that one coordinate."""
     x, y = np.broadcast_arrays(x, y)
     step = y - x
-    seg = np.linalg.norm(step, axis=-1)
+    seg = np.sqrt(_sq_norm(step))
     axis = chart.jet.axis
     t = x[..., axis, None] + _GL_X * step[..., axis, None]
     integral = np.sum(_GL_W * np.sqrt(chart.jet.profile(t, 0)), axis=-1)
@@ -433,7 +476,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean, jet, jet.range,
-                           _box_flat, True, params)
+                           jet.bound, _box_flat, True, params)
     if name == "perturbed-euclidean":
         n = _dim(name, params, (2, 3))
         a = _finite("perturbation amplitude", params.get("a", 0.1))
@@ -443,7 +486,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _sine_profile(a, freq), _sine_extrema(a, freq))
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord, jet, jet.range,
-                           _box_perturbed, a == 0 or freq == 0, {"a": a, "frequency": freq})
+                           jet.bound, _box_perturbed, a == 0 or freq == 0, {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
@@ -451,7 +494,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError("half-plane box must satisfy y > 0")
         jet = AxisProfile(1, _inverse_square_profile, _inverse_square_extrema)
         return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane, jet, jet.range,
-                           _box_halfplane, False, params)
+                           jet.bound, _box_halfplane, False, params)
     if name == "hyperbolic-ball":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
@@ -459,7 +502,7 @@ def make_chart(name: str, **params) -> MetricChart:
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
         return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
-                           _disc_range, _box_disc, False, params)
+                           _disc_range, _disc_jet_bound, _box_disc, False, params)
     if name == "flat-torus":
         n = _dim(name, params, (2, 3))
         L = _finite("torus side L", params.get("L", 2 * math.pi))
@@ -467,7 +510,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError(f"torus side L must be positive, got {L}")
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus, jet, jet.range,
-                           _box_flat, True, {"L": L})
+                           jet.bound, _box_flat, True, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soboheat import admissible as adm
-from soboheat.geometry import DomainError, make_chart
+from soboheat.geometry import DomainError, ball_bbox, make_chart, multi_indices_up_to
 
 
 def params(**kw):
@@ -21,6 +21,8 @@ def test_params_validation():
         adm.AdmissibilityParams(m=2, eps=0.0)
     with pytest.raises(DomainError):
         adm.AdmissibilityParams(m=0, eps=0.2)
+    with pytest.raises(DomainError):
+        adm.AdmissibilityParams(m=4, eps=0.2)  # the charts give derivatives up to order 3
 
 
 def test_flat_space_radius_is_capped_domain_gap():
@@ -195,7 +197,7 @@ LOCKSTEP_CASES = {
     "hyperbolic-halfplane": ({}, params(), [[0.0, 0.25], [0.0, 0.26], [0.0, 1.0], [0.5, 1.7],
                                            [1.99, 2.0]]),
     "hyperbolic-ball": ({}, params(), [[0.6, 0.0], [0.0, 0.0], [0.1, -0.05], [0.58, 0.3]]),
-    "perturbed-euclidean-3d": ({"n": 3}, params(sample_density=8.0, bisection_tol=0.1),
+    "perturbed-euclidean-3d": ({"n": 3}, params(),
                                [[0.0, 5.0, 5.0], [5.0, 5.0, 5.0], [9.5, 5.0, 5.0]]),
 }
 
@@ -215,41 +217,53 @@ def test_radius_field_matches_sequential_search(case):
     assert fld.truncated.any() and (fld.degenerate.any() or all(chart.periodic))
 
 
-def test_predicate_batches_stay_within_point_budget(monkeypatch):
-    """With a budget small enough to split every round into several
-    batches, no distance call of the predicate exceeds it, and the field
-    equals the one computed with the default budget."""
-    chart = make_chart("hyperbolic-ball")
-    pts = adm.grid_centers(chart, 4, margin=0.2)
-    p = params()
-    ref = adm.radius_field(chart, pts, p)
-    budget = 2000
-    monkeypatch.setattr(adm, "POINT_BUDGET", budget)
-    pairs, inside, rounds = [], [], []
-    distance, predicate = chart.distance, adm._admissible
+@pytest.mark.parametrize("name", ["euclidean", "perturbed-euclidean", "hyperbolic-halfplane",
+                                  "hyperbolic-ball", "flat-torus"])
+def test_radius_field_makes_no_distance_call(name, monkeypatch):
+    """The predicate and the domain cap read closed-form boxes and bounds
+    only."""
+    chart = make_chart(name)
+    calls = []
+    monkeypatch.setattr(chart, "distance", lambda x, y: calls.append(1))
+    fld = adm.radius_field(chart, adm.grid_centers(chart, 4, margin=0.05), params())
+    assert not fld.degenerate.all()
+    assert calls == []
 
-    def recording(x, y):
-        if inside:
-            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
-        return distance(x, y)
 
-    def counting(*args):
-        inside.append(True)
-        rounds.append(len(args[1]))
-        try:
-            return predicate(*args)
-        finally:
-            inside.pop()
+# (model, chart parameters, params, centers) for the check at R'
+CONDITION_CASES = [
+    ("perturbed-euclidean", {"a": 0.3, "frequency": 1.3}, params(),
+     [[4.7, 5.0], [1.2, 3.0], [2.4, 6.0]]),
+    ("perturbed-euclidean", {"n": 3, "a": 0.1}, params(), [[4.7, 5.0, 5.0], [6.0, 4.0, 5.0]]),
+    ("hyperbolic-halfplane", {}, params(m=1), [[0.0, 1.0], [1.0, 0.5]]),
+    ("hyperbolic-halfplane", {}, params(m=3, eps=0.1), [[0.0, 1.0], [-1.0, 2.0]]),
+    ("hyperbolic-ball", {}, params(), [[0.0, 0.0], [0.3, -0.4], [-0.5, 0.1]]),
+    ("hyperbolic-ball", {}, params(m=3), [[0.2, 0.1]]),
+]
 
-    monkeypatch.setattr(chart, "distance", recording)
-    monkeypatch.setattr(adm, "_admissible", counting)
-    fld = adm.radius_field(chart, pts, p)
-    assert max(pairs) <= budget
-    # one batch makes 40 distance calls (the bisection steps), so more
-    # calls than that per round means rounds were split
-    assert len(pairs) > 40 * len(rounds)
-    for name in ("r_prime", "r_eps", "truncated", "iterations", "degenerate"):
-        assert np.array_equal(getattr(fld, name), getattr(ref, name))
+
+@pytest.mark.parametrize("name,kw,p,centers", CONDITION_CASES,
+                         ids=[f"{c[0]}-{c[1].get('n', 2)}d-m{c[2].m}" for c in CONDITION_CASES])
+def test_both_conditions_hold_on_dense_points_of_the_ball_at_r_prime(name, kw, p, centers):
+    """Seeded points of B(c, R') meet the band and the derivative sum.  On
+    the hyperbolic models the distance is exact; on perturbed-euclidean
+    the chord is an upper bound on it, so chord <= R' keeps points of the
+    ball only."""
+    chart = make_chart(name, **kw)
+    fld = adm.radius_field(chart, np.array(centers), p)
+    rng = np.random.default_rng(31)
+    betas = multi_indices_up_to(chart.n, p.m)
+    for c, R in zip(fld.points, fld.r_prime):
+        lo, hi, _ = ball_bbox(chart, c, R)
+        pts = lo + rng.random((40_000, chart.n)) * (hi - lo)
+        pts = np.concatenate([c[None], pts[chart.distance(pts, c[None]) <= R]])
+        assert len(pts) > 10_000
+        fc = float(chart.conformal_factor(c))
+        ratio = chart.conformal_factor(pts) / fc
+        assert 1 - p.eps <= ratio.min() and ratio.max() <= 1 + p.eps
+        total = sum(R ** sum(b) * np.abs(chart.conformal_derivative(pts, b)).max() / fc ** (1 + sum(b) / 2)
+                    for b in betas)
+        assert total <= p.eps
 
 
 def test_is_admissible_is_a_batch_of_one():

@@ -176,6 +176,9 @@ def test_config_parse_error(tmp_path, capsys):
     ["cover", "--model", "flat-torus", "--grid", "3x3", "--cover-box", "3.4:4.6,1:2"],
     ["radius", "--model", "flat-torus", "--grid", "9x9", "--box", "0:8,0:8"],
     ["solve", "--model", "euclidean", "--grid", "8x8", "--box", "9:11,4:6"],
+    # derivative orders above 3, flat and non-flat
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--m", "4"],
+    ["radius", "--model", "hyperbolic-ball", "--grid", "2x2", "--m", "4"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content

@@ -291,6 +291,8 @@ def test_conformal_derivative_rejects_bad_multi_indices():
     for beta in [(2, 2), (1, 0, 0), (-1, 1)]:
         with pytest.raises(geo.CapabilityError):
             chart.conformal_derivative(x, beta)
+    with pytest.raises(geo.CapabilityError):
+        chart.jet_bound(x[0], x[0], geo.M_MAX + 1)
 
 
 def _chord_on_full_points(chart, x, y):
@@ -334,7 +336,9 @@ def _case_id(case):
 @pytest.mark.parametrize("name,kw", RANGE_CASES, ids=map(_case_id, RANGE_CASES))
 def test_factor_range_bounds_dense_samples_of_random_boxes(name, kw):
     """The exact range contains every sampled value of f, and dense
-    samples reach it (to the sampling's resolution)."""
+    samples reach it (to the sampling's resolution).  jet_bound(k) bounds
+    every sample of sum_{|beta| = k} |d^beta f|; where f varies along one
+    axis it is that term's sup, which dense samples reach too."""
     chart = geo.make_chart(name, **kw)
     rng = np.random.default_rng(17)
     per_axis = 65 if chart.n == 2 else 17
@@ -347,12 +351,20 @@ def test_factor_range_bounds_dense_samples_of_random_boxes(name, kw):
         f = chart.conformal_factor(pts)
         assert f_min <= f.min() and f.max() <= f_max
         assert f.min() - f_min <= 1e-3 * f_min and f_max - f.max() <= 1e-3 * f_max
-    # boxes as an array: one range per box
+        for k in range(1, geo.M_MAX + 1):
+            bound = chart.jet_bound(lo, hi, k)
+            jet = sum(np.abs(chart.conformal_derivative(pts, beta)) for beta in geo.multi_indices(chart.n, k))
+            assert jet.max() <= bound * (1 + 1e-12)  # pow rounds apart on arrays and scalars
+            if name != "hyperbolic-ball":
+                assert bound - jet.max() <= 1e-2 * bound
+    # boxes as an array: one range and one bound per box
     boxes = chart.lo + rng.random((5, 2, chart.n)) * (chart.hi - chart.lo)
     lo, hi = boxes.min(axis=1), boxes.max(axis=1)
     f_min, f_max = chart.factor_range(lo, hi)
+    bounds = [chart.jet_bound(lo, hi, k) for k in range(1, geo.M_MAX + 1)]
     for j in range(5):
         assert (f_min[j], f_max[j]) == chart.factor_range(lo[j], hi[j])
+        assert [b[j] for b in bounds] == [chart.jet_bound(lo[j], hi[j], k) for k in range(1, geo.M_MAX + 1)]
 
 
 def test_perturbed_factor_range_reaches_the_trough():
