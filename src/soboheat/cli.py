@@ -33,6 +33,12 @@ class ConfigError(ValueError):
 
 
 def _load_config(args) -> dict:
+    """The --config file's object with the given flags laid over it.  The
+    file may hold the subcommand's own flags, and `frequency` where the
+    subcommand builds a chart; any other key is an error, since a typo
+    would otherwise leave its field at the default silently."""
+    flags = {key.replace("_", "-"): val for key, val in vars(args).items()
+             if key not in ("command", "config", "func")}
     cfg = {}
     if getattr(args, "config", None):
         path = Path(args.config)
@@ -42,10 +48,11 @@ def _load_config(args) -> dict:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top-level value must be an object")
-    for key, val in vars(args).items():
-        if key in ("config", "func") or val is None:
-            continue
-        cfg[key.replace("_", "-")] = val
+        unknown = sorted(set(cfg) - set(flags) - ({"frequency"} if "model" in flags else set()))
+        if unknown:
+            names = ", ".join(repr(key) for key in unknown)
+            raise ConfigError(f"{path}: unknown key {names} for {args.command}")
+    cfg.update({key: val for key, val in flags.items() if val is not None})
     return cfg
 
 

@@ -24,11 +24,11 @@ import math
 import numpy as np
 
 from .admissible import AdmissibilityParams, RadiusField, is_admissible
-from .geometry import DomainError, MetricChart, budget_blocks, grid_points
+from .geometry import PAIR_BUDGET, DomainError, MetricChart, budget_blocks, grid_points
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
-PAIR_BUDGET = 1 << 14  # (node, ball) pairs per distance call and index-box nodes per run
-# of balls; a chord distance holds 32 floats per pair, so this keeps its arrays to a few MB
+# PAIR_BUDGET (from geometry) caps the (node, ball) pairs per distance call and the
+# index-box nodes per run of balls
 
 
 def overlap_bound(n: int, eps: float) -> float:

@@ -27,8 +27,12 @@ fits.  Nothing is sampled.
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
 chord length along the straight chart segment is used (Gauss-Legendre
-quadrature of sqrt(f), which depends on x_1 only), which is exact in the
-flat limit and within the factor sqrt((1+a)/(1-a)) of the true distance.
+quadrature of sqrt(f)), which is exact in the flat limit and within the
+factor sqrt((1+a)/(1-a)) of the true distance.  f depends on x_1 only,
+so the quadrature depends on the pair (x_1, y_1) only: it runs once per
+distinct pair, and grid and lattice callers share each one among many
+point pairs.  `volume_of_ball` and the covering screens pass at most
+PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
@@ -96,6 +100,8 @@ def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
         start = stop
     return blocks
 
+
+PAIR_BUDGET = 1 << 14  # pairs per distance call of volume_of_ball and the covering screens
 
 # 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
@@ -382,15 +388,22 @@ def _dist_poincare_ball(chart, x, y):
 
 def _dist_chord(chart, x, y):
     """Length of the straight chart segment in the conformal metric, on a
-    chart whose jet is an AxisProfile: the quadrature nodes are built and
-    f is evaluated on that one coordinate."""
-    x, y = np.broadcast_arrays(x, y)
-    step = y - x
-    seg = np.sqrt(_sq_norm(step))
+    chart whose jet is an AxisProfile: |y - x| times the mean of sqrt(f)
+    along the segment, which depends only on the pair (x_a, y_a) of the
+    profile's coordinate.  The quadrature runs once per distinct pair and
+    is gathered back; lattice and grid callers repeat few pairs many
+    times."""
     axis = chart.jet.axis
-    t = x[..., axis, None] + _GL_X * step[..., axis, None]
+    # numpy 1.x returns every inverse flat: the reshapes restore the shapes
+    ux, ix = np.unique(x[..., axis], return_inverse=True)
+    uy, iy = np.unique(y[..., axis], return_inverse=True)
+    key = ix.reshape(x.shape[:-1]) * len(uy) + iy.reshape(y.shape[:-1])
+    pair, ip = np.unique(key, return_inverse=True)
+    xa, ya = ux[pair // len(uy)], uy[pair % len(uy)]
+    t = xa[:, None] + _GL_X * (ya - xa)[:, None]
     integral = np.sum(_GL_W * np.sqrt(chart.jet.profile(t, 0)), axis=-1)
-    return seg * integral
+    step = y - x
+    return np.sqrt(_sq_norm(step)) * integral[ip].reshape(key.shape)
 
 
 # -- catalog: boxes that contain geodesic balls ------------------------
@@ -665,17 +678,18 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
         pts = np.concatenate(
             [np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1
         )
-        d = chart.distance(pts, center[None, :])
+        d = np.concatenate([chart.distance(pts[s : s + PAIR_BUDGET], center[None, :])
+                            for s in range(0, len(pts), PAIR_BUDGET)])
         weights = (d <= radius - band).astype(float)
         boundary = (weights == 0.0) & (d <= radius + band)
         if np.any(boundary):
             bpts = pts[boundary]
             frac = np.empty(len(bpts))
-            for s in range(0, len(bpts), 4096):
-                blk = bpts[s : s + 4096]
-                subpts = blk[:, None, :] + offsets[None, :, :]
+            cells = max(1, PAIR_BUDGET // len(offsets))
+            for s in range(0, len(bpts), cells):
+                subpts = bpts[s : s + cells, None, :] + offsets[None, :, :]
                 dsub = chart.distance(subpts, center[None, None, :])
-                frac[s : s + 4096] = np.mean(dsub <= radius, axis=1)
+                frac[s : s + cells] = np.mean(dsub <= radius, axis=1)
             weights[boundary] = frac
         total += float(np.sum(chart.sqrt_det(pts) * weights))
     return total * cell

@@ -138,6 +138,24 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(rows) == 1 + 25  # flag overrides the config's 4x4
 
 
+def test_config_names_the_keys_the_subcommand_does_not_read(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "euclidean", "esp": 0.01, "cover-box": "4:5,4:5"}))
+    assert run(["radius", "--config", str(cfg), "--grid", "2x2", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert "'cover-box', 'esp'" in err and "'model'" not in err
+
+
+def test_config_accepts_the_flags_and_frequency(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": "perturbed-euclidean", "a": 0.2, "frequency": 2.0,
+                               "grid": "2x2", "margin": 4, "eps": 0.2, "tol": 1e-3, "m": 2,
+                               "n": 2, "out": str(tmp_path)}))
+    assert run(["radius", "--config", str(cfg)]) == 0
+    assert len((tmp_path / "radius.csv").read_text().splitlines()) == 1 + 4
+
+
 def test_config_parse_error(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text("{not json")
@@ -179,6 +197,10 @@ def test_config_parse_error(tmp_path, capsys):
     # derivative orders above 3, flat and non-flat
     ["radius", "--model", "euclidean", "--grid", "2x2", "--m", "4"],
     ["radius", "--model", "hyperbolic-ball", "--grid", "2x2", "--m", "4"],
+    # config keys the subcommand does not read
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"esp": 0.01}],
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"density": 4}],
+    ["exponents", "--m", "2", "--n", "4", "--r", "4", "--config", {"frequency": 2.0}],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content
@@ -247,6 +269,11 @@ def test_exponents_imports_no_heavy_modules(tmp_path):
          "assert cli.main(['radius', '--model', 'perturbed-euclidean', '--grid', '2x2', '--margin', '4',"
          f" '--out', {str(tmp_path)!r}]) == 0\n",
          ("sympy",)),
+        # the chord kernel and the ball volumes on it stay numpy-only
+        ("from soboheat.geometry import CATALOG, make_chart, volume_of_ball\n"
+         "charts = {name: make_chart(name) for name in CATALOG}\n"
+         "assert volume_of_ball(charts['perturbed-euclidean'], [5.0, 5.0], 1.0) > 0\n",
+         ("scipy",)),
     ]
     for calls, heavy in runs:
         code = ("import sys\nfrom soboheat import cli\n" + calls

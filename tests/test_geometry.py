@@ -114,6 +114,30 @@ def test_volume_hyperbolic_disc():
     assert vol == pytest.approx(2 * math.pi * (math.cosh(R) - 1), rel=1e-3)
 
 
+@pytest.mark.parametrize("name,center,radius", [("perturbed-euclidean", [5.0, 5.0], 1.2),
+                                                ("hyperbolic-halfplane", [0.0, 1.0], 0.5)])
+def test_volume_of_ball_keeps_distance_calls_within_the_pair_budget(monkeypatch, name, center, radius):
+    chart = geo.make_chart(name)
+    kernel = chart._distance_fn
+    pairs = []
+
+    def spy(chart, x, y):
+        pairs.append(math.prod(np.broadcast_shapes(x.shape[:-1], y.shape[:-1])))
+        return kernel(chart, x, y)
+
+    monkeypatch.setattr(chart, "_distance_fn", spy)
+    vol = geo.volume_of_ball(chart, np.array(center), radius)
+    assert max(pairs) <= geo.PAIR_BUDGET
+    assert sum(pairs) > 4 * geo.PAIR_BUDGET
+    # chunks of the refinement and of the slab's distances leave every
+    # cell's weight and the order of the sum unchanged
+    for budget in (1000, 1 << 12):
+        monkeypatch.setattr(geo, "PAIR_BUDGET", budget)
+        pairs.clear()
+        assert geo.volume_of_ball(chart, np.array(center), radius) == vol
+        assert max(pairs) <= budget
+
+
 def test_volume_3d_ball():
     chart = geo.make_chart("euclidean", n=3)
     vol = geo.volume_of_ball(chart, np.array([5.0, 5.0, 5.0]), 0.8,
@@ -311,13 +335,35 @@ def test_chord_on_x1_equals_chord_on_full_points(n):
     rng = np.random.default_rng(7)
     x = rng.uniform(0.0, 10.0, (500, n))
     y = rng.uniform(0.0, 10.0, (500, n))
+    # lattices as the callers pass them: rows that repeat x_1 against one
+    # center, and the outer product of two grids
+    rows = geo.grid_points([4.0] * n, [6.0] * n, [7] + [5] * (n - 1))
+    grid = geo.grid_points([3.0] * n, [7.0] * n, 4)
     shapes = [(x, y), (x[:, None, :], y[None, :40, :]), (x[:3, None, None, :], y[:20].reshape(4, 5, n)),
-              (x[0], y), (x[:1], y[:1])]
+              (x[0], y), (x[:1], y[:1]), (rows, rows[17]), (rows[:, None, :], grid[None, :, :]),
+              (x[:0], y[:0]), (x[:0, None, :], y[None, :5, :])]
     for xs, ys in shapes:
         got = chart.distance(xs, ys)
         want = _chord_on_full_points(chart, xs, ys)
         assert got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_chord_evaluates_the_profile_once_per_distinct_x1_pair(n):
+    chart = geo.make_chart("perturbed-euclidean", n=n, a=0.4, frequency=1.3)
+    profile = chart.jet.profile
+    nodes = []
+    chart.jet.profile = lambda t, k: nodes.append(np.size(t)) or profile(t, k)
+    rows = geo.grid_points([4.0] * n, [6.0] * n, [7] + [5] * (n - 1))
+    grid = geo.grid_points([3.0] * n, [7.0] * n, 4)
+    for xs, ys in [(rows, rows[17]), (rows[:, None, :], grid[None, :, :]), (rows[:0], grid[:0])]:
+        nodes.clear()
+        chart.distance(xs, ys)
+        x1, y1 = np.broadcast_arrays(xs[..., 0], ys[..., 0])
+        distinct = len(np.unique(np.stack([x1.ravel(), y1.ravel()], axis=-1), axis=0))
+        assert sum(nodes) <= len(geo._GL_X) * distinct
+        assert distinct < x1.size or x1.size == 0
 
 
 # (model, chart parameters) for the closed-form ranges and ball boxes, in
