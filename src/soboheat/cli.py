@@ -239,6 +239,17 @@ def _forcing_from_config(cfg, chart, box):
     return bump
 
 
+def _along_dx1(g):
+    """The one-form g dx1 of a scalar forcing g."""
+
+    def one_form(t, pts):
+        out = np.zeros(pts.shape)
+        out[..., 0] = g(t, pts)
+        return out
+
+    return one_form
+
+
 def cmd_solve(cfg) -> int:
     from . import heatflow
 
@@ -249,13 +260,16 @@ def cmd_solve(cfg) -> int:
     per_axis = _parse_grid(_get(cfg, "grid", "33x33"), chart.n)
     grid = norms.Grid.over_box(chart, box, per_axis)
     forcing = _forcing_from_config(cfg, chart, box)
+    kind = _get(cfg, "kind", "scalar")
+    if kind == "one-form":
+        forcing = _along_dx1(forcing)
     prob = heatflow.ParabolicProblem(
         grid,
         forcing,
         horizon=_get(cfg, "T", 0.3, cast=float),
         margin=_get(cfg, "alpha", 0.1, cast=float),
         dt=_get(cfg, "dt", 0.01, cast=float),
-        kind=_get(cfg, "kind", "scalar"),
+        kind=kind,
     )
     sol = heatflow.solve_parabolic(prob)
     contraction = heatflow.check_threshold_contraction(sol)

@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .admissible import AdmissibilityParams, RadiusField, is_admissible
+from .admissible import RadiusField
 from .geometry import PAIR_BUDGET, DomainError, MetricChart, budget_blocks, grid_points
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
@@ -314,17 +314,3 @@ def certify_dilated_overlap(covering: Covering, box=None) -> dict:
         "holds": bool(counts.max() <= bound),
         "probes": len(probes),
     }
-
-
-def ball_tower(chart: MetricChart, center, field: RadiusField, k: int,
-               params: AdmissibilityParams | None = None) -> list:
-    """Nested dyadic balls B(x, 2^-j R(x)/10), j = 0..k, each re-verified
-    admissible; returns [(radius, admissible_flag)] from j=0 down."""
-    params = params or field.params
-    center = np.asarray(center, dtype=float)
-    r_top = float(field.lower_bound_at(center[None])[0]) / ETA
-    out = []
-    for j in range(k + 1):
-        rad = 2.0**-j * r_top
-        out.append((rad, is_admissible(chart, center, rad, params)))
-    return out

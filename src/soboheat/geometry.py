@@ -721,10 +721,3 @@ def cmt_bound_check(chart: MetricChart, center, radius: float, m: int, sample_de
             rhs = rhs + np.abs(chart.conformal_derivative(pts, beta))
         witness = max(witness, float(np.max(lhs / rhs)))
     return {"holds": math.isfinite(witness), "witness_constant": witness, "m": m, "samples": len(pts)}
-
-
-def cgt_injectivity_lower_bound(r: float, vol_ball: float, vol_tangent_ball: float) -> float:
-    """Injectivity-radius lower bound r * V / (V + V_tangent)."""
-    if r <= 0 or vol_ball <= 0 or vol_tangent_ball <= 0:
-        raise DomainError("all inputs must be positive")
-    return r * vol_ball / (vol_ball + vol_tangent_ball)

@@ -5,18 +5,25 @@ divergence form, assembled as a stiffness matrix K with half-node
 metric coefficients so that u^T K v approximates the Dirichlet energy
 integral f^(n/2-1) grad u . grad v dx (conformal metric f delta).  With
 the lumped mass matrix W of quadrature weights, each implicit Euler step
-solves the SPD system (W + dt K) u+ = W (u + dt forcing), which is
-factored once per solve (sparse LU); every step's residual is checked.
+solves the SPD system (W + dt K) u+ = W (u + dt forcing).
 Homogeneous Dirichlet data is imposed by restriction to interior nodes;
 an axis that wraps (Grid.wraps: a whole period) has no boundary.
 
 One-forms (2-D grids that wrap on both axes only) use a discrete-exterior-
 calculus Hodge Laplacian d delta + delta d with diagonal Hodge stars on
 the staggered edge grid.
+
+On a flat chart over a grid that wraps on every axis (the whole flat
+torus), each block of the step matrix is circulant, so a step is an FFT,
+a solve per Fourier mode with the symbol read off the assembled matrix,
+and an inverse FFT.  Every other grid has an end on some axis; its step
+matrix is factored once per solve (sparse LU).  Either way, every step's
+residual is checked against the assembled sparse matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,13 +140,48 @@ class ParabolicSolution:
                              self.u.kind, self.times)
 
 
-def _implicit_euler(A, mass, omegas, dt):
+def _circulant_symbol(A, shape):
+    """Fourier symbol of A, whose c x c blocks of prod(shape) grid nodes
+    are each circulant on the grid: sym[..., i, j] is the rfftn of block
+    (i, j)'s column at node 0, read off one matvec per block column."""
+    N = math.prod(shape)
+    c = A.shape[0] // N
+    unit = np.zeros(A.shape[0])
+    cols = []
+    for j in range(c):
+        unit[j * N] = 1.0
+        cols.append((A @ unit).reshape((c,) + shape))
+        unit[j * N] = 0.0
+    sym = np.fft.rfftn(np.stack(cols, axis=1), axes=tuple(range(2, 2 + len(shape))))
+    return np.moveaxis(sym, (0, 1), (-2, -1))
+
+
+def _fft_solver(A, shape):
+    """b -> A^-1 b by FFT for A block-circulant on a grid that wraps on
+    every axis: one c x c solve per Fourier mode."""
+    inv = np.linalg.inv(_circulant_symbol(A, shape))
+    c = inv.shape[-1]
+    axes = tuple(range(1, 1 + len(shape)))
+
+    def solve(b):
+        bh = np.fft.rfftn(b.reshape((c,) + shape), axes=axes)
+        xh = np.einsum("...ij,j...->i...", inv, bh)
+        return np.fft.irfftn(xh, s=shape, axes=axes).ravel()
+
+    return solve
+
+
+def _implicit_euler(A, mass, omegas, dt, grid):
     """States x_0 = 0, ..., x_steps of A x_(j+1) = mass (x_j + dt omega_j)
     with the step-averaged forcing omega_j = (omegas[j] + omegas[j+1]) / 2;
-    A = diag(mass) + dt (stiffness) is factored once.  Returns the states
-    and each step's relative residual; raises NumericalError when one
-    exceeds STEP_RTOL."""
-    lu = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+    A = diag(mass) + dt (stiffness) is solved by FFT on a flat grid that
+    wraps on every axis and factored once otherwise.  Returns the states
+    and each step's relative residual against A; raises NumericalError
+    when one exceeds STEP_RTOL."""
+    if grid.chart.is_flat and all(grid.wraps):
+        solve = _fft_solver(A, grid.shape)
+    else:
+        solve = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
     steps = len(omegas) - 1
     x = np.zeros((steps + 1, A.shape[0]))
     residuals = np.zeros(steps)
@@ -147,7 +189,7 @@ def _implicit_euler(A, mass, omegas, dt):
         # step-averaged forcing: the discrete L2 bound then telescopes to
         # exactly the trapezoid time integral of the forcing norm
         b = mass * (x[j] + dt * (0.5 * (omegas[j] + omegas[j + 1])))
-        x[j + 1] = lu.solve(b)
+        x[j + 1] = solve(b)
         res = np.linalg.norm(A @ x[j + 1] - b)
         bnorm = np.linalg.norm(b)
         if res > STEP_RTOL * bnorm:
@@ -181,7 +223,7 @@ def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
     omegas = np.stack([np.asarray(problem.forcing(t, grid.points), dtype=float)
                        for t in times])
     xi, residuals = _implicit_euler(A, Wi, omegas.reshape(len(times), -1)[:, inner],
-                                    problem.dt)
+                                    problem.dt, grid)
     u = np.zeros((len(times), inner.size))
     u[:, inner] = xi
     u = u.reshape(omegas.shape)
@@ -245,15 +287,22 @@ def one_form_hodge_matrices(grid: Grid):
     return B.tocsr(), s1
 
 
-def sample_one_form_on_edges(grid: Grid, fn, t: float) -> np.ndarray:
-    """Average a nodal one-form callable onto the staggered edge grid."""
-    chart = grid.chart
+def edge_midpoints(grid: Grid):
+    """Midpoints of the x-edges and of the y-edges, wrapped into the chart."""
     h1, h2 = grid.h
-    xmid = chart.wrap(grid.points + np.array([h1 / 2.0, 0.0]))
-    ymid = chart.wrap(grid.points + np.array([0.0, h2 / 2.0]))
-    wx = np.asarray(fn(t, xmid), dtype=float)[..., 0].ravel()
-    wy = np.asarray(fn(t, ymid), dtype=float)[..., 1].ravel()
-    return np.concatenate([wx, wy])
+    return (grid.chart.wrap(grid.points + np.array([h1 / 2.0, 0.0])),
+            grid.chart.wrap(grid.points + np.array([0.0, h2 / 2.0])))
+
+
+def sample_one_form_on_edges(fn, t: float, midpoints) -> np.ndarray:
+    """Sample a nodal one-form callable, which returns (..., 2) values,
+    at the edge midpoints: dx1 on the x-edges, dx2 on the y-edges."""
+    vals = [np.asarray(fn(t, mid), dtype=float) for mid in midpoints]
+    for val, mid in zip(vals, midpoints):
+        if val.shape != mid.shape:
+            raise DomainError(f"a one-form forcing must return values of shape (..., 2) "
+                              f"= {mid.shape}, not {val.shape}")
+    return np.concatenate([vals[0][..., 0].ravel(), vals[1][..., 1].ravel()])
 
 
 def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
@@ -261,8 +310,9 @@ def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
     B, s1 = one_form_hodge_matrices(grid)
     A = sp.diags(s1) + problem.dt * B
     times = problem.dt * np.arange(problem.steps + 1)
-    omegas = np.stack([sample_one_form_on_edges(grid, problem.forcing, t) for t in times])
-    u, residuals = _implicit_euler(A, s1, omegas, problem.dt)
+    mids = edge_midpoints(grid)
+    omegas = np.stack([sample_one_form_on_edges(problem.forcing, t, mids) for t in times])
+    u, residuals = _implicit_euler(A, s1, omegas, problem.dt, grid)
     dtu = _time_derivative(u, problem.dt)
     # edge arrays are packaged as nodal two-component fields for norms:
     # averaging the two staggered samples back onto nodes

@@ -257,12 +257,6 @@ def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
 
 
-def lebesgue_norm(field: DiscreteField, r: float, weight=None, region=None,
-                  s=None, window=None) -> float:
-    return sobolev_norm(field, NormRequest(r=r, l=0, weight=weight, region=region,
-                                           s=s, window=window))
-
-
 def holder_volume_check(field: DiscreteField, ball, r: float) -> dict:
     """||w||_{L^2(B)} <= |B|^(1/2 - 1/r) ||w||_{L^r(B)}, exact for any
     discrete measure when r >= 2."""

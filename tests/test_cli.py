@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soboheat import cli
+from soboheat.geometry import CATALOG
 
 
 def run(argv):
@@ -111,6 +112,20 @@ def test_solve_estimates_reports(tmp_path):
     kinds = [json.loads(line)["kind"]
              for line in (tmp_path / "solve_report.jsonl").read_text().splitlines()]
     assert kinds == ["contraction", "local-estimate", "global-estimate"]
+
+
+@pytest.mark.parametrize("forcing", ["bump", "eigen", "zero"])
+def test_solve_one_form_for_every_forcing(tmp_path, forcing):
+    argv = ["solve", "--model", "flat-torus", "--grid", "8x8", "--kind", "one-form",
+            "--forcing", forcing, "--T", "0.02", "--alpha", "0.01", "--dt", "0.01"]
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert run(argv + ["--out", str(out)]) == 0
+    names = ["solve_timeseries.csv", "solve_plot.dat", "solve_report.jsonl"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    rep = json.loads((outs[0] / "solve_report.jsonl").read_text().splitlines()[0])
+    assert rep["holds"]
 
 
 def test_verify_unknown_suite(tmp_path, capsys):
@@ -315,3 +330,40 @@ def test_fuzz_grid_and_box_specs(text):
     else:
         assert len(box) == 2
         assert all(math.isfinite(lo) and math.isfinite(hi) and lo < hi for lo, hi in box)
+
+
+NODE_STEPS = 40_000  # bound on steps x grid nodes per example
+
+
+@st.composite
+def solve_configs(draw):
+    n = draw(st.sampled_from([2, 2, 2, 3]))
+    counts = [draw(st.one_of(st.integers(2, 24), st.integers(1, 24))) for _ in range(n)]
+    nodes = math.prod(counts)
+    dt = draw(st.sampled_from([0.005, 0.01, 0.02, 0.05, 0.1]))
+    steps = draw(st.integers(1, max(1, min(200, NODE_STEPS // nodes))))
+    alpha_steps = draw(st.integers(0, steps - 1))
+    # T and alpha as whole numbers of dt, or a T off the step lattice
+    T = (steps - alpha_steps) * dt * draw(st.sampled_from([1.0, 1.0, 1.37]))
+    return [
+        "solve", "--model", draw(st.sampled_from(CATALOG)), f"--n={n}",
+        "--kind", draw(st.sampled_from(["scalar", "scalar", "one-form"])),
+        "--forcing", draw(st.sampled_from(["bump", "eigen", "zero"])),
+        "--grid", "x".join(map(str, counts)),
+        f"--dt={dt!r}", f"--T={T!r}", f"--alpha={alpha_steps * dt!r}",
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(argv=solve_configs())
+def test_fuzz_solve_exits_0_or_2_with_one_error_line(tmp_path_factory, argv):
+    out = tmp_path_factory.getbasetemp() / "fuzz-solve"
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in err

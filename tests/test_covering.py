@@ -89,15 +89,6 @@ def test_covering_json_roundtrip():
     assert payload["T_bound"] == pytest.approx((1.2 / 0.8) * 100**2)
 
 
-def test_ball_tower_all_levels_admissible():
-    fld = euclid_field()
-    tower = cov.ball_tower(fld.chart, np.array([5.0, 5.0]), fld, 3)
-    assert len(tower) == 4
-    radii = [r for r, _ in tower]
-    assert all(abs(radii[j] / radii[j + 1] - 2.0) < 1e-12 for j in range(3))
-    assert all(flag for _, flag in tower)
-
-
 def test_periodic_covering_whole_torus():
     chart = make_chart("flat-torus", n=2, L=4.0)
     pts = adm.grid_centers(chart, 5)

@@ -189,13 +189,6 @@ def test_cmt_bound_holds_on_halfplane():
     assert rep["witness_constant"] > 0
 
 
-def test_injectivity_lower_bound_flat_case():
-    # equal volumes: bound is r/2
-    assert geo.cgt_injectivity_lower_bound(1.0, math.pi, math.pi) == pytest.approx(0.5)
-    with pytest.raises(geo.DomainError):
-        geo.cgt_injectivity_lower_bound(1.0, 0.0, math.pi)
-
-
 def test_ricci_sup_norm_hyperbolic_is_unit():
     # Rc = -g, so the g-operator norm of Ricci is exactly 1
     chart = geo.make_chart("hyperbolic-ball")

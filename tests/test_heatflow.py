@@ -11,9 +11,9 @@ from soboheat.geometry import CapabilityError, DomainError, NumericalError, make
 L = 2 * math.pi
 
 
-def torus_grid(nx=32):
-    chart = make_chart("flat-torus", n=2, L=L)
-    return norms.Grid.over_box(chart, [(0, L), (0, L)], nx)
+def torus_grid(nx=32, n=2):
+    chart = make_chart("flat-torus", n=n, L=L)
+    return norms.Grid.over_box(chart, [(0, L)] * n, nx)
 
 
 def euclid_grid(nx=33):
@@ -235,3 +235,96 @@ def test_torus_sub_box_has_two_ends_like_a_euclidean_box():
     assert np.all(sols[0].u.values[:, [0, -1], :] == 0)
     whole = norms.Grid.over_box(make_chart("flat-torus", n=2), [(0.0, L), (0.0, L)], 16)
     assert whole.wraps == (True, True)
+
+
+# -- FFT steps on grids that wrap on every axis -------------------------
+
+
+def _step_matrix(grid, kind, dt=0.01):
+    if kind == "scalar":
+        K, W = hf.discrete_laplacian(grid)
+        return sp.diags(W) + dt * K
+    B, s1 = hf.one_form_hodge_matrices(grid)
+    return sp.diags(s1) + dt * B
+
+
+@pytest.mark.parametrize("counts,kind", [
+    ((16, 16), "scalar"), ((12, 20), "scalar"), ((15, 9), "scalar"),
+    ((6, 8, 5), "scalar"), ((96, 96), "one-form"), ((15, 9), "one-form"),
+    ((12, 18), "one-form"),
+])
+def test_fft_step_matches_a_sparse_lu_reference(counts, kind):
+    grid = torus_grid(counts, n=len(counts))
+    A = _step_matrix(grid, kind)
+    b = np.random.default_rng(7).standard_normal(A.shape[0])
+    x = hf._fft_solver(A, grid.shape)(b)
+    ref = sp.linalg.splu(A.tocsc()).solve(b)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_wrong_symbol_raises(monkeypatch):
+    # the FFT never checks itself: the residual against the assembled
+    # matrix catches a symbol that is off
+    symbol = hf._circulant_symbol
+    monkeypatch.setattr(hf, "_circulant_symbol", lambda A, shape: 2.0 * symbol(A, shape))
+    problems = [
+        hf.ParabolicProblem(torus_grid(16), eigen_forcing, horizon=0.1, margin=0.0, dt=0.05),
+        hf.ParabolicProblem(torus_grid(16), one_form_forcing, horizon=0.1, margin=0.0,
+                            dt=0.05, kind="one-form"),
+    ]
+    for prob in problems:
+        with pytest.raises(NumericalError, match="residual"):
+            hf.solve_parabolic(prob)
+
+
+def test_only_grids_with_an_end_are_factored(monkeypatch):
+    factored = []
+    splu = hf.splu
+
+    def spy(A, **kw):
+        factored.append(A.shape)
+        return splu(A, **kw)
+
+    monkeypatch.setattr(hf, "splu", spy)
+    torus = make_chart("flat-torus", n=2, L=L)
+    sub_boxes = [norms.Grid.over_box(torus, box, 9)
+                 for box in ([(0.0, 2.0), (0.0, 2.0)], [(0.0, 2.0), (0.0, L)])]
+    assert [g.wraps for g in sub_boxes] == [(False, False), (False, True)]
+    for grid in (euclid_grid(9), *sub_boxes):
+        factored.clear()
+        hf.solve_parabolic(hf.ParabolicProblem(grid, eigen_forcing, horizon=0.1, margin=0.0,
+                                               dt=0.05))
+        assert len(factored) == 1
+    factored.clear()
+    for kind, forcing in (("scalar", eigen_forcing), ("one-form", one_form_forcing)):
+        sol = hf.solve_parabolic(hf.ParabolicProblem(torus_grid(16), forcing, horizon=0.1,
+                                                     margin=0.0, dt=0.05, kind=kind))
+        assert np.all(sol.residuals <= hf.STEP_RTOL)
+    assert factored == []
+
+
+def test_one_form_forcing_must_return_two_components():
+    prob = hf.ParabolicProblem(torus_grid(8), eigen_forcing, horizon=0.1, margin=0.0,
+                               dt=0.05, kind="one-form")
+    with pytest.raises(DomainError, match=r"\(\.\.\., 2\)"):
+        hf.solve_parabolic(prob)
+
+
+def test_edge_midpoints_are_wrapped_once_per_solve(monkeypatch):
+    grid = torus_grid(8)
+    calls = []
+    wrap = grid.chart.wrap
+    monkeypatch.setattr(grid.chart, "wrap", lambda x: calls.append(1) or wrap(x))
+    counts = []
+    for dt in (0.05, 0.01):
+        calls.clear()
+        hf.solve_parabolic(hf.ParabolicProblem(grid, one_form_forcing, horizon=0.1, margin=0.0,
+                                               dt=dt, kind="one-form"))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    mids = hf.edge_midpoints(grid)
+    h1, h2 = grid.h
+    sampled = hf.sample_one_form_on_edges(one_form_forcing, 0.0, mids)
+    x_edges = one_form_forcing(0.0, wrap(grid.points + np.array([h1 / 2.0, 0.0])))[..., 0]
+    y_edges = one_form_forcing(0.0, wrap(grid.points + np.array([0.0, h2 / 2.0])))[..., 1]
+    assert np.array_equal(sampled, np.concatenate([x_edges.ravel(), y_edges.ravel()]))

@@ -28,7 +28,7 @@ def test_quadrature_total_mass():
 def test_l2_norm_of_sine_closed_form():
     grid = torus_grid(64)
     u = norms.DiscreteField(grid, np.sin(grid.points[..., 0]))
-    val = norms.lebesgue_norm(u, 2.0)
+    val = norms.sobolev_norm(u, norms.NormRequest(r=2.0))
     assert val == pytest.approx(math.sqrt(2 * math.pi**2), rel=1e-6)
 
 
