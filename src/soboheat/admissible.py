@@ -30,6 +30,7 @@ admissible_radius are the same code on a batch of one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,6 +55,8 @@ class AdmissibilityParams:
             raise DomainError(f"derivative order m must lie in 1..{M_MAX}")
         if not 0 < self.eps <= 1 / 3 + 1e-12:
             raise DomainError("eps must lie in (0, 1/3]")
+        if not (math.isfinite(self.bisection_tol) and self.bisection_tol > 0):
+            raise DomainError(f"bisection tolerance must be finite and positive, got {self.bisection_tol}")
 
 
 def _admissible(chart: MetricChart, centers, radii, params: AdmissibilityParams) -> np.ndarray:
@@ -164,7 +167,9 @@ def _radii(chart: MetricChart, centers, params: AdmissibilityParams):
         bis = p == _BISECT
         lo[act[bis & ok]] = radius[bis & ok]
         hi[act[bis & ~ok]] = radius[bis & ~ok]
-        narrow = (phase == _BISECT) & ~(hi - lo > tol)
+        # a tolerance below the float spacing ends where the midpoint stops splitting
+        mid = 0.5 * (lo + hi)
+        narrow = (phase == _BISECT) & ~((hi - lo > tol) & (lo < mid) & (mid < hi))
         r_prime[narrow], phase[narrow] = lo[narrow], _DONE
     return r_prime, np.minimum(1.0, r_prime / 2.0), truncated, iterations, degenerate
 
@@ -204,8 +209,8 @@ class RadiusField:
         pts = self.points[good]
         rp = self.r_prime[good]
         d = self.chart.distance(query[:, None, :], pts[None, :, :])
-        lb = np.max(rp[None, :] - d, axis=1)
-        return np.minimum(1.0, np.maximum(lb, 0.0) / 2.0)
+        lb = np.max(rp[None, :] - d, axis=1, initial=0.0)  # 0 where every center is degenerate
+        return np.minimum(1.0, lb / 2.0)
 
     def to_csv(self, path):
         n = self.chart.n

@@ -17,12 +17,13 @@ d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
 
 No finite differences and no symbolic algebra enter.
 
-Three more closed forms per model say where a ball lies and how f varies
-on it: the exact range of f over a box (`MetricChart.factor_range`), an
-upper bound on its derivatives of one order over a box
-(`MetricChart.jet_bound`), and a chart box that contains the geodesic
-ball (`ball_bbox`), whose place in the domain decides whether the ball
-fits.  Nothing is sampled.
+Four more closed forms per model say where a ball lies and how f and d
+vary on it: the exact range of f over a box (`MetricChart.factor_range`),
+an upper bound on its derivatives of one order over a box
+(`MetricChart.jet_bound`), an upper bound on the Lipschitz constant of
+d(., c) over a box (`MetricChart.distance_lipschitz`), and a chart box
+that contains the geodesic ball (`ball_bbox`), whose place in the domain
+decides whether the ball fits.  Nothing is sampled.
 
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
@@ -31,8 +32,13 @@ quadrature of sqrt(f)), which is exact in the flat limit and within the
 factor sqrt((1+a)/(1-a)) of the true distance.  f depends on x_1 only,
 so the quadrature depends on the pair (x_1, y_1) only: it runs once per
 distinct pair, and grid and lattice callers share each one among many
-point pairs.  `volume_of_ball` and the covering screens pass at most
-PAIR_BUDGET pairs per distance call.
+point pairs.
+
+`volume_of_ball` weighs each quadrature cell by the share of its
+sub-points in the ball.  The Lipschitz bound settles whole blocks of
+sub-points inside or outside, so the distance runs only near the ball's
+boundary.  It and the covering screens pass at most PAIR_BUDGET pairs per
+distance call.
 """
 
 from __future__ import annotations
@@ -115,9 +121,10 @@ class MetricChart:
     jet(x, beta) is the model's closed form of d^beta f at the points x
     (beta = 0 gives f), for |beta| <= M_MAX; factor_range(lo, hi) is the
     exact (min, max) of f over a box; jet_bound(lo, hi, k) bounds
-    sum_{|beta| = k} sup |d^beta f| over a box; ball_box(chart, c, R) is a
-    chart box (lo, hi) that contains the geodesic ball B(c, R); is_flat
-    says f is constant.
+    sum_{|beta| = k} sup |d^beta f| over a box; lipschitz(chart, lo, hi, c)
+    bounds the Lipschitz constant of d(., c) over a box that holds c;
+    ball_box(chart, c, R) is a chart box (lo, hi) that contains the
+    geodesic ball B(c, R); is_flat says f is constant.
     """
 
     def __init__(
@@ -131,6 +138,7 @@ class MetricChart:
         jet: Callable,
         factor_range: Callable,
         jet_bound: Callable,
+        lipschitz: Callable,
         ball_box: Callable,
         is_flat: bool,
         params: dict | None = None,
@@ -145,6 +153,7 @@ class MetricChart:
         self.jet = jet
         self._factor_range = factor_range
         self._jet_bound = jet_bound
+        self._lipschitz = lipschitz
         self._ball_box = ball_box
         self.is_flat = is_flat
         if not self.factor_range(self.lo, self.hi)[0] > 0:
@@ -213,6 +222,13 @@ class MetricChart:
         if k > M_MAX:
             raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
         return self._jet_bound(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), k)
+
+    def distance_lipschitz(self, lo, hi, center) -> float:
+        """Upper bound on the Lipschitz constant of x -> d(x, center), in
+        the chart's Euclidean norm, over the box [lo, hi], which must hold
+        center."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        return float(self._lipschitz(self, lo, hi, np.asarray(center, dtype=float)))
 
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
@@ -406,6 +422,30 @@ def _dist_chord(chart, x, y):
     return np.sqrt(_sq_norm(step)) * integral[ip].reshape(key.shape)
 
 
+# -- catalog: Lipschitz bounds of d(., c) over a box --------------------
+# Each takes a box (lo, hi) that holds the center c; the box is convex, so
+# it holds the straight segment between any two of its points.
+
+
+def _lip_metric(chart, lo, hi, c):
+    """d is a metric: |d(x, c) - d(y, c)| <= d(x, y), which is at most the
+    length sqrt(f_max) |x - y| of the straight segment."""
+    return math.sqrt(float(chart.factor_range(lo, hi)[1]))
+
+
+def _lip_chord(chart, lo, hi, c):
+    """The chord |x - c| M(x_1), M the Gauss-Legendre mean of sqrt(f) over
+    the segment, is not a metric.  Its gradient has norm at most
+    M + |x - c| |dM/dx_1|: M <= sqrt(f_max), since the weights are positive
+    and sum to 1, and dM/dx_1 = sum_i w_i t_i f'/(2 sqrt f) with
+    sum_i w_i t_i = 1/2, so |dM/dx_1| <= sup |f'| / (4 sqrt(f_min)); |x - c|
+    is at most D, the box's farthest reach from c."""
+    f_min, f_max = (float(v) for v in chart.factor_range(lo, hi))
+    reach = math.sqrt(float(_sq_norm(np.maximum(np.abs(lo - c), np.abs(hi - c)))))
+    slope = float(chart.jet_bound(lo, hi, 1))
+    return math.sqrt(f_max) + reach * slope / (4.0 * math.sqrt(f_min))
+
+
 # -- catalog: boxes that contain geodesic balls ------------------------
 # Each takes centers c (..., n) and radii R (...) and returns (lo, hi).
 
@@ -489,7 +529,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean, jet, jet.range,
-                           jet.bound, _box_flat, True, params)
+                           jet.bound, _lip_metric, _box_flat, True, params)
     if name == "perturbed-euclidean":
         n = _dim(name, params, (2, 3))
         a = _finite("perturbation amplitude", params.get("a", 0.1))
@@ -499,7 +539,8 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _sine_profile(a, freq), _sine_extrema(a, freq))
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord, jet, jet.range,
-                           jet.bound, _box_perturbed, a == 0 or freq == 0, {"a": a, "frequency": freq})
+                           jet.bound, _lip_chord, _box_perturbed, a == 0 or freq == 0,
+                           {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
@@ -507,7 +548,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError("half-plane box must satisfy y > 0")
         jet = AxisProfile(1, _inverse_square_profile, _inverse_square_extrema)
         return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane, jet, jet.range,
-                           jet.bound, _box_halfplane, False, params)
+                           jet.bound, _lip_metric, _box_halfplane, False, params)
     if name == "hyperbolic-ball":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
@@ -515,7 +556,7 @@ def make_chart(name: str, **params) -> MetricChart:
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
         return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
-                           _disc_range, _disc_jet_bound, _box_disc, False, params)
+                           _disc_range, _disc_jet_bound, _lip_metric, _box_disc, False, params)
     if name == "flat-torus":
         n = _dim(name, params, (2, 3))
         L = _finite("torus side L", params.get("L", 2 * math.pi))
@@ -523,7 +564,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError(f"torus side L must be positive, got {L}")
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus, jet, jet.range,
-                           jet.bound, _box_flat, True, {"L": L})
+                           jet.bound, _lip_metric, _box_flat, True, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 
@@ -628,10 +669,6 @@ def ball_bbox(chart: MetricChart, center, radius):
     return lo, hi, inside
 
 
-def ball_fits_domain(chart: MetricChart, center, radius: float) -> bool:
-    return bool(ball_bbox(chart, center, radius)[2])
-
-
 def ball_sample_points(chart: MetricChart, center, radius: float, per_axis):
     """Grid sample of a geodesic ball: (points_inside, cell_volume)."""
     center = np.asarray(center, dtype=float)
@@ -646,28 +683,115 @@ def ball_sample_points(chart: MetricChart, center, radius: float, per_axis):
     return sel, cell
 
 
+def _ball_radius(radius) -> float:
+    radius = float(radius)
+    if not (math.isfinite(radius) and radius > 0):
+        raise DomainError(f"ball radius must be finite and positive, got {radius}")
+    return radius
+
+
+def _inside_counts(chart: MetricChart, center, radius: float, lip: float, sub_axes, depth: int):
+    """Per cell, how many of its sub-points lie in B(center, radius).
+
+    sub_axes[i] holds the sub-point coordinates along axis i, 2^depth per
+    cell, in order.  A block of 2^k sub-points per axis, clipped to the
+    grid, is tested at the centre b of its sub-points, which lies in the
+    box that holds them all.  No sub-point is farther from b than rho, the
+    half-diagonal of an unclipped block, so with lip the Lipschitz bound of
+    d(., center) over that box the block lies inside when
+    d(b) + lip rho <= radius and outside when d(b) - lip rho > radius, each
+    with a rounding slack.  Any other block splits into 2^n, and single
+    sub-points are tested d <= radius.  At most PAIR_BUDGET blocks go to
+    one distance call, depth first, so memory stays bound by the budget.
+    Returns the counts as floats, flat in row-major cell order."""
+    n = len(sub_axes)
+    size = np.array([len(ax) for ax in sub_axes])
+    cells = size >> depth
+    step = np.array([(ax[-1] - ax[0]) / (len(ax) - 1) for ax in sub_axes])
+    # arccosh rounds d near 0 by up to ~2e-8; the other kernels far less
+    slack = 1e-7 + 1e-9 * radius
+    top = int(-(-size.max() // 16) - 1).bit_length()  # at most 16 blocks per axis
+    centres = {}  # level -> per axis, the block centres' coordinates
+    for k in range(top + 1):
+        first = [np.arange(0, m, 1 << k) for m in size]
+        centres[k] = [(ax[f] + ax[np.minimum(f + ((1 << k) - 1), m - 1)]) / 2
+                      for ax, f, m in zip(sub_axes, first, size)]
+    corners = np.indices((2,) * n).reshape(n, -1)
+    count = np.zeros(int(np.prod(cells)))
+    hits, hit_counts = [], []  # flat cells of the blocks inside one cell, and their sub-points
+    stack = [(top, list(np.indices([len(c) for c in centres[top]]).reshape(n, -1)))]
+    while stack:
+        k, blocks = stack.pop()
+        if len(blocks[0]) > PAIR_BUDGET:
+            stack.extend((k, [j[s:s + PAIR_BUDGET] for j in blocks])
+                         for s in range(0, len(blocks[0]), PAIR_BUDGET))
+            continue
+        d = chart.distance(np.stack([c[j] for c, j in zip(centres[k], blocks)], axis=-1), center[None, :])
+        if k == 0:
+            inside = d <= radius
+        else:
+            reach = lip * float(np.sqrt(np.sum((step * ((1 << k) - 1)) ** 2))) / 2
+            inside = d <= radius - slack - reach
+            split = np.flatnonzero(~inside & (d <= radius + slack + reach))
+            if len(split):
+                children = [((j[split] << 1)[:, None] + e).ravel() for j, e in zip(blocks, corners)]
+                # a second child is empty only where the next level has an odd count
+                limit = np.array([len(c) for c in centres[k - 1]])
+                odd = np.flatnonzero(limit % 2)
+                if len(odd):
+                    keep = np.logical_and.reduce([children[i] < limit[i] for i in odd])
+                    children = [c[keep] for c in children]
+                stack.append((k - 1, children))
+        if k >= depth:
+            # every cell of the block, clipped to the grid
+            span = 1 << (k - depth)
+            flat, valid = 0, True
+            for i, (j, c) in enumerate(zip(blocks, cells)):
+                idx = ((j[inside] << (k - depth))[:, None] + np.arange(span)).reshape(
+                    (-1,) + (1,) * i + (span,) + (1,) * (n - 1 - i))
+                flat, valid = flat * c + idx, valid & (idx < c)
+            count[flat[np.broadcast_to(valid, flat.shape)]] = float(1 << (depth * n))
+        else:
+            flat = 0
+            for j, c in zip(blocks, cells):
+                flat = flat * c + (j[inside] >> (depth - k))
+            hits.append(flat)
+            hit_counts.append(np.full(len(flat), float(1 << (k * n))))
+    if hits:
+        count += np.bincount(np.concatenate(hits), np.concatenate(hit_counts), minlength=len(count))
+    return count
+
+
 def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolution: int = 256) -> float:
     """Midpoint-rule Riemannian volume of a geodesic ball.
 
-    Cells cut by the ball boundary are weighted by an 8x8 subsample of
-    the indicator, keeping the midpoint rule's error well below the
-    stated tolerances at moderate resolutions.
+    The ball's box is cut into res^n cells.  A cell's weight is the share
+    of its sub-points (an 8x8 grid in 2-D, 4x4x4 in 3-D) that lie in the
+    ball, and the volume is the sum of sqrt_det at the cell centres times
+    the weights, times the cell volume, summed one slab of ~2^18 cells at
+    a time.  The weights come from `_inside_counts`: blocks of sub-points
+    that a Lipschitz bound on d(., center) over the box settles wholly
+    inside or outside are never split, and the distance runs only near the
+    boundary.  The bound is `MetricChart.distance_lipschitz` (sqrt(f_max)
+    on the four true metrics; the perturbed-Euclidean chord adds a term),
+    so every weight equals the count a test of every sub-point would give.
     """
     center = np.asarray(center, dtype=float)
+    radius = _ball_radius(radius)
+    res = int(quadrature_resolution)
+    if res < 1:
+        raise DomainError(f"quadrature resolution must be at least 1, got {res}")
     lo, hi, inside = ball_bbox(chart, center, radius)
     if not inside:
         raise DomainError("geodesic ball exits the working domain")
     n = chart.n
-    res = int(quadrature_resolution)
     h = (hi - lo) / res
     cell = float(np.prod(h))
-    # geodesic radius of a cell is at most (|h|/2) sqrt(f), with f at most
-    # its maximum over the ball's box; the full diagonal keeps a 2x margin
-    band = float(np.linalg.norm(h)) * math.sqrt(float(chart.factor_range(lo, hi)[1]))
-    sub_per_axis = 8 if n == 2 else 4
-    sub = (np.arange(sub_per_axis) + 0.5) / sub_per_axis - 0.5
-    offsets = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n) * h
+    lip = chart.distance_lipschitz(lo, hi, center)
+    depth = 3 if n == 2 else 2  # 2^depth sub-points per cell and axis
+    sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
     axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
+    sub_axes = [(axes[i][:, None] + sub * h[i]).ravel() for i in range(n)]
     total = 0.0
     # slab over the first axis in blocks of ~256k cells to bound memory
     mesh_rest = np.meshgrid(*axes[1:], indexing="ij")
@@ -678,19 +802,9 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
         pts = np.concatenate(
             [np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1
         )
-        d = np.concatenate([chart.distance(pts[s : s + PAIR_BUDGET], center[None, :])
-                            for s in range(0, len(pts), PAIR_BUDGET)])
-        weights = (d <= radius - band).astype(float)
-        boundary = (weights == 0.0) & (d <= radius + band)
-        if np.any(boundary):
-            bpts = pts[boundary]
-            frac = np.empty(len(bpts))
-            cells = max(1, PAIR_BUDGET // len(offsets))
-            for s in range(0, len(bpts), cells):
-                subpts = bpts[s : s + cells, None, :] + offsets[None, :, :]
-                dsub = chart.distance(subpts, center[None, None, :])
-                frac[s : s + cells] = np.mean(dsub <= radius, axis=1)
-            weights[boundary] = frac
+        rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
+        count = _inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
+        weights = count / (1 << (depth * n))
         total += float(np.sum(chart.sqrt_det(pts) * weights))
     return total * cell
 
@@ -707,7 +821,8 @@ def cmt_bound_check(chart: MetricChart, center, radius: float, m: int, sample_de
     if m > M_MAX:
         raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
     center = np.asarray(center, dtype=float)
-    if not ball_fits_domain(chart, center, radius):
+    radius = _ball_radius(radius)
+    if not ball_bbox(chart, center, radius)[2]:
         raise DomainError("ball exits the working domain")
     per_axis = max(9, int(math.ceil(2 * radius * sample_density)) + 1)
     pts, _ = ball_sample_points(chart, center, radius, per_axis)

@@ -23,6 +23,27 @@ def test_params_validation():
         adm.AdmissibilityParams(m=0, eps=0.2)
     with pytest.raises(DomainError):
         adm.AdmissibilityParams(m=4, eps=0.2)  # the charts give derivatives up to order 3
+    for tol in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="bisection tolerance"):
+            adm.AdmissibilityParams(bisection_tol=tol)
+
+
+def test_bisection_below_the_float_spacing_ends():
+    # a tolerance below the spacing of floats near R' ends where the
+    # midpoint stops splitting the bracket, at the radius a float can hold
+    chart = make_chart("hyperbolic-halfplane")
+    fine = adm.radius_field(chart, np.array([[0.0, 1.0]]), adm.AdmissibilityParams(bisection_tol=1e-300))
+    coarse = adm.radius_field(chart, np.array([[0.0, 1.0]]), adm.AdmissibilityParams())
+    assert 0 <= fine.r_prime[0] - coarse.r_prime[0] <= 1e-3
+    assert fine.iterations[0] < 70
+
+
+def test_lower_bound_vanishes_where_every_center_is_degenerate():
+    # a center on the face of the box admits no radius
+    chart = make_chart("euclidean", n=2)
+    fld = adm.radius_field(chart, np.array([[0.0, 0.0]]), adm.AdmissibilityParams())
+    assert fld.degenerate.all()
+    assert fld.lower_bound_at(np.array([[5.0, 5.0], [0.1, 0.1]])).tolist() == [0.0, 0.0]
 
 
 def test_flat_space_radius_is_capped_domain_gap():

@@ -7,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from soboheat import cli
 from soboheat.geometry import CATALOG
@@ -216,6 +216,11 @@ def test_config_parse_error(tmp_path, capsys):
     ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"esp": 0.01}],
     ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"density": 4}],
     ["exponents", "--m", "2", "--n", "4", "--r", "4", "--config", {"frequency": 2.0}],
+    # a bisection tolerance that is not positive
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--tol", "0"],
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--tol", "nan"],
+    # one field center on a corner of the box: no radius to cover with
+    ["cover", "--model", "euclidean", "--grid", "1x1", "--cover-box", "4.8:5.2,4.8:5.2"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content
@@ -297,20 +302,25 @@ def test_exponents_imports_no_heavy_modules(tmp_path):
         assert res.stdout.splitlines()[-1] == "[]"
 
 
+def _exits_0_or_2_with_one_error_line(argv, out):
+    """Run the CLI in process: exit 0, or exit 2 with one `error:` line."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv + ["--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert "Traceback" not in err
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(-2, 10), n=st.integers(-2, 10),
        r=st.text(alphabet="0123456789/.-x ", max_size=8))
 def test_fuzz_exponents_exits_0_or_2_with_one_error_line(tmp_path_factory, m, n, r):
-    out = tmp_path_factory.getbasetemp() / "fuzz-exponents"
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["exponents", f"--m={m}", f"--n={n}", f"--r={r}", "--out", str(out)])
-    err = stderr.getvalue()
-    assert code in (0, 2)
-    if code == 2:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in err
+    _exits_0_or_2_with_one_error_line(["exponents", f"--m={m}", f"--n={n}", f"--r={r}"],
+                                      tmp_path_factory.getbasetemp() / "fuzz-exponents")
 
 
 @settings(max_examples=200, deadline=None)
@@ -357,13 +367,71 @@ def solve_configs(draw):
 @settings(max_examples=60, deadline=None)
 @given(argv=solve_configs())
 def test_fuzz_solve_exits_0_or_2_with_one_error_line(tmp_path_factory, argv):
-    out = tmp_path_factory.getbasetemp() / "fuzz-solve"
-    stderr = io.StringIO()
-    with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv + ["--out", str(out)])
-    err = stderr.getvalue()
-    assert code in (0, 2), err
-    if code == 2:
-        lines = err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-    assert "Traceback" not in err
+    _exits_0_or_2_with_one_error_line(argv, tmp_path_factory.getbasetemp() / "fuzz-solve")
+
+
+# per model: a point inside the working domain and the half-width of a
+# field box around it that a covering resolves in a few hundred balls
+SITES = {"euclidean": (5.0, 0.4), "perturbed-euclidean": (5.0, 0.2),
+         "hyperbolic-halfplane": ((0.0, 1.0), 0.01), "hyperbolic-ball": (0.0, 0.03),
+         "flat-torus": (0.5, 0.1)}
+FIELD_CENTERS = 36  # bound on radius-field centers per example
+COVER_SCALE = 0.25  # bound on (2^k w)^n, w the cover box's share of the site
+
+
+def _site_box(name, n, scale):
+    point, half = SITES[name]
+    return ",".join(f"{p - scale * half!r}:{p + scale * half!r}" for p in map(float, np.resize(point, n)))
+
+
+# per flag: values that a run accepts, and values it must reject
+GOOD = {"m": [1, 2, 3], "eps": [0.2, 0.05, 1 / 3], "tol": [1e-3, 1e-2, 1e-300],
+        "a": [0.1, 0.2], "L": [4.0, 1.0], "k": [0, 1, 2], "scale": [0.5, 0.25, 0.1, 0.05]}
+BAD = {"m": [0, 4], "eps": [0.0, -0.1, 0.5, math.nan], "tol": [0.0, -1e-3, math.nan, math.inf],
+       "a": [1.0, -0.2, math.nan], "L": [0.0, -2.0, math.inf], "k": [-1],
+       "margin": [6.0, math.nan], "scale": [1000.0], "box": [1000.0]}
+
+
+@st.composite
+def field_configs(draw, command):
+    """argv of a radius or cover run: valid, or with one bad value.  Grid
+    sizes include a million points per axis, and a cover box of scale w
+    at level k resolves into ~(2^k w)^n times a site's balls: validation
+    rejects the grids of more than FIELD_CENTERS centers and the covers
+    above COVER_SCALE before they run."""
+    name = draw(st.sampled_from(CATALOG))
+    n = draw(st.sampled_from([2, 2, 3] if name in ("euclidean", "perturbed-euclidean", "flat-torus") else [2]))
+    flags = ["grid", "n", "m", "eps", "margin", "box"] + {"perturbed-euclidean": ["a"], "flat-torus": ["L"]}.get(name, [])
+    flags += ["tol"] if command == "radius" else ["k", "scale"]
+    fault = draw(st.sampled_from([None] * len(flags) + flags))
+    value = {flag: draw(st.sampled_from(BAD[flag] if flag == fault else GOOD[flag]))
+             for flag in GOOD if flag in flags}
+    counts = [draw(st.integers(1, 6)) for _ in range(n)]
+    if fault == "grid":
+        counts[draw(st.integers(0, n - 1))] = draw(st.sampled_from([0, -1, 1_000_000]))
+    assume(math.prod(abs(c) for c in counts) <= FIELD_CENTERS)
+    half = SITES[name][1]
+    margin = draw(st.sampled_from(BAD["margin"])) if fault == "margin" else draw(st.sampled_from([0.0, 0.2])) * half
+    argv = [command, "--model", name, f"--n={draw(st.sampled_from([1, 4])) if fault == 'n' else n}",
+            f"--grid={'x'.join(map(str, counts))}", f"--margin={margin!r}"]
+    argv += [f"--{flag}={value[flag]!r}" for flag in ("m", "eps", "tol", "a", "L", "k") if flag in value]
+    # a covering needs the field sampled around its box
+    if fault == "box" or command == "cover" or draw(st.booleans()):
+        argv.append(f"--box={_site_box(name, n, draw(st.sampled_from(BAD['box'])) if fault == 'box' else 1.0)}")
+    if command == "cover":
+        scale = value["scale"]
+        assume(fault == "scale" or (2 ** value["k"] * scale) ** n <= COVER_SCALE)
+        argv.append(f"--cover-box={_site_box(name, n, scale)}")
+    return argv
+
+
+@settings(max_examples=40, deadline=None)
+@given(argv=field_configs("radius"))
+def test_fuzz_radius_exits_0_or_2_with_one_error_line(tmp_path_factory, argv):
+    _exits_0_or_2_with_one_error_line(argv, tmp_path_factory.getbasetemp() / "fuzz-radius")
+
+
+@settings(max_examples=25, deadline=None)
+@given(argv=field_configs("cover"))
+def test_fuzz_cover_exits_0_or_2_with_one_error_line(tmp_path_factory, argv):
+    _exits_0_or_2_with_one_error_line(argv, tmp_path_factory.getbasetemp() / "fuzz-cover")

@@ -128,13 +128,13 @@ def test_volume_of_ball_keeps_distance_calls_within_the_pair_budget(monkeypatch,
     monkeypatch.setattr(chart, "_distance_fn", spy)
     vol = geo.volume_of_ball(chart, np.array(center), radius)
     assert max(pairs) <= geo.PAIR_BUDGET
-    assert sum(pairs) > 4 * geo.PAIR_BUDGET
-    # chunks of the refinement and of the slab's distances leave every
-    # cell's weight and the order of the sum unchanged
+    # chunks of the refinement leave every cell's weight and the order of
+    # the sum unchanged
     for budget in (1000, 1 << 12):
         monkeypatch.setattr(geo, "PAIR_BUDGET", budget)
         pairs.clear()
         assert geo.volume_of_ball(chart, np.array(center), radius) == vol
+        assert len(pairs) > 1
         assert max(pairs) <= budget
 
 
@@ -147,29 +147,29 @@ def test_volume_3d_ball():
 
 def test_ball_fits_domain():
     chart = geo.make_chart("euclidean", n=2)
-    assert geo.ball_fits_domain(chart, np.array([5.0, 5.0]), 4.9)
-    assert not geo.ball_fits_domain(chart, np.array([5.0, 5.0]), 5.1)
+    assert geo.ball_bbox(chart, np.array([5.0, 5.0]), 4.9)[2]
+    assert not geo.ball_bbox(chart, np.array([5.0, 5.0]), 5.1)[2]
     hp = geo.make_chart("hyperbolic-halfplane")
     # from (0,1): the domain floor y=0.25 is at distance log(4) ~ 1.386
-    assert geo.ball_fits_domain(hp, np.array([0.0, 1.0]), 1.3)
-    assert not geo.ball_fits_domain(hp, np.array([0.0, 1.0]), 1.45)
+    assert geo.ball_bbox(hp, np.array([0.0, 1.0]), 1.3)[2]
+    assert not geo.ball_bbox(hp, np.array([0.0, 1.0]), 1.45)[2]
     # near the floor: y0 e^-R >= 0.25 iff R <= log(1.2)
-    assert geo.ball_fits_domain(hp, np.array([1.0, 0.3]), 0.18)
-    assert not geo.ball_fits_domain(hp, np.array([1.0, 0.3]), 0.19)
+    assert geo.ball_bbox(hp, np.array([1.0, 0.3]), 0.18)[2]
+    assert not geo.ball_bbox(hp, np.array([1.0, 0.3]), 0.19)[2]
     # disc: B(0, R) is the Euclidean disc of radius tanh(R/2), inside the
     # box [-0.6, 0.6]^2 iff R <= 2 artanh(0.6) ~ 1.386
     disc = geo.make_chart("hyperbolic-ball")
-    assert geo.ball_fits_domain(disc, np.array([0.0, 0.0]), 1.38)
-    assert not geo.ball_fits_domain(disc, np.array([0.0, 0.0]), 1.39)
+    assert geo.ball_bbox(disc, np.array([0.0, 0.0]), 1.38)[2]
+    assert not geo.ball_bbox(disc, np.array([0.0, 0.0]), 1.39)[2]
     # torus: a ball fits while it spans at most one period (R <= L/2)
     torus = geo.make_chart("flat-torus", n=3, L=4.0)
-    assert geo.ball_fits_domain(torus, np.array([0.1, 3.9, 2.0]), 2.0)
-    assert not geo.ball_fits_domain(torus, np.array([0.1, 3.9, 2.0]), 2.01)
+    assert geo.ball_bbox(torus, np.array([0.1, 3.9, 2.0]), 2.0)[2]
+    assert not geo.ball_bbox(torus, np.array([0.1, 3.9, 2.0]), 2.01)[2]
     # perturbed: f >= 0.9, so the box is c +- R / sqrt(0.9) once the
     # slab around c reaches the minimum of f at x1 = 3 pi / 2
     pert = geo.make_chart("perturbed-euclidean", n=3, a=0.1)
-    assert geo.ball_fits_domain(pert, np.array([5.0, 5.0, 5.0]), 4.7)
-    assert not geo.ball_fits_domain(pert, np.array([5.0, 5.0, 5.0]), 4.8)
+    assert geo.ball_bbox(pert, np.array([5.0, 5.0, 5.0]), 4.7)[2]
+    assert not geo.ball_bbox(pert, np.array([5.0, 5.0, 5.0]), 4.8)[2]
     # one call answers for many balls
     lo, hi, inside = geo.ball_bbox(hp, np.array([[0.0, 1.0], [0.0, 1.0]]), np.array([1.3, 1.45]))
     assert lo.shape == hi.shape == (2, 2) and inside.tolist() == [True, False]
@@ -457,3 +457,161 @@ def test_ball_box_contains_densely_sampled_ball(name, kw, centers, radii):
         if name != "perturbed-euclidean":
             reach = (hi - lo) * (0.03 if chart.n == 2 else 0.08)
             assert np.all(ball.min(axis=0) <= lo + reach) and np.all(ball.max(axis=0) >= hi - reach)
+
+
+def _volume_by_band(chart, center, radius, quadrature_resolution=256):
+    """The band-and-subsample quadrature that `volume_of_ball` replaced,
+    as an oracle: a cell whose centre lies within radius - band weighs 1,
+    one beyond radius + band weighs 0, and any other cell weighs the share
+    of its 8x8 (2-D) or 4x4x4 (3-D) sub-points within radius, with
+    band = |h| sqrt(f_max) over the ball's box."""
+    center = np.asarray(center, dtype=float)
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    n = chart.n
+    res = int(quadrature_resolution)
+    h = (hi - lo) / res
+    cell = float(np.prod(h))
+    band = float(np.linalg.norm(h)) * math.sqrt(float(chart.factor_range(lo, hi)[1]))
+    sub_per_axis = 8 if n == 2 else 4
+    sub = (np.arange(sub_per_axis) + 0.5) / sub_per_axis - 0.5
+    offsets = np.stack(np.meshgrid(*([sub] * n), indexing="ij"), axis=-1).reshape(-1, n) * h
+    axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
+    total = 0.0
+    mesh_rest = np.meshgrid(*axes[1:], indexing="ij")
+    rest = np.stack([m.ravel() for m in mesh_rest], axis=-1)
+    rows_per_block = max(1, (1 << 18) // len(rest))
+    for start in range(0, res, rows_per_block):
+        x0 = axes[0][start : start + rows_per_block]
+        pts = np.concatenate([np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1)
+        d = chart.distance(pts, center[None, :])
+        weights = (d <= radius - band).astype(float)
+        boundary = (weights == 0.0) & (d <= radius + band)
+        bpts = pts[boundary]
+        frac = np.empty(len(bpts))
+        for s in range(0, len(bpts), 256):
+            dsub = chart.distance(bpts[s : s + 256, None, :] + offsets[None, :, :], center[None, None, :])
+            frac[s : s + 256] = np.mean(dsub <= radius, axis=1)
+        weights[boundary] = frac
+        total += float(np.sum(chart.sqrt_det(pts) * weights))
+    return total * cell
+
+
+def _seeded_balls(name, kw, count, seed):
+    """(center, radius) of balls well inside the working domain."""
+    rng = np.random.default_rng(seed)
+    chart = geo.make_chart(name, **kw)
+    balls = []
+    for _ in range(count):
+        if name == "hyperbolic-halfplane":
+            c, r = np.array([rng.uniform(-0.5, 0.5), rng.uniform(0.8, 1.25)]), rng.uniform(0.3, 0.8)
+        elif name == "hyperbolic-ball":
+            c, r = rng.uniform(-0.1, 0.1, 2), rng.uniform(0.3, 0.8)
+        elif name == "flat-torus":
+            c, r = rng.uniform(0.0, chart.hi[0], chart.n), rng.uniform(0.3, 0.45) * chart.hi[0]
+        else:
+            c, r = rng.uniform(3.0, 7.0, chart.n), rng.uniform(0.5, 1.5)
+        balls.append((c, r))
+    return balls
+
+
+# (model, chart parameters, resolution, balls, seed); resolutions 100 and
+# 200 give sub-point grids whose size is not a power of two
+BAND_CASES = [(name, kw, res, count, 31 + j)
+              for j, (res, count) in enumerate([(256, 2), (100, 1), (200, 1)])
+              for name, kw in FIVE_CHARTS] + [
+    ("euclidean", {"n": 3}, 32, 2, 41),
+    ("perturbed-euclidean", {"n": 3, "a": 0.3, "frequency": 1.3}, 48, 1, 42),
+    ("flat-torus", {"n": 3, "L": 3.0}, 64, 1, 43),
+]
+
+
+@pytest.mark.parametrize("name,kw,res,count,seed", BAND_CASES,
+                         ids=[f"{_case_id(c)}-{c[2]}" for c in BAND_CASES])
+def test_volume_of_ball_equals_band_quadrature(name, kw, res, count, seed):
+    chart = geo.make_chart(name, **kw)
+    for c, r in _seeded_balls(name, kw, count, seed):
+        assert geo.volume_of_ball(chart, c, r, res) == _volume_by_band(chart, c, r, res)
+
+
+@pytest.mark.parametrize("name,kw,center,radius", [
+    # a torus ball across the seam, on both axes
+    ("flat-torus", {"L": 4.0}, [0.1, 3.9], 1.0),
+    # a large chord slope: a w R = 3.1
+    ("perturbed-euclidean", {"a": 0.6, "frequency": 4.0}, [5.0, 5.0], 1.3),
+    ("perturbed-euclidean", {"a": 0.6, "frequency": 4.0}, [4.2, 5.0], 1.3),
+])
+def test_volume_of_ball_equals_band_quadrature_on_hard_balls(name, kw, center, radius):
+    chart = geo.make_chart(name, **kw)
+    assert geo.volume_of_ball(chart, center, radius) == _volume_by_band(chart, center, radius)
+
+
+def _lipschitz_ratios(chart, center, radius, count, seed):
+    """|d(x, c) - d(y, c)| / |x - y| on random close pairs in the ball's
+    box, with the box's Lipschitz bound."""
+    rng = np.random.default_rng(seed)
+    center = np.asarray(center, dtype=float)
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    x = lo + rng.random((count, chart.n)) * (hi - lo)
+    y = np.clip(x + rng.normal(0.0, 1e-3, x.shape) * (hi - lo), lo, hi)
+    gap = np.sqrt(np.sum((x - y) ** 2, axis=1))
+    change = np.abs(chart.distance(x, center[None]) - chart.distance(y, center[None]))
+    return change, gap, chart.distance_lipschitz(lo, hi, center)
+
+
+@pytest.mark.parametrize("name,kw,centers,radii", BOX_CASES, ids=map(_case_id, BOX_CASES))
+def test_distance_lipschitz_bounds_close_pairs(name, kw, centers, radii):
+    """|d(x, c) - d(y, c)| <= L |x - y| on dense close pairs of the box,
+    up to the rounding that `volume_of_ball` allows for (arccosh rounds d
+    near 0 by up to ~2e-8)."""
+    chart = geo.make_chart(name, **kw)
+    for j, (c, R) in enumerate(zip(centers, radii)):
+        change, gap, lip = _lipschitz_ratios(chart, c, R, 100_000 if chart.n == 2 else 200_000, 29 + j)
+        assert np.all(change <= lip * gap + 1e-7)
+        # the bound is near tight on the true metrics
+        if name != "perturbed-euclidean":
+            assert np.max(change / gap) >= 0.5 * lip
+
+
+def test_chord_lipschitz_bound_needs_its_slope_term():
+    # the chord is no metric: its slope exceeds sqrt(f_max) over the box
+    chart = geo.make_chart("perturbed-euclidean", a=0.6, frequency=4.0)
+    center, radius = np.array([5.0, 5.0]), 1.3
+    change, gap, lip = _lipschitz_ratios(chart, center, radius, 100_000, 3)
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    root_f_max = math.sqrt(chart.factor_range(lo, hi)[1])
+    ratio = np.max(change / gap)
+    assert root_f_max == pytest.approx(1.265, abs=1e-3) and lip == pytest.approx(4.023, abs=1e-3)
+    assert 1.4 < ratio <= lip
+    assert ratio > root_f_max * 1.1
+
+
+def test_volume_of_3d_ball_stays_slab_bound():
+    # a res^3 array would take 16.7 MB as bools and 134 MB as floats; the
+    # quadrature holds a few arrays of one 2^18-cell slab at a time
+    import tracemalloc
+
+    chart = geo.make_chart("euclidean", n=3)
+    tracemalloc.start()
+    try:
+        vol = geo.volume_of_ball(chart, np.array([5.0, 5.0, 5.0]), 0.8, quadrature_resolution=256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert vol == pytest.approx(4.0 / 3.0 * math.pi * 0.8**3, rel=1e-4)
+    assert peak < 16 * 8 * (1 << 18) < 256**3 * 8
+
+
+@pytest.mark.parametrize("radius", [-1.0, 0.0, math.nan, math.inf, -math.inf])
+def test_ball_radius_must_be_finite_and_positive(radius):
+    chart = geo.make_chart("euclidean")
+    with pytest.raises(geo.DomainError, match="radius"):
+        geo.volume_of_ball(chart, np.array([5.0, 5.0]), radius)
+    with pytest.raises(geo.DomainError, match="radius"):
+        geo.cmt_bound_check(chart, np.array([5.0, 5.0]), radius, m=2)
+
+
+@pytest.mark.parametrize("res", [0, -3])
+def test_volume_of_ball_needs_a_cell(res):
+    chart = geo.make_chart("euclidean")
+    with pytest.raises(geo.DomainError, match="resolution"):
+        geo.volume_of_ball(chart, np.array([5.0, 5.0]), 1.0, quadrature_resolution=res)
