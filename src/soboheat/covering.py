@@ -10,10 +10,15 @@ obeys the level-scaled bound T * 2^(n k).
 
 Probes and candidate centers are lattices of the box, so the nodes within
 chart reach of a ball form an index box per axis (a few boxes on a
-periodic axis, one per image of the center).  Overlap counts and
-touching pairs enumerate those boxes, keep the nodes within chart reach
-of the center (nearest image on the torus) and check the kept pairs
-exactly, at most PAIR_BUDGET pairs per distance call.
+periodic axis, one per image of the center).  Touching pairs enumerate
+those boxes, keep the nodes within chart reach of the center (nearest
+image on the torus) and check the kept pairs exactly.  Overlap counts
+settle (probe, ball) pairs by closed-form bounds on f over each ball's
+own box: along the last axis every row of probes gets the index ranges
+of the probes surely inside (counted with a difference array) and surely
+outside, and only the thin shell between the two reaches the distance.
+Both pass at most PAIR_BUDGET pairs per distance call and run the balls
+in blocks of at most PAIR_BUDGET index-box nodes (rows, for the counts).
 """
 
 from __future__ import annotations
@@ -24,11 +29,12 @@ import math
 import numpy as np
 
 from .admissible import RadiusField
-from .geometry import PAIR_BUDGET, DomainError, MetricChart, budget_blocks, grid_points
+from .geometry import (PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_blocks, grid_points,
+                       rounding_slack)
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
 # PAIR_BUDGET (from geometry) caps the (node, ball) pairs per distance call and the
-# index-box nodes per run of balls
+# index-box nodes (rows, for the counts) per run of balls
 
 
 def overlap_bound(n: int, eps: float) -> float:
@@ -171,25 +177,27 @@ def _axis_nodes(chart: MetricChart, lattice: _Lattice, centers, first, size, axi
     return index, d * d
 
 
-def _lattice_pairs(chart: MetricChart, lattice: _Lattice, centers, reach):
-    """(node, ball) index arrays, at most PAIR_BUDGET long, of the lattice
-    nodes whose chart displacement from centers[ball] (nearest image on a
-    periodic axis) is at most reach[ball].  The balls go in runs whose
-    index boxes hold at most PAIR_BUDGET nodes (a larger box is a run of
-    its own); each run starts from one entry per ball and grows it axis by
-    axis into the nodes of the ball's index box, dropping the entries whose
-    squared displacement so far exceeds reach^2."""
+def _screen(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
+    """Per run of balls, (ball, node, sq): the lattice nodes of every ball's
+    index box on the first `axes` axes whose chart displacement from the
+    center there (nearest image on a periodic axis) is at most reach[ball];
+    node is their row-major index over those axes and sq their squared
+    displacement.  The balls go in runs whose index boxes hold at most
+    PAIR_BUDGET nodes on those axes (a larger box is a run of its own);
+    each run starts from one entry per ball and grows it axis by axis,
+    dropping the entries whose squared displacement so far exceeds
+    reach^2."""
     first, size = _index_boxes(chart, lattice, centers, reach)
-    width = size.sum(axis=-1)
+    width = size.sum(axis=-1)[:, :axes]
     begin = np.cumsum(width, axis=0) - width
-    axes = [_axis_nodes(chart, lattice, centers, first, size, i) for i in range(chart.n)]
-    strides = np.append(np.cumprod(lattice.count[:0:-1])[::-1], 1)
+    nodes = [_axis_nodes(chart, lattice, centers, first, size, i) for i in range(axes)]
+    strides = np.append(np.cumprod(lattice.count[axes - 1:0:-1])[::-1], 1)
     reach2 = reach**2
     for start, stop in budget_blocks(np.prod(width, axis=-1), PAIR_BUDGET):
         ball = np.arange(start, stop)
         node = np.zeros(len(ball), dtype=np.intp)
         sq = np.zeros(len(ball))
-        for i, (index, axis_sq) in enumerate(axes):
+        for i, (index, axis_sq) in enumerate(nodes):
             w = width[ball, i]
             parent = np.repeat(np.arange(len(ball)), w)
             j = np.arange(len(parent)) + np.repeat(begin[ball, i] - (np.cumsum(w) - w), w)
@@ -198,6 +206,14 @@ def _lattice_pairs(chart: MetricChart, lattice: _Lattice, centers, reach):
             sq = sq[parent] + axis_sq[j]
             inside = sq <= reach2[ball]
             ball, node, sq = ball[inside], node[inside], sq[inside]
+        yield ball, node, sq
+
+
+def _lattice_pairs(chart: MetricChart, lattice: _Lattice, centers, reach):
+    """(node, ball) index arrays, at most PAIR_BUDGET long, of the lattice
+    nodes whose chart displacement from centers[ball] (nearest image on a
+    periodic axis) is at most reach[ball]."""
+    for ball, node, _ in _screen(chart, lattice, centers, reach, chart.n):
         for cut in range(0, len(node), PAIR_BUDGET):
             yield node[cut:cut + PAIR_BUDGET], ball[cut:cut + PAIR_BUDGET]
 
@@ -222,19 +238,95 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     return np.concatenate(found), screened
 
 
-def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii, f_min_box):
-    """Per-probe count of geodesic balls containing the probe.
+def _axis_ranges(chart: MetricChart, lattice: _Lattice, c, half, axis: int):
+    """(first, last), each (entries, images): inclusive index ranges of the
+    lattice nodes on the axis within half[e] of the coordinate c[e], the
+    nearest image on a periodic axis.  A periodic axis has one range per
+    image c - L, c, c + L, each kept to the nodes nearer that image than
+    the others (a node half a period from c goes to c), so the ranges are
+    disjoint; any other axis has one.  Ranges are clipped to the lattice;
+    first > last where one is empty."""
+    x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
+    c = c[:, None]
+    if chart.periodic[axis]:
+        period = (chart.hi - chart.lo)[axis]
+        images = c + period * np.array([-1.0, 0.0, 1.0])
+        # the nodes nearest to c: [near, far]; the images below and above c get the rest
+        near = np.ceil((c - period / 2.0 - x0) / step)
+        far = np.floor((c + period / 2.0 - x0) / step)
+        lower = np.concatenate([np.zeros_like(near), near, far + 1], axis=1)
+        upper = np.concatenate([near - 1, far, np.full_like(far, m - 1)], axis=1)
+    else:
+        images, lower, upper = c, 0, m - 1
+    half = half[:, None]
+    first = np.clip(np.maximum(np.ceil((images - half - x0) / step), lower), 0, m)
+    last = np.clip(np.minimum(np.floor((images + half - x0) / step), upper), -1, m - 1)
+    return first.astype(np.intp), last.astype(np.intp)
 
-    The probe lattice screens (probe, ball) pairs by a chart radius that
-    surely contains each ball; the screened pairs are then checked exactly,
-    at most PAIR_BUDGET pairs per distance call.
+
+def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
+    """Per-probe count of the geodesic balls B(c, r) holding the probe,
+    d <= r.
+
+    Each ball's closed-form box (`ball_bbox`) gives f_min <= f <= f_max on
+    the ball.  Let D be a probe's chart displacement from the center (the
+    nearest image on a periodic axis) and s the rounding slack.  The probe
+    is surely inside when sqrt(f_max) |D| <= r - s: the straight segment
+    is at most that long and stays in the box, and the chord's mean of
+    sqrt(f) is at most sqrt(f_max).  It is surely outside when
+    sqrt(f_min) |D| > r + s: a geodesic of length <= r stays in the box,
+    and so does the chord's segment (see `_box_perturbed`).
+
+    The probe lattice screens rows (axes 0..n-2) by the outer chart
+    radius (r + s) / sqrt(f_min).  On the last axis every (ball, row)
+    gets its inner and outer index ranges in closed form; the inner ones
+    are counted with a difference array along the rows, and only the
+    probes between the two ranges go to the distance, at most PAIR_BUDGET
+    pairs per call.
     """
+    last = chart.n - 1
+    m = int(probes.count[last])
+    lo, hi, _ = ball_bbox(chart, centers, radii)
+    f_min, f_max = chart.factor_range(lo, hi)
+    slack = rounding_slack(radii)
+    inner = (radii - slack) / np.sqrt(f_max)
+    outer = (radii + slack) / np.sqrt(f_min)
+    inner2 = np.where(inner >= 0, inner * inner, -1.0)  # -1: no probe is surely inside
     counts = np.zeros(len(probes), dtype=int)
-    reach = radii / math.sqrt(f_min_box)
-    for p, b in _lattice_pairs(chart, probes, centers, reach):
-        inside = chart.distance(probes.points[p], centers[b]) <= radii[b]
-        counts += np.bincount(p[inside], minlength=len(probes))
-    return counts
+    starts, ends = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    for ball, row, sq in _screen(chart, probes, centers, outer, last):
+        c = centers[ball, last]
+        first, end = _axis_ranges(chart, probes, c, np.sqrt(outer[ball] ** 2 - sq), last)
+        a, b = _axis_ranges(chart, probes, c, np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
+        a, b = np.maximum(a, first), np.minimum(b, end)
+        # an empty inner range moves past the outer one, whose nodes are then all shell
+        empty = (a > b) | (inner2[ball] < sq)[:, None]
+        a, b = np.where(empty, end + 1, a), np.where(empty, end, b)
+        base = (row * (m + 1))[:, None]
+        starts.append((base + a)[~empty])
+        ends.append((base + b + 1)[~empty])
+        # the shell: [first, a) and (b, end] of every range
+        seg_start = (row * m)[:, None] + np.concatenate([first, b + 1], axis=1)
+        seg_len = np.maximum(np.concatenate([a - first, end - b], axis=1), 0)
+        seg_ball = np.broadcast_to(ball[:, None], seg_len.shape)
+        for p, q in _segment_pairs(seg_start.ravel(), seg_len.ravel(), seg_ball.ravel()):
+            inside = chart.distance(probes.points[p], centers[q]) <= radii[q]
+            counts += np.bincount(p[inside], minlength=len(probes))
+    size = len(probes) // m * (m + 1)
+    marks = (np.bincount(np.concatenate(starts), minlength=size)
+             - np.bincount(np.concatenate(ends), minlength=size))
+    return counts + np.cumsum(marks.reshape(-1, m + 1), axis=1)[:, :m].ravel()
+
+
+def _segment_pairs(start, length, ball):
+    """(node, ball) index arrays, at most PAIR_BUDGET long, of the nodes
+    start[i] + [0, length[i]) paired with ball[i]."""
+    for s0, s1 in budget_blocks(length, PAIR_BUDGET):
+        n = length[s0:s1]
+        node = np.repeat(start[s0:s1] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
+        owner = np.repeat(ball[s0:s1], n)
+        for cut in range(0, len(node), PAIR_BUDGET):
+            yield node[cut:cut + PAIR_BUDGET], owner[cut:cut + PAIR_BUDGET]
 
 
 def build_admissible_covering(field: RadiusField, k: int, box=None,
@@ -275,7 +367,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
     cover_sel = 5.0 * core_sel
 
     probes = _spaced_grid(lo, hi, float(np.min(cover_sel)) / (4.0 * math.sqrt(f_max_box)), endpoint)
-    counts = _count_memberships(chart, probes, lattice.points[nodes], cover_sel, f_min_box)
+    counts = _count_memberships(chart, probes, lattice.points[nodes], cover_sel)
     coverage = float(np.mean(counts >= 1))
     if coverage < 1.0:
         raise DomainError(
@@ -304,9 +396,9 @@ def certify_dilated_overlap(covering: Covering, box=None) -> dict:
     n = chart.n
     radii = covering.r_eps / ETA
     lo, hi, endpoint = _target_box(chart, box)
-    f_min_box, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, float(np.max(radii))))
+    _, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, float(np.max(radii))))
     probes = _spaced_grid(lo, hi, float(np.min(radii)) / (4.0 * math.sqrt(f_max_box)), endpoint)
-    counts = _count_memberships(chart, probes, covering.centers, radii, f_min_box)
+    counts = _count_memberships(chart, probes, covering.centers, radii)
     bound = covering.t_bound * 2.0 ** (n * covering.k)
     return {
         "max_overlap": int(counts.max()),

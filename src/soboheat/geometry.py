@@ -690,6 +690,13 @@ def _ball_radius(radius) -> float:
     return radius
 
 
+def rounding_slack(radius):
+    """Margin by which a closed-form bound must clear a radius before it
+    settles d <= radius without the distance: arccosh rounds d near 0 by
+    up to ~2e-8, the other kernels far less."""
+    return 1e-7 + 1e-9 * radius
+
+
 def _inside_counts(chart: MetricChart, center, radius: float, lip: float, sub_axes, depth: int):
     """Per cell, how many of its sub-points lie in B(center, radius).
 
@@ -708,8 +715,7 @@ def _inside_counts(chart: MetricChart, center, radius: float, lip: float, sub_ax
     size = np.array([len(ax) for ax in sub_axes])
     cells = size >> depth
     step = np.array([(ax[-1] - ax[0]) / (len(ax) - 1) for ax in sub_axes])
-    # arccosh rounds d near 0 by up to ~2e-8; the other kernels far less
-    slack = 1e-7 + 1e-9 * radius
+    slack = rounding_slack(radius)
     top = int(-(-size.max() // 16) - 1).bit_length()  # at most 16 blocks per axis
     centres = {}  # level -> per axis, the block centres' coordinates
     for k in range(top + 1):

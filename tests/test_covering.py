@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from soboheat import acceptance
 from soboheat import admissible as adm
 from soboheat import covering as cov
+from soboheat import geometry as geo
 from soboheat.geometry import DomainError, make_chart
 
 
@@ -136,19 +138,161 @@ def lattice_inputs(case, n_balls=80, seed=0):
     return chart, lattice, centers, radii, f_min_box
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
+def node_balls(lattice, rng, n_balls):
+    """Seeded lattice nodes as ball centers."""
+    return lattice.points[rng.choice(len(lattice), n_balls, replace=False)]
+
+
+def tie_inputs(case):
+    """(chart, lattice, centers, radii) of a TIE_CASES case.  Flat charts:
+    centers on lattice nodes, radii whole multiples of the step and 5 steps
+    (nodes 3 and 4 steps off along two axes lie at r); 3 steps in 3-D also
+    meets the nodes (1, 2, 2) steps off.  Hyperbolic charts: each ball is
+    the Euclidean disc of 4 or 5 steps about a lattice node, so lattice
+    nodes lie on its boundary."""
+    rng = np.random.default_rng(3)
+    (name, kw), lo, hi, spacing = TIE_CASES[case]
+    chart = make_chart(name, **kw)
+    lo, hi, endpoint = cov._target_box(chart, list(zip(lo, hi)))
+    lattice = cov._spaced_grid(lo, hi, spacing, endpoint)
+    step = float(lattice.step[0])
+    mid = lattice.points[len(lattice) // 2]
+    if chart.is_flat:
+        centers = np.vstack([mid, node_balls(lattice, rng, 29)])
+        radii = step * rng.choice([1.0, 2.0, 3.0, 4.0, 5.0], len(centers))
+        if chart.periodic[0]:  # nodes half a period off lie on the ball
+            radii[::2] = (chart.hi[0] - chart.lo[0]) / 2.0
+        return chart, lattice, centers, radii
+    disc_centers = np.vstack([mid, node_balls(lattice, rng, 15)])
+    rho = step * rng.choice([4.0, 5.0], len(disc_centers))
+    if name == "hyperbolic-halfplane":
+        # the disc about (X, Y) of radius rho is B((X, y0), R) with
+        # y0 cosh R = Y and y0 sinh R = rho
+        y0 = np.sqrt(disc_centers[:, 1] ** 2 - rho**2)
+        return chart, lattice, np.stack([disc_centers[:, 0], y0], -1), np.arcsinh(rho / y0)
+    # the disc about M of radius rho spans |M| -+ rho along M / |M|, which
+    # B(c, R) does for s -+ R = 2 artanh(|M| -+ rho), c = tanh(s / 2) M / |M|
+    norm = np.linalg.norm(disc_centers, axis=1)
+    disc_centers, rho, norm = (v[norm > step] for v in (disc_centers, rho, norm))  # M / |M| defined
+    t1, t2 = np.arctanh(norm - rho), np.arctanh(norm + rho)
+    centers = disc_centers / norm[:, None] * np.tanh((t1 + t2) / 2.0)[:, None]
+    return chart, lattice, centers, t2 - t1
+
+
+# per case: chart and a lattice box (lo, hi) with its node spacing
+TIE_CASES = {
+    "euclidean-ties": (("euclidean", {}), [4.0, 4.0], [5.0, 5.0], 1 / 24),
+    "flat-torus-ties": (("flat-torus", {"L": 4.0}), [0.0, 0.0], [4.0, 4.0], 4 / 20.5),
+    "flat-torus-ten-node-ties": (("flat-torus", {"L": 4.0}), [0.0, 0.0], [4.0, 4.0], 4 / 9),
+    "euclidean-3d-ties": (("euclidean", {"n": 3}), [4.0, 4.0, 4.0], [5.0, 5.0, 5.0], 1 / 8),
+    "hyperbolic-halfplane-boundary": (("hyperbolic-halfplane", {}), [-0.3, 0.7], [0.3, 1.3], 1 / 40),
+    "hyperbolic-ball-boundary": (("hyperbolic-ball", {}), [-0.3, -0.3], [0.3, 0.3], 1 / 40),
+}
+
+
+def brute_force_counts(chart, probes, centers, radii, chunk=1 << 20):
+    """Per probe, the balls with d <= r over the full probe x ball distance
+    matrix, a block of probes at a time."""
+    rows = max(1, chunk // len(centers))
+    return np.concatenate([
+        np.count_nonzero(chart.distance(probes[i:i + rows, None, :], centers[None, :, :])
+                         <= radii[None, :], axis=1)
+        for i in range(0, len(probes), rows)])
+
+
+def count_spy(monkeypatch):
+    """Record (chart, probes, centers, radii, counts) of every
+    _count_memberships call and the (x, y, i) of every distance call made
+    during the i-th."""
+    counted, calls = [], []
+    count = cov._count_memberships
+
+    def counting(chart, probes, centers, radii):
+        distance = chart.distance
+
+        def recording(x, y):
+            calls.append((np.array(x), np.array(y), len(counted)))
+            return distance(x, y)
+
+        monkeypatch.setattr(chart, "distance", recording)
+        try:
+            counts = count(chart, probes, centers, radii)
+        finally:
+            monkeypatch.setattr(chart, "distance", distance)
+        counted.append((chart, probes, centers, radii, counts))
+        return counts
+
+    monkeypatch.setattr(cov, "_count_memberships", counting)
+    return counted, calls
+
+
+@pytest.mark.parametrize("name", sorted(LATTICE_CASES) + sorted(TIE_CASES))
 @pytest.mark.parametrize("budget", [cov.PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
 def test_count_memberships_equals_brute_force(name, budget, monkeypatch):
-    """Counts over the lattice-screened pair blocks equal counts over the
-    full probe x ball distance matrix; a budget of 7 pairs splits the
-    balls into many blocks and slices every ball with more pairs."""
+    """Counts from the bounds and the shell's distance calls equal counts
+    over the full probe x ball distance matrix, also where probes lie on
+    ball boundaries; a budget of 7 pairs splits the balls into many blocks
+    and slices every shell with more pairs.  On flat charts only probes
+    within the rounding slack of a boundary reach the distance."""
     monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
-    chart, probes, centers, radii, f_min_box = lattice_inputs(name)
-    counts = cov._count_memberships(chart, probes, centers, radii, f_min_box)
+    if name in TIE_CASES:
+        chart, probes, centers, radii = tie_inputs(name)
+    else:
+        chart, probes, centers, radii, _ = lattice_inputs(name)
     d = chart.distance(probes.points[:, None, :], centers[None, :, :])
-    want = np.count_nonzero(d <= radii[None, :], axis=1)
+    want = np.count_nonzero(d <= radii, axis=1)
+    _, calls = count_spy(monkeypatch)
+    counts = cov._count_memberships(chart, probes, centers, radii)
     assert want.max() >= 2
     assert np.array_equal(counts, want)
+    assert all(len(x) <= budget for x, _, _ in calls)
+    if name in TIE_CASES:
+        assert np.sum(np.abs(d - radii) <= 1e-12) >= 10  # probes on ball boundaries
+    if chart.is_flat:
+        near = np.abs(d - radii) <= 2 * geo.rounding_slack(radii)
+        sent = np.concatenate([x for x, _, _ in calls] + [np.empty((0, chart.n))])
+        assert len(sent) <= near.sum()
+        assert np.all(np.any(np.all(sent[:, None, :] == probes.points[near.any(axis=1)], axis=-1), axis=1))
+
+
+@st.composite
+def count_cases(draw):
+    """(chart, lattice, centers, radii): a model and n, a lattice of 2 to
+    12 nodes per axis over a sub-box, and 1 to 12 balls up to about half
+    the box wide (past half a period on a whole torus), centered anywhere
+    or, for ties, on nodes with radii a whole number of steps."""
+    name, lo, hi = draw(st.sampled_from([
+        ("euclidean", 4.0, 5.0), ("perturbed-euclidean", 4.0, 5.5),
+        ("hyperbolic-halfplane", 0.7, 1.3), ("hyperbolic-ball", -0.4, 0.4),
+        ("flat-torus", 0.0, 4.0), ("flat-torus", 0.5, 2.0)]))
+    n = draw(st.sampled_from([2, 3])) if name in ("euclidean", "perturbed-euclidean", "flat-torus") else 2
+    kw = {"n": n, "L": 4.0} if name == "flat-torus" else {"n": n}
+    if name == "perturbed-euclidean":
+        kw.update(a=draw(st.sampled_from([0.1, 0.6])), frequency=draw(st.sampled_from([1.0, 4.0])))
+    chart = make_chart(name, **kw)
+    per_axis = draw(st.integers(2, 12 if n == 2 else 6))
+    box = [(lo, hi)] * n if name != "hyperbolic-halfplane" else [(-0.3, 0.3), (lo, hi)]
+    b_lo, b_hi, endpoint = cov._target_box(chart, box)
+    lattice = cov._spaced_grid(b_lo, b_hi, float(np.min(b_hi - b_lo)) / per_axis, endpoint)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_balls = draw(st.integers(1, 12))
+    width = float(np.min(b_hi - b_lo))
+    r_max = draw(st.sampled_from([0.05, 0.2, 0.6])) * width
+    if draw(st.booleans()):
+        centers = lattice.points[rng.integers(0, len(lattice), n_balls)]
+        radii = float(np.min(lattice.step)) * rng.integers(1, 6, n_balls)
+    else:
+        centers = chart.wrap(rng.uniform(b_lo, b_hi, size=(n_balls, n)))
+        radii = rng.uniform(0.05, 1.0, n_balls) * r_max
+    return chart, lattice, centers, radii
+
+
+@settings(max_examples=60, deadline=None)
+@given(count_cases())
+def test_count_memberships_fuzz(case):
+    chart, probes, centers, radii = case
+    counts = cov._count_memberships(chart, probes, centers, radii)
+    assert np.array_equal(counts, brute_force_counts(chart, probes.points, centers, radii))
 
 
 def chart_displacement(chart, x, y):
@@ -190,29 +334,78 @@ def test_boxes_outside_the_working_box_are_rejected(box):
         cov.certify_dilated_overlap(c, box=box)
 
 
+def build_levels(fld, box):
+    """Coverings at k = 0, 1, 2 with their dilated-overlap reports."""
+    out = []
+    for k in (0, 1, 2):
+        c = cov.build_admissible_covering(fld, k, box=box)
+        out.append((c, cov.certify_dilated_overlap(c, box=box)))
+    return out
+
+
 def test_membership_blocks_stay_within_pair_budget(monkeypatch):
-    """Coverings with far more screened pairs than the budget count them
-    in several distance calls, none above the budget."""
-    fld = euclid_field()
-    chart = fld.chart
-    pairs, inside = [], []
-    distance, count = chart.distance, cov._count_memberships
-
-    def recording(x, y):
-        if inside:
-            pairs.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
-        return distance(x, y)
-
-    def counting(*args):
-        inside.append(True)
-        try:
-            return count(*args)
-        finally:
-            inside.pop()
-
-    monkeypatch.setattr(chart, "distance", recording)
-    monkeypatch.setattr(cov, "_count_memberships", counting)
-    c = cov.build_admissible_covering(fld, 2, box=BOX)
-    cov.certify_dilated_overlap(c, box=BOX)
+    """Half-plane coverings, where f varies over every ball and the shell
+    holds pairs, count them in several distance calls, none above the
+    budget."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", 64)
+    setup = acceptance.MODEL_SETUPS["hyperbolic-halfplane"]
+    _, calls = count_spy(monkeypatch)
+    build_levels(acceptance._field_for("hyperbolic-halfplane"), setup["cover_box"])
+    pairs = [len(x) for x, _, _ in calls]
     assert sum(pairs) > 4 * cov.PAIR_BUDGET
     assert max(pairs) <= cov.PAIR_BUDGET
+
+
+def torus_field():
+    chart = make_chart("flat-torus", n=2, L=4.0)
+    return adm.radius_field(chart, adm.grid_centers(chart, 5), adm.AdmissibilityParams(m=2, eps=0.2))
+
+
+@pytest.mark.parametrize("field, box, near_ties", [
+    (euclid_field, [(4.5, 4.5 + math.pi / 3)] * 2, 0),
+    (torus_field, [(0.3, 0.3 + math.pi / 3), (2.9, 2.9 + math.pi / 3)], 16),
+], ids=["euclidean", "flat-torus"])
+def test_flat_counts_call_distance_on_near_ties_only(field, box, near_ties, monkeypatch):
+    """On a flat chart f_min = f_max on every ball, so the bounds leave to
+    the distance only the probes within the rounding slack of a ball's
+    boundary.  Boxes pi/3 wide keep the lattice steps incommensurable with
+    the radii: no probe lies on a boundary, and the six counts send no
+    pair (euclidean) or the 16 that fall within 2e-7 of one by chance
+    (flat torus, against 3481 to 13924 probes and 625 to 2401 balls)."""
+    fld = field()
+    counted, calls = count_spy(monkeypatch)
+    build_levels(fld, box)
+    assert len(counted) == 6
+    radius_at = [{tuple(c): r for c, r in zip(centers, radii)} for _, _, centers, radii, _ in counted]
+    x = np.concatenate([x for x, _, _ in calls] + [np.empty((0, 2))])
+    y = np.concatenate([y for _, y, _ in calls] + [np.empty((0, 2))])
+    r = np.array([radius_at[i][tuple(c)] for _, y, i in calls for c in y])
+    assert len(x) <= near_ties
+    assert np.all(np.abs(fld.chart.distance(x, y) - r) <= 2 * geo.rounding_slack(r))
+
+
+# per model: a cover box of at most a quarter of criterion 5's area
+SMALL_BOXES = {
+    "euclidean": [(4.5, 5.0), (4.5, 5.0)],
+    "perturbed-euclidean": [(4.9, 5.1), (4.9, 5.1)],
+    "hyperbolic-halfplane": [(-0.006, 0.006), (0.994, 1.006)],
+    "hyperbolic-ball": [(-0.012, 0.012), (-0.012, 0.012)],
+    "flat-torus": [(1.0, 1.5), (3.5, 4.0)],
+}
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_BOXES))
+def test_certificates_equal_brute_force_counts(model, monkeypatch):
+    """overlap_certificate, coverage_fraction and max_overlap equal the
+    counts of every probe x ball distance on the probe lattices the
+    covering and its dilated check use."""
+    counted, _ = count_spy(monkeypatch)
+    levels = build_levels(acceptance._field_for(model), SMALL_BOXES[model])
+    assert len(counted) == 6
+    for i, (c, dilated) in enumerate(levels):
+        covered, full = (brute_force_counts(chart, probes.points, centers, radii)
+                         for chart, probes, centers, radii, _ in counted[2 * i:2 * i + 2])
+        assert c.overlap_certificate == covered.max()
+        assert c.coverage_fraction == np.mean(covered >= 1)
+        assert dilated["max_overlap"] == full.max()
+        assert dilated["probes"] == len(full)
