@@ -1,6 +1,6 @@
 """Weighted-Sobolev toolkit for heat flow on model surfaces.
 
-Modules: geometry (charts, distances, curvature, ball volumes),
+Modules: geometry (charts, distances, connections, ball volumes),
 admissible (radius fields), covering (Vitali coverings with overlap
 certificates), exponents (exact bootstrap exponent tables), norms
 (weighted Sobolev norms on grids), heatflow (implicit-Euler solver and

@@ -231,6 +231,10 @@ def _forcing_from_config(cfg, chart, box):
     center = np.array([(lo + hi) / 2.0 for lo, hi in box])
     width = _get(cfg, "width", min(hi - lo for lo, hi in box) / 6.0, cast=float)
     tfreq = _get(cfg, "tfreq", 3.0, cast=float)
+    if not (math.isfinite(width) and width > 0):
+        raise ConfigError(f"field 'width' must be finite and > 0, got {width!r}")
+    if not math.isfinite(tfreq):
+        raise ConfigError(f"field 'tfreq' must be finite, got {tfreq!r}")
 
     def bump(t, pts):
         r2 = np.sum((pts - center) ** 2, axis=-1)

@@ -139,19 +139,19 @@ def _grown_box(chart: MetricChart, lo, hi, reach):
     return np.maximum(np.asarray(lo) - reach, chart.lo), np.minimum(np.asarray(hi) + reach, chart.hi)
 
 
-def _index_boxes(chart: MetricChart, lattice: _Lattice, centers, reach):
-    """(first, size), each (balls, n, 3): on every axis the lattice indices
-    first + [0, size) that may lie within chart reach of the center's
-    images c - L, c, c + L (L the period; 0 on a non-periodic axis).  The
-    three ranges are disjoint and in order, so their sizes add up to the
-    ball's index count on that axis.  Each range is rounded outward by up
-    to a node, so rounding drops no node within reach; the exact test is
-    the caller's."""
-    period = np.where(chart.periodic, chart.hi - chart.lo, 0.0)
-    images = centers[:, :, None] + period[:, None] * np.array([-1.0, 0.0, 1.0])
-    lo = lattice.lo[:, None]
-    step = lattice.step[:, None]
-    count = lattice.count[:, None]
+def _index_boxes(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
+    """(first, size), each (balls, axes, 3): on each of the first `axes`
+    axes the lattice indices first + [0, size) that may lie within chart
+    reach of the center's images c - L, c, c + L (L the period; 0 on a
+    non-periodic axis).  The three ranges are disjoint and in order, so
+    their sizes add up to the ball's index count on that axis.  Each range
+    is rounded outward by up to a node, so rounding drops no node within
+    reach; the exact test is the caller's."""
+    period = np.where(chart.periodic, chart.hi - chart.lo, 0.0)[:axes]
+    images = centers[:, :axes, None] + period[:, None] * np.array([-1.0, 0.0, 1.0])
+    lo = lattice.lo[:axes, None]
+    step = lattice.step[:axes, None]
+    count = lattice.count[:axes, None]
     r = reach[:, None, None]
     first = np.clip(np.floor((images - r - lo) / step), 0, count).astype(np.intp)
     end = np.clip(np.floor((images + r - lo) / step) + 2, 0, count).astype(np.intp)
@@ -187,8 +187,8 @@ def _screen(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
     each run starts from one entry per ball and grows it axis by axis,
     dropping the entries whose squared displacement so far exceeds
     reach^2."""
-    first, size = _index_boxes(chart, lattice, centers, reach)
-    width = size.sum(axis=-1)[:, :axes]
+    first, size = _index_boxes(chart, lattice, centers, reach, axes)
+    width = size.sum(axis=-1)
     begin = np.cumsum(width, axis=0) - width
     nodes = [_axis_nodes(chart, lattice, centers, first, size, i) for i in range(axes)]
     strides = np.append(np.cumprod(lattice.count[axes - 1:0:-1])[::-1], 1)
@@ -209,15 +209,6 @@ def _screen(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
         yield ball, node, sq
 
 
-def _lattice_pairs(chart: MetricChart, lattice: _Lattice, centers, reach):
-    """(node, ball) index arrays, at most PAIR_BUDGET long, of the lattice
-    nodes whose chart displacement from centers[ball] (nearest image on a
-    periodic axis) is at most reach[ball]."""
-    for ball, node, _ in _screen(chart, lattice, centers, reach, chart.n):
-        for cut in range(0, len(node), PAIR_BUDGET):
-            yield node[cut:cut + PAIR_BUDGET], ball[cut:cut + PAIR_BUDGET]
-
-
 def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     """(pairs, screened): the index pairs (i < j) of the balls centered at
     the lattice nodes[i] that meet, d(c_i, c_j) <= r_i + r_j, and the
@@ -229,12 +220,13 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     ball_of[nodes] = np.arange(len(nodes))
     reach = np.full(len(nodes), 2.0 * float(np.max(radii)) / math.sqrt(f_min))
     found, screened = [], 0
-    for node, i in _lattice_pairs(chart, lattice, centers, reach):
-        j = ball_of[node]
-        i, j = i[j > i], j[j > i]
-        screened += len(i)
-        meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
-        found.append(np.stack([i[meet], j[meet]], axis=-1))
+    for ball, node, _ in _screen(chart, lattice, centers, reach, chart.n):
+        for cut in range(0, len(node), PAIR_BUDGET):
+            i, j = ball[cut:cut + PAIR_BUDGET], ball_of[node[cut:cut + PAIR_BUDGET]]
+            i, j = i[j > i], j[j > i]
+            screened += len(i)
+            meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
+            found.append(np.stack([i[meet], j[meet]], axis=-1))
     return np.concatenate(found), screened
 
 

@@ -97,12 +97,6 @@ class WeightSpec:
     w2_exp: Fraction  # multiplies the Sobolev term
     w3_exp: Fraction  # multiplies the forcing term
 
-    def evaluate(self, radii, which: str):
-        import numpy as np
-
-        exp = {"w1": self.w1_exp, "w2": self.w2_exp, "w3": self.w3_exp}[which]
-        return np.asarray(radii, dtype=float) ** float(exp)
-
 
 def k_star(m: int, n: int, r: RationalLike) -> int:
     """Number of bootstrap steps needed to climb from L^2 to L^r."""
@@ -193,17 +187,6 @@ def weight_spec(table: ExponentTable, r: RationalLike | None = None) -> WeightSp
     """Weight powers (r*delta, r*gamma, r*beta) for the global estimate."""
     r = table.r if r is None else _frac(r)
     return WeightSpec(w1_exp=r * table.delta, w2_exp=r * table.gamma, w3_exp=r * table.beta)
-
-
-def embedding_exponents(m: int, n: int, r: RationalLike, gamma: RationalLike) -> tuple[Fraction, Fraction]:
-    """Weighted-embedding arithmetic: s = nr/(n - rm) and nu = s(2 + gamma/r)."""
-    r = _frac(r)
-    gamma = _frac(gamma)
-    if Fraction(n) <= r * m:
-        raise ValueError(f"embedding undefined: need n > r*m, got n={n}, r*m={r * m}")
-    s = Fraction(n) * r / (Fraction(n) - r * m)
-    nu = s * (2 + gamma / r)
-    return s, nu
 
 
 def render_table(table: ExponentTable) -> str:

@@ -5,15 +5,13 @@ with a closed-form conformal factor f.  Each model also gives the partial
 derivatives of f up to order 3 in closed form (constant on the flat
 charts; a derivative of one 1-D profile on perturbed-Euclidean and the
 half-plane; polynomials in x over powers of 1 - |x|^2 on the disc).
-With phi = (1/2) log f, the connection and curvature are closed forms in
-the derivatives of phi:
+With phi = (1/2) log f, the connection is a closed form in the
+derivatives of phi:
 
   Gamma^i_kj = delta_ik d_j phi + delta_ij d_k phi - delta_kj d_i phi,
 
 and the same linear map applied to d^2 phi and d^3 phi gives d Gamma and
-d^2 Gamma exactly; the Ricci tensor is the conformal-change formula
-
-  Rc = -(n-2) (d^2 phi - d phi (x) d phi) - (lap phi + (n-2) |d phi|^2) delta.
+d^2 Gamma exactly.
 
 No finite differences and no symbolic algebra enter.
 
@@ -73,13 +71,6 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
         for axis in combo:
             beta[axis] += 1
         out.append(tuple(beta))
-    return out
-
-
-def multi_indices_up_to(n: int, m: int, start: int = 1) -> list[tuple[int, ...]]:
-    out = []
-    for order in range(start, m + 1):
-        out.extend(multi_indices(n, order))
     return out
 
 
@@ -568,7 +559,7 @@ def make_chart(name: str, **params) -> MetricChart:
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 
-# -- connection and curvature ----------------------------------------
+# -- connection ----------------------------------------------------
 
 
 def _require_inside(chart: MetricChart, x):
@@ -627,28 +618,6 @@ def christoffel_derivative(chart: MetricChart, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     _require_inside(chart, x)
     return _gamma_map(_phi_jet(chart, x, 2)[1])
-
-
-def ricci(chart: MetricChart, x) -> np.ndarray:
-    """Ricci tensor Rc_ij of g = e^(2 phi) delta (conformal-change formula)."""
-    x = np.asarray(x, dtype=float)
-    _require_inside(chart, x)
-    n = chart.n
-    dphi, hess = _phi_jet(chart, x, 2)
-    grad2 = np.sum(dphi**2, axis=-1)
-    lap = np.trace(hess, axis1=-2, axis2=-1)
-    outer = dphi[..., :, None] * dphi[..., None, :]
-    return -(n - 2) * (hess - outer) - (lap + (n - 2) * grad2)[..., None, None] * np.eye(n)
-
-
-def ricci_sup_norm(chart: MetricChart, points) -> float:
-    """Sup over sample points of the g-operator norm of the Ricci tensor."""
-    points = np.asarray(points, dtype=float).reshape(-1, chart.n)
-    rc = ricci(chart, points)
-    f = chart.conformal_factor(points)
-    op = rc / f[:, None, None]  # g^{-1} Rc for conformal metrics
-    eig = np.linalg.eigvalsh(0.5 * (op + np.swapaxes(op, -2, -1)))
-    return float(np.max(np.abs(eig)))
 
 
 # -- geodesic balls in chart coordinates ------------------------------

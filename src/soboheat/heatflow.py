@@ -53,29 +53,18 @@ def discrete_laplacian(grid: Grid):
     hvol = float(np.prod(grid.h))
     rows, cols, vals = [], [], []
     for ax in range(n):
-        # half-node metric coefficient f^(n/2-1) on each axis edge
-        p_idx = idx
-        if grid.wraps[ax]:
-            q_idx = np.roll(idx, -1, axis=ax)
-            mid = grid.points.copy()
-            step = np.zeros(n)
-            step[ax] = grid.h[ax] / 2.0
-            mid = chart.wrap(mid + step)
-            fmid = chart.conformal_factor(mid.reshape(-1, n)).reshape(shape)
-        else:
-            sl_p = [slice(None)] * n
-            sl_p[ax] = slice(0, shape[ax] - 1)
-            p_idx = idx[tuple(sl_p)]
-            sl_q = [slice(None)] * n
-            sl_q[ax] = slice(1, shape[ax])
-            q_idx = idx[tuple(sl_q)]
-            step = np.zeros(n)
-            step[ax] = grid.h[ax] / 2.0
-            mid = grid.points[tuple(sl_p)] + step
-            fmid = chart.conformal_factor(mid.reshape(-1, n)).reshape(p_idx.shape)
-        a = (fmid ** (n / 2.0 - 1.0) * hvol / grid.h[ax] ** 2).ravel()
-        p = p_idx.ravel()
-        q = q_idx.ravel()
+        # half-node metric coefficient f^(n/2-1) on each axis edge; an axis
+        # that wraps keeps the edge from its last node to its first
+        keep = [slice(None)] * n
+        if not grid.wraps[ax]:
+            keep[ax] = slice(0, shape[ax] - 1)
+        keep = tuple(keep)
+        p = idx[keep].ravel()
+        q = np.roll(idx, -1, axis=ax)[keep].ravel()
+        step = np.zeros(n)
+        step[ax] = grid.h[ax] / 2.0
+        fmid = chart.conformal_factor(chart.wrap(grid.points[keep] + step).reshape(-1, n))
+        a = fmid ** (n / 2.0 - 1.0) * hvol / grid.h[ax] ** 2
         rows += [p, q, p, q]
         cols += [p, q, q, p]
         vals += [a, a, -a, -a]
@@ -108,9 +97,13 @@ class ParabolicProblem:
     kind: str = "scalar"
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.dt, self.horizon, self.margin)):
+            raise DomainError("need finite dt, horizon and margin")
         if self.dt <= 0 or self.horizon <= 0 or self.margin < 0:
             raise DomainError("need dt > 0, horizon > 0, margin >= 0")
         ratio = (self.horizon + self.margin) / self.dt
+        if not math.isfinite(ratio):
+            raise DomainError(f"(horizon + margin)/dt overflows: dt = {self.dt:g} is too small")
         if abs(ratio - round(ratio)) > 1e-9 * ratio:
             raise DomainError(
                 f"(horizon + margin)/dt = {ratio:.12g} is not a whole number of steps"
@@ -192,7 +185,7 @@ def _implicit_euler(A, mass, omegas, dt, grid):
         x[j + 1] = solve(b)
         res = np.linalg.norm(A @ x[j + 1] - b)
         bnorm = np.linalg.norm(b)
-        if res > STEP_RTOL * bnorm:
+        if not res <= STEP_RTOL * bnorm:  # a NaN residual fails too
             raise NumericalError(
                 f"implicit Euler step {j + 1}: residual {res:.3g} exceeds "
                 f"{STEP_RTOL:g} x ||b|| = {STEP_RTOL * bnorm:.3g}"

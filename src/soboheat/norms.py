@@ -133,14 +133,6 @@ class DiscreteField:
         elif self.values.shape != expect:
             raise DomainError("value array shape does not match the grid")
 
-    @classmethod
-    def from_function(cls, grid: Grid, fn, kind="scalar", times=None):
-        pts = grid.points
-        if times is None:
-            return cls(grid, np.asarray(fn(pts), dtype=float), kind)
-        vals = np.stack([np.asarray(fn(t, pts), dtype=float) for t in times])
-        return cls(grid, vals, kind, np.asarray(times, dtype=float))
-
     def at_time(self, j: int) -> np.ndarray:
         return self.values[j] if self.times is not None else self.values
 
@@ -268,51 +260,6 @@ def holder_volume_check(field: DiscreteField, ball, r: float) -> dict:
     lr = _spatial_norm(field, field.at_time(0), NormRequest(r=r), q)
     rhs = vol ** (0.5 - 1.0 / r) * lr
     return {"lhs": lhs, "rhs": rhs, "volume": vol, "holds": lhs <= rhs * (1 + 1e-12)}
-
-
-def _chart_side_norm(field: DiscreteField, ball, m: int, r: float) -> float:
-    """Flat Sobolev norm in the chart rescaled at the ball center: plain
-    partials d_xi = f(c)^(-1/2) d_x, Lebesgue measure dxi = f(c)^(n/2) dx."""
-    grid = field.grid
-    chart = grid.chart
-    center = np.asarray(ball[0], dtype=float)
-    fc = float(chart.conformal_factor(center[None])[0])
-    mask = grid.ball_mask(*ball)
-    q = float(np.prod(grid.h)) * fc ** (chart.n / 2.0) * mask
-    total = 0.0
-    cur = field.at_time(0)
-    for j in range(m + 1):
-        sq = cur**2
-        for _ in range(j + (1 if field.kind == "one-form" else 0)):
-            sq = sq.sum(axis=-1)
-        mod = np.sqrt(sq) * fc ** (-j / 2.0)  # chart rescaling of each d_xi
-        total += float(np.sum(mod**r * q)) ** (1.0 / r)
-        if j < m:
-            cur = np.stack([grid.partial(cur, ax) for ax in range(chart.n)],
-                           axis=len(grid.shape))
-    return total
-
-
-def chart_norm_comparison(field: DiscreteField, ball, m: int, r: float,
-                          variant: str = "sections") -> dict:
-    """Manifold-side vs rescaled-chart Sobolev norms on an admissible ball.
-
-    The two ratios are normalized by the radius power R^-m (sections) or
-    R^(1-m) (functions); both stay bounded across admissible balls.
-    """
-    if m > 2:
-        raise CapabilityError("norm comparison available for m <= 2")
-    center, R = ball
-    manifold = sobolev_norm(field, NormRequest(r=r, l=m, region=ball))
-    chart_side = _chart_side_norm(field, ball, m, r)
-    p = -m if variant == "sections" else 1 - m
-    scale = R**p
-    return {
-        "manifold_norm": manifold,
-        "chart_norm": chart_side,
-        "ratio_m_over_c": manifold / (scale * chart_side) if chart_side else math.inf,
-        "ratio_c_over_m": chart_side / (scale * manifold) if manifold else math.inf,
-    }
 
 
 def covering_sum_norm(field: DiscreteField, covering, weight_exp: float, l: int,

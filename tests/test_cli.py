@@ -221,6 +221,14 @@ def test_config_parse_error(tmp_path, capsys):
     ["radius", "--model", "euclidean", "--grid", "2x2", "--tol", "nan"],
     # one field center on a corner of the box: no radius to cover with
     ["cover", "--model", "euclidean", "--grid", "1x1", "--cover-box", "4.8:5.2,4.8:5.2"],
+    # a horizon or step that is not finite, or a step count that overflows
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--T", "inf"],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--dt", "1e-320"],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--dt", "nan"],
+    # a bump forcing with no width, or with a time frequency that is not finite
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--width", "0"],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--width", "nan"],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--tfreq", "inf"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content

@@ -90,21 +90,6 @@ def test_weight_spec_scales_with_r(m, n):
     assert ws.w3_exp == 4 * t.beta
 
 
-def test_weight_spec_evaluate_is_pointwise_power():
-    t = ex.bootstrap_table(2, 2, 2)
-    ws = ex.weight_spec(t)
-    vals = ws.evaluate([1.0, 0.5], "w2")
-    assert vals[0] == 1.0
-    assert vals[1] == 0.5 ** float(ws.w2_exp)
-
-
-def test_embedding_exponents_formula():
-    # s = n r / (n - r m) needs n > r m; use m=1, n=4, r=3: s = 12
-    s, nu = ex.embedding_exponents(1, 4, 3, gamma=6)
-    assert s == 12
-    assert nu == 12 * (2 + Fraction(6, 3))
-
-
 def test_render_table_mentions_terminals():
     t = ex.bootstrap_table(2, 4, 4)
     text = ex.render_table(t)

@@ -46,6 +46,11 @@ def test_problem_validation():
     for horizon, margin, dt in [(0.5, 0.0, 0.3), (0.3, 0.1, 0.03), (0.001, 0.0, 1.0)]:
         with pytest.raises(DomainError, match="whole number"):
             hf.ParabolicProblem(grid, eigen_forcing, horizon=horizon, margin=margin, dt=dt)
+    # non-finite values, and a step count that overflows to infinity
+    for horizon, margin, dt in [(math.inf, 0.0, 0.1), (1.0, math.nan, 0.1), (1.0, 0.0, math.nan),
+                                (1.0, 0.0, 1e-320)]:
+        with pytest.raises(DomainError, match="finite|overflows"):
+            hf.ParabolicProblem(grid, eigen_forcing, horizon=horizon, margin=margin, dt=dt)
 
 
 def test_laplacian_symmetric_and_psd():
@@ -217,6 +222,19 @@ def test_inaccurate_step_raises(monkeypatch):
     prob = hf.ParabolicProblem(euclid_grid(9), eigen_forcing, horizon=0.1, margin=0.0,
                                dt=0.05)
     with pytest.raises(NumericalError, match="residual"):
+        hf.solve_parabolic(prob)
+
+
+@pytest.mark.parametrize("grid", [euclid_grid(9), torus_grid(8)], ids=["splu", "fft"])
+def test_nan_forcing_raises(grid):
+    """A NaN residual must fail the step check, not pass it."""
+    def forcing(t, pts):
+        vals = eigen_forcing(t, pts)
+        vals[4, 4] = math.nan
+        return vals
+
+    prob = hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0, dt=0.05)
+    with pytest.raises(NumericalError, match="residual nan"):
         hf.solve_parabolic(prob)
 
 
