@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import M_MAX, DomainError, MetricChart, ball_bbox, grid_points
+from .geometry import M_MAX, PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_blocks, grid_points
 
 R_CAP = 2.5  # radii beyond this never affect min(1, R'/2)
 
@@ -206,10 +206,11 @@ class RadiusField:
         property: R'(q) >= max_j (R'(p_j) - d(q, p_j))."""
         query = np.asarray(query, dtype=float).reshape(-1, self.chart.n)
         good = ~self.degenerate
-        pts = self.points[good]
         rp = self.r_prime[good]
-        d = self.chart.distance(query[:, None, :], pts[None, :, :])
-        lb = np.max(rp[None, :] - d, axis=1, initial=0.0)  # 0 where every center is degenerate
+        lb = np.empty(len(query))
+        for start, d in _distance_rows(self.chart, query, self.points[good]):
+            # 0 where every center is degenerate
+            lb[start:start + len(d)] = np.max(rp[None, :] - d, axis=1, initial=0.0)
         return np.minimum(1.0, lb / 2.0)
 
     def to_csv(self, path):
@@ -243,20 +244,30 @@ def grid_centers(chart: MetricChart, per_axis, margin: float = 0.0) -> np.ndarra
                        np.where(per, chart.hi, chart.hi - margin), per_axis, endpoint=~per)
 
 
+def _distance_rows(chart: MetricChart, x, y):
+    """(start, d) per block of rows of the x x y distance matrix: d[a, b] =
+    d(x[start + a], y[b]), at most PAIR_BUDGET pairs per block (a row
+    longer than that is a block of its own)."""
+    for start, stop in budget_blocks(np.full(len(x), len(y)), PAIR_BUDGET):
+        yield start, chart.distance(x[start:stop, None, :], y[None, :, :])
+
+
 def check_slow_variation(fld: RadiusField) -> dict:
     """R(y) in [R(x)/2 - tol, 2 R(x) + tol] for all sampled y in B(x, R(x))."""
     good = ~fld.degenerate
     pts = fld.points[good]
     re = fld.r_eps[good]
-    d = fld.chart.distance(pts[:, None, :], pts[None, :, :])
     tol = 2 * fld.params.bisection_tol
-    within = d <= re[:, None]
-    lo_ok = re[None, :] >= re[:, None] / 2.0 - tol
-    hi_ok = re[None, :] <= 2.0 * re[:, None] + tol
-    bad = within & ~(lo_ok & hi_ok)
-    viol = np.argwhere(bad)
-    return {"pairs_checked": int(within.sum()), "violations": len(viol),
-            "violating_pairs": viol[:20].tolist()}
+    checked, violations, first = 0, 0, []
+    for start, d in _distance_rows(fld.chart, pts, pts):
+        rx = re[start:start + len(d), None]
+        within = d <= rx
+        bad = within & ~((re[None, :] >= rx / 2.0 - tol) & (re[None, :] <= 2.0 * rx + tol))
+        checked += int(within.sum())
+        violations += int(bad.sum())
+        if len(first) < 20:
+            first += (np.argwhere(bad) + [start, 0])[:20 - len(first)].tolist()
+    return {"pairs_checked": checked, "violations": violations, "violating_pairs": first}
 
 
 def check_lipschitz(fld: RadiusField) -> dict:
@@ -266,13 +277,16 @@ def check_lipschitz(fld: RadiusField) -> dict:
     rp = fld.r_prime[good]
     if len(pts) < 2:
         return {"pairs_checked": 0, "violations": 0, "max_excess": 0.0}
-    d = fld.chart.distance(pts[:, None, :], pts[None, :, :])
     tol = 2 * fld.params.bisection_tol
-    excess = np.abs(rp[:, None] - rp[None, :]) - d - tol
-    np.fill_diagonal(excess, -np.inf)
-    viol = int(np.count_nonzero(excess > 0))
-    return {"pairs_checked": int(len(pts) * (len(pts) - 1)), "violations": viol,
-            "max_excess": float(np.max(excess))}
+    violations, worst = 0, -np.inf
+    for start, d in _distance_rows(fld.chart, pts, pts):
+        rows = np.arange(len(d))
+        excess = np.abs(rp[start:start + len(d), None] - rp[None, :]) - d - tol
+        excess[rows, start + rows] = -np.inf
+        violations += int(np.count_nonzero(excess > 0))
+        worst = float(np.max(excess, initial=worst))
+    return {"pairs_checked": int(len(pts) * (len(pts) - 1)), "violations": violations,
+            "max_excess": worst}
 
 
 def uniform_lower_bound(fld: RadiusField) -> float:

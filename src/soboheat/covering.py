@@ -8,17 +8,17 @@ a probe grid: full coverage, and a maximum overlap count bounded by
 T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated family B(x, R(x)/10)
 obeys the level-scaled bound T * 2^(n k).
 
-Probes and candidate centers are lattices of the box, so the nodes within
-chart reach of a ball form an index box per axis (a few boxes on a
-periodic axis, one per image of the center).  Touching pairs enumerate
-those boxes, keep the nodes within chart reach of the center (nearest
-image on the torus) and check the kept pairs exactly.  Overlap counts
-settle (probe, ball) pairs by closed-form bounds on f over each ball's
-own box: along the last axis every row of probes gets the index ranges
-of the probes surely inside (counted with a difference array) and surely
-outside, and only the thin shell between the two reaches the distance.
-Both pass at most PAIR_BUDGET pairs per distance call and run the balls
-in blocks of at most PAIR_BUDGET index-box nodes (rows, for the counts).
+Probes and candidate centers are lattices of the box, and one screen
+serves both queries: per axis, the nodes within a chart reach of the
+center (nearest image on a periodic axis, one index range per image) are
+an index range in closed form.  The screen walks the rows (axes 0..n-2)
+within reach of each ball and gives every (ball, row) its range on the
+last axis.  Touching pairs check every screened pair of centers exactly.
+Overlap counts settle (probe, ball) pairs by closed-form bounds on f over
+each ball's own box: the probes surely inside are counted with a
+difference array along the rows, and only the thin shell outside them
+reaches the distance.  Both run the balls in blocks of at most
+PAIR_BUDGET rows and pass at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .geometry import (PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
 # PAIR_BUDGET (from geometry) caps the (node, ball) pairs per distance call and the
-# index-box nodes (rows, for the counts) per run of balls
+# rows per run of balls, for both queries
 
 
 def overlap_bound(n: int, eps: float) -> float:
@@ -139,90 +139,79 @@ def _grown_box(chart: MetricChart, lo, hi, reach):
     return np.maximum(np.asarray(lo) - reach, chart.lo), np.minimum(np.asarray(hi) + reach, chart.hi)
 
 
-def _index_boxes(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
-    """(first, size), each (balls, axes, 3): on each of the first `axes`
-    axes the lattice indices first + [0, size) that may lie within chart
-    reach of the center's images c - L, c, c + L (L the period; 0 on a
-    non-periodic axis).  The three ranges are disjoint and in order, so
-    their sizes add up to the ball's index count on that axis.  Each range
-    is rounded outward by up to a node, so rounding drops no node within
-    reach; the exact test is the caller's."""
-    period = np.where(chart.periodic, chart.hi - chart.lo, 0.0)[:axes]
-    images = centers[:, :axes, None] + period[:, None] * np.array([-1.0, 0.0, 1.0])
-    lo = lattice.lo[:axes, None]
-    step = lattice.step[:axes, None]
-    count = lattice.count[:axes, None]
-    r = reach[:, None, None]
-    first = np.clip(np.floor((images - r - lo) / step), 0, count).astype(np.intp)
-    end = np.clip(np.floor((images + r - lo) / step) + 2, 0, count).astype(np.intp)
-    end = np.maximum(end, first)
-    # first and end grow with the image, so a range overlaps only the
-    # ranges before it and starts where the last one ended
-    first[..., 1:] = np.maximum(first[..., 1:], end[..., :-1])
-    return first, end - first
+def _expand(start, length):
+    """The indices start[i] + [0, length[i]) of every i, in order."""
+    return np.arange(int(length.sum())) + np.repeat(start - (np.cumsum(length) - length), length)
 
 
-def _axis_nodes(chart: MetricChart, lattice: _Lattice, centers, first, size, axis):
-    """(index, sq): every ball's lattice indices on the axis, ball after
-    ball (its three ranges of _index_boxes in turn), and their squared
-    chart displacements from the center, the nearest image on a periodic
-    axis."""
-    seg = size[:, axis].ravel()
-    ends = np.cumsum(seg)
-    index = np.arange(int(seg.sum())) + np.repeat(first[:, axis].ravel() - (ends - seg), seg)
-    owner = np.repeat(np.arange(len(centers)), size[:, axis].sum(axis=-1))
-    d = np.abs(lattice.axes[axis][index] - centers[owner, axis])
+def _axis_nodes(chart: MetricChart, lattice: _Lattice, centers, reach, axis):
+    """(index, sq, width): every ball's lattice indices on the axis within
+    chart reach of the center (`_axis_ranges`), ball after ball, their
+    squared chart displacements from the center (the nearest image on a
+    periodic axis), and how many each ball has."""
+    first, last = _axis_ranges(chart, lattice, centers[:, axis], reach, axis)
+    size = np.maximum(last - first + 1, 0)
+    index = _expand(first.ravel(), size.ravel())
+    width = size.sum(axis=-1)
+    d = np.abs(lattice.axes[axis][index] - np.repeat(centers[:, axis], width))
     if chart.periodic[axis]:
         d = np.minimum(d, (chart.hi - chart.lo)[axis] - d)
-    return index, d * d
+    return index, d * d, width
 
 
-def _screen(chart: MetricChart, lattice: _Lattice, centers, reach, axes: int):
-    """Per run of balls, (ball, node, sq): the lattice nodes of every ball's
-    index box on the first `axes` axes whose chart displacement from the
-    center there (nearest image on a periodic axis) is at most reach[ball];
-    node is their row-major index over those axes and sq their squared
-    displacement.  The balls go in runs whose index boxes hold at most
-    PAIR_BUDGET nodes on those axes (a larger box is a run of its own);
-    each run starts from one entry per ball and grows it axis by axis,
-    dropping the entries whose squared displacement so far exceeds
-    reach^2."""
-    first, size = _index_boxes(chart, lattice, centers, reach, axes)
-    width = size.sum(axis=-1)
+def _screen(chart: MetricChart, lattice: _Lattice, centers, reach):
+    """Per run of balls, (ball, row, sq, first, last): the rows of lattice
+    nodes (axes 0..n-2) within chart reach[ball] of the center (nearest
+    image on a periodic axis), with row their row-major index over those
+    axes and sq their squared displacement, and each (ball, row)'s index
+    ranges on the last axis within sqrt(reach^2 - sq).  All ranges come
+    from `_axis_ranges`.  The balls go in runs whose ranges hold at most
+    PAIR_BUDGET rows (a larger ball is a run of its own); each run starts
+    from one entry per ball and grows it axis by axis, dropping the
+    entries whose squared displacement so far exceeds reach^2."""
+    last = chart.n - 1
+    nodes = [_axis_nodes(chart, lattice, centers, reach, i) for i in range(last)]
+    width = np.stack([w for _, _, w in nodes], axis=-1)
     begin = np.cumsum(width, axis=0) - width
-    nodes = [_axis_nodes(chart, lattice, centers, first, size, i) for i in range(axes)]
-    strides = np.append(np.cumprod(lattice.count[axes - 1:0:-1])[::-1], 1)
+    strides = np.append(np.cumprod(lattice.count[last - 1:0:-1])[::-1], 1)
     reach2 = reach**2
     for start, stop in budget_blocks(np.prod(width, axis=-1), PAIR_BUDGET):
         ball = np.arange(start, stop)
-        node = np.zeros(len(ball), dtype=np.intp)
+        row = np.zeros(len(ball), dtype=np.intp)
         sq = np.zeros(len(ball))
-        for i, (index, axis_sq) in enumerate(nodes):
+        for i, (index, axis_sq, _) in enumerate(nodes):
             w = width[ball, i]
-            parent = np.repeat(np.arange(len(ball)), w)
-            j = np.arange(len(parent)) + np.repeat(begin[ball, i] - (np.cumsum(w) - w), w)
-            ball = ball[parent]
-            node = node[parent] + index[j] * strides[i]
-            sq = sq[parent] + axis_sq[j]
+            j = _expand(begin[ball, i], w)
+            ball = np.repeat(ball, w)
+            row = np.repeat(row, w) + index[j] * strides[i]
+            sq = np.repeat(sq, w) + axis_sq[j]
             inside = sq <= reach2[ball]
-            ball, node, sq = ball[inside], node[inside], sq[inside]
-        yield ball, node, sq
+            ball, row, sq = ball[inside], row[inside], sq[inside]
+        yield (ball, row, sq,
+               *_axis_ranges(chart, lattice, centers[ball, last], np.sqrt(reach2[ball] - sq), last))
 
 
 def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     """(pairs, screened): the index pairs (i < j) of the balls centered at
     the lattice nodes[i] that meet, d(c_i, c_j) <= r_i + r_j, and the
     number of pairs checked.  Balls meet only within chart distance
-    2 max(r) / sqrt(f_min), with f_min a lower bound of f near them; the
-    lattice screens pairs by that distance."""
+    (2 max(r) + s) / sqrt(f_min), with f_min a lower bound of f near them
+    and s the rounding slack of 2 max(r); the lattice screens pairs by
+    that distance, and the slack keeps rounding in the screen's index
+    ranges from dropping a pair that meets."""
     centers = lattice.points[nodes]
     ball_of = np.full(len(lattice), -1)
     ball_of[nodes] = np.arange(len(nodes))
-    reach = np.full(len(nodes), 2.0 * float(np.max(radii)) / math.sqrt(f_min))
+    diameter = 2.0 * float(np.max(radii))
+    reach = np.full(len(nodes), (diameter + rounding_slack(diameter)) / math.sqrt(f_min))
+    m = int(lattice.count[-1])
     found, screened = [], 0
-    for ball, node, _ in _screen(chart, lattice, centers, reach, chart.n):
-        for cut in range(0, len(node), PAIR_BUDGET):
-            i, j = ball[cut:cut + PAIR_BUDGET], ball_of[node[cut:cut + PAIR_BUDGET]]
+    for ball, row, _, first, last in _screen(chart, lattice, centers, reach):
+        start = (row * m)[:, None] + first
+        owner = np.broadcast_to(ball[:, None], first.shape)
+        for node, i in _segment_pairs(start.ravel(), np.maximum(last - first + 1, 0).ravel(),
+                                      owner.ravel()):
+            j = ball_of[node]
             i, j = i[j > i], j[j > i]
             screened += len(i)
             meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
@@ -269,12 +258,12 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     sqrt(f_min) |D| > r + s: a geodesic of length <= r stays in the box,
     and so does the chord's segment (see `_box_perturbed`).
 
-    The probe lattice screens rows (axes 0..n-2) by the outer chart
-    radius (r + s) / sqrt(f_min).  On the last axis every (ball, row)
-    gets its inner and outer index ranges in closed form; the inner ones
-    are counted with a difference array along the rows, and only the
-    probes between the two ranges go to the distance, at most PAIR_BUDGET
-    pairs per call.
+    `_screen` walks the probe rows by the outer chart radius
+    (r + s) / sqrt(f_min) and gives every (ball, row) its outer index
+    ranges on the last axis; the inner ones, by r - s and f_max, come
+    from `_axis_ranges` here.  The inner ranges are counted with a
+    difference array along the rows, and only the probes between the two
+    ranges go to the distance, at most PAIR_BUDGET pairs per call.
     """
     last = chart.n - 1
     m = int(probes.count[last])
@@ -286,10 +275,9 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     inner2 = np.where(inner >= 0, inner * inner, -1.0)  # -1: no probe is surely inside
     counts = np.zeros(len(probes), dtype=int)
     starts, ends = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-    for ball, row, sq in _screen(chart, probes, centers, outer, last):
-        c = centers[ball, last]
-        first, end = _axis_ranges(chart, probes, c, np.sqrt(outer[ball] ** 2 - sq), last)
-        a, b = _axis_ranges(chart, probes, c, np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
+    for ball, row, sq, first, end in _screen(chart, probes, centers, outer):
+        a, b = _axis_ranges(chart, probes, centers[ball, last],
+                            np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
         a, b = np.maximum(a, first), np.minimum(b, end)
         # an empty inner range moves past the outer one, whose nodes are then all shell
         empty = (a > b) | (inner2[ball] < sq)[:, None]
@@ -314,9 +302,8 @@ def _segment_pairs(start, length, ball):
     """(node, ball) index arrays, at most PAIR_BUDGET long, of the nodes
     start[i] + [0, length[i]) paired with ball[i]."""
     for s0, s1 in budget_blocks(length, PAIR_BUDGET):
-        n = length[s0:s1]
-        node = np.repeat(start[s0:s1] - (np.cumsum(n) - n), n) + np.arange(int(n.sum()))
-        owner = np.repeat(ball[s0:s1], n)
+        node = _expand(start[s0:s1], length[s0:s1])
+        owner = np.repeat(ball[s0:s1], length[s0:s1])
         for cut in range(0, len(node), PAIR_BUDGET):
             yield node[cut:cut + PAIR_BUDGET], owner[cut:cut + PAIR_BUDGET]
 

@@ -35,8 +35,8 @@ point pairs.
 `volume_of_ball` weighs each quadrature cell by the share of its
 sub-points in the ball.  The Lipschitz bound settles whole blocks of
 sub-points inside or outside, so the distance runs only near the ball's
-boundary.  It and the covering screens pass at most PAIR_BUDGET pairs per
-distance call.
+boundary.  It, the covering screens and the radius-field checks pass at
+most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
@@ -98,7 +98,7 @@ def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
     return blocks
 
 
-PAIR_BUDGET = 1 << 14  # pairs per distance call of volume_of_ball and the covering screens
+PAIR_BUDGET = 1 << 14  # pairs per distance call: ball volumes, covering screens, radius-field checks
 
 # 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)

@@ -327,3 +327,58 @@ def test_halfplane_domain_cap_is_the_distance_to_the_nearest_face():
     caps = adm.domain_cap(chart, centers, tol)
     assert caps.shape == (len(centers),)
     assert caps.tolist() == [adm.domain_cap(chart, c, tol) for c in centers]
+
+
+def scrambled_field(chart, pts, seed=0):
+    """A RadiusField on pts with seeded R', R and flags, so that the checks
+    see many violations, degenerate and truncated centers included."""
+    rng = np.random.default_rng(seed)
+    r_prime = rng.uniform(0.05, 1.0, len(pts))
+    return adm.RadiusField(chart, params(), pts, r_prime, rng.uniform(0.01, 1.0, len(pts)),
+                           rng.random(len(pts)) < 0.2, np.zeros(len(pts), dtype=int),
+                           rng.random(len(pts)) < 0.1)
+
+
+@pytest.mark.parametrize("name", ["euclidean", "hyperbolic-halfplane", "flat-torus"])
+def test_pairwise_work_runs_in_pair_budget_blocks(name, monkeypatch):
+    """lower_bound_at, check_slow_variation and check_lipschitz give the
+    results of the full query x center distance matrix when the rows run
+    in blocks of at most PAIR_BUDGET pairs, the first 20 violating pairs
+    in row-major order included."""
+    chart = make_chart(name)
+    rng = np.random.default_rng(1)
+    lo, hi = np.maximum(chart.lo, [-0.5, 0.6]), np.minimum(chart.hi, [0.5, 1.6])
+    fld = scrambled_field(chart, rng.uniform(lo, hi, size=(24, 2)))
+    queries = rng.uniform(lo, hi, size=(100, 2))
+    tol = 2 * fld.params.bisection_tol
+    good, free = ~fld.degenerate, ~fld.degenerate & ~fld.truncated
+    pts, rp, re = fld.points[good], fld.r_prime[good], fld.r_eps[good]
+    d = chart.distance(queries[:, None, :], pts[None, :, :])
+    want_lb = np.minimum(1.0, np.max(rp - d, axis=1) / 2.0)
+    d = chart.distance(pts[:, None, :], pts[None, :, :])
+    within = d <= re[:, None]
+    bad = within & ~((re >= re[:, None] / 2.0 - tol) & (re <= 2.0 * re[:, None] + tol))
+    rp, pts = fld.r_prime[free], fld.points[free]
+    excess = np.abs(rp[:, None] - rp) - chart.distance(pts[:, None, :], pts[None, :, :]) - tol
+    np.fill_diagonal(excess, -np.inf)
+
+    budget = 50  # two rows of at most 24 centers per distance call
+    monkeypatch.setattr(adm, "PAIR_BUDGET", budget)
+    sizes = []
+    distance = chart.distance
+
+    def recording(x, y):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
+        return distance(x, y)
+
+    monkeypatch.setattr(chart, "distance", recording)
+    assert np.array_equal(fld.lower_bound_at(queries), want_lb)
+    assert len(sizes) == len(queries) // 2
+    assert adm.check_slow_variation(fld) == {
+        "pairs_checked": int(within.sum()), "violations": int(bad.sum()),
+        "violating_pairs": np.argwhere(bad)[:20].tolist()}
+    assert adm.check_lipschitz(fld) == {
+        "pairs_checked": len(rp) * (len(rp) - 1), "violations": int(np.count_nonzero(excess > 0)),
+        "max_excess": float(np.max(excess))}
+    assert bad.sum() > 20 and np.any(excess > 0)
+    assert max(sizes) <= budget

@@ -255,16 +255,14 @@ def test_count_memberships_equals_brute_force(name, budget, monkeypatch):
         assert np.all(np.any(np.all(sent[:, None, :] == probes.points[near.any(axis=1)], axis=-1), axis=1))
 
 
-@st.composite
-def count_cases(draw):
-    """(chart, lattice, centers, radii): a model and n, a lattice of 2 to
-    12 nodes per axis over a sub-box, and 1 to 12 balls up to about half
-    the box wide (past half a period on a whole torus), centered anywhere
-    or, for ties, on nodes with radii a whole number of steps."""
+def draw_lattice(draw, torus_box):
+    """(chart, lattice, lo, hi, rng): a model and n, a lattice of 2 to 12
+    nodes per axis (6 in 3-D) over the sub-box [lo, hi] (on the torus,
+    the whole period or torus_box per axis), and a seeded generator."""
     name, lo, hi = draw(st.sampled_from([
         ("euclidean", 4.0, 5.0), ("perturbed-euclidean", 4.0, 5.5),
         ("hyperbolic-halfplane", 0.7, 1.3), ("hyperbolic-ball", -0.4, 0.4),
-        ("flat-torus", 0.0, 4.0), ("flat-torus", 0.5, 2.0)]))
+        ("flat-torus", 0.0, 4.0), ("flat-torus", *torus_box)]))
     n = draw(st.sampled_from([2, 3])) if name in ("euclidean", "perturbed-euclidean", "flat-torus") else 2
     kw = {"n": n, "L": 4.0} if name == "flat-torus" else {"n": n}
     if name == "perturbed-euclidean":
@@ -274,7 +272,16 @@ def count_cases(draw):
     box = [(lo, hi)] * n if name != "hyperbolic-halfplane" else [(-0.3, 0.3), (lo, hi)]
     b_lo, b_hi, endpoint = cov._target_box(chart, box)
     lattice = cov._spaced_grid(b_lo, b_hi, float(np.min(b_hi - b_lo)) / per_axis, endpoint)
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return chart, lattice, b_lo, b_hi, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+
+@st.composite
+def count_cases(draw):
+    """(chart, lattice, centers, radii): a lattice of draw_lattice, and 1
+    to 12 balls up to about half the box wide (past half a period on a
+    whole torus), centered anywhere or, for ties, on nodes with radii a
+    whole number of steps."""
+    chart, lattice, b_lo, b_hi, rng = draw_lattice(draw, (0.5, 2.0))
     n_balls = draw(st.integers(1, 12))
     width = float(np.min(b_hi - b_lo))
     r_max = draw(st.sampled_from([0.05, 0.2, 0.6])) * width
@@ -282,7 +289,7 @@ def count_cases(draw):
         centers = lattice.points[rng.integers(0, len(lattice), n_balls)]
         radii = float(np.min(lattice.step)) * rng.integers(1, 6, n_balls)
     else:
-        centers = chart.wrap(rng.uniform(b_lo, b_hi, size=(n_balls, n)))
+        centers = chart.wrap(rng.uniform(b_lo, b_hi, size=(n_balls, chart.n)))
         radii = rng.uniform(0.05, 1.0, n_balls) * r_max
     return chart, lattice, centers, radii
 
@@ -302,24 +309,102 @@ def chart_displacement(chart, x, y):
                           axis=-1)
 
 
-@pytest.mark.parametrize("name", sorted(LATTICE_CASES))
-def test_touching_pairs_equal_brute_force(name):
+def touching_reach(radii, f_min):
+    """The chart distance (2 max(r) + s) / sqrt(f_min) that touching pairs
+    screen by, s the rounding slack."""
+    diameter = 2.0 * float(np.max(radii))
+    return (diameter + geo.rounding_slack(diameter)) / math.sqrt(f_min)
+
+
+def distance_spy(monkeypatch, chart):
+    """The number of pairs of every distance call on chart."""
+    sizes = []
+    distance = chart.distance
+
+    def recording(x, y):
+        sizes.append(int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1]))))
+        return distance(x, y)
+
+    monkeypatch.setattr(chart, "distance", recording)
+    return sizes
+
+
+def brute_force_touching(chart, centers, radii):
+    """(pairs, displacement): the index pairs i < j with d(c_i, c_j) <=
+    r_i + r_j, and the chart displacement of every pair i < j."""
+    i, j = np.triu_indices(len(centers), 1)
+    meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
+    return list(zip(i[meet].tolist(), j[meet].tolist())), chart_displacement(chart, centers[i], centers[j])
+
+
+@pytest.mark.parametrize("name, budget", [
+    pytest.param(name, budget, id=f"budget-7-{name}" if budget == 7 else name)
+    for budget in (cov.PAIR_BUDGET, 7) for name in sorted(LATTICE_CASES)])
+def test_touching_pairs_equal_brute_force(name, budget, monkeypatch):
     """On a candidate lattice with holes, the touching pairs equal the
     pairs i < j with d(c_i, c_j) <= r_i + r_j over all pairs, and the
     screened count equals the number of pairs within the screen's chart
-    distance 2 max(r) / sqrt(f_min)."""
+    distance (2 max(r) + s) / sqrt(f_min); a budget of 7 splits the balls
+    into many runs and the pairs into many distance calls, none above the
+    budget."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
     chart, lattice, _, _, f_min = lattice_inputs(name)
     rng = np.random.default_rng(1)
     nodes = np.flatnonzero(rng.random(len(lattice)) < 0.7)
     radii = rng.uniform(0.2, 1.0, len(nodes)) * 2.0 * float(np.max(lattice.step))
+    want, displacement = brute_force_touching(chart, lattice.points[nodes], radii)
+    sizes = distance_spy(monkeypatch, chart)
     pairs, screened = cov._touching_pairs(chart, lattice, nodes, radii, f_min)
-    c = lattice.points[nodes]
-    i, j = np.triu_indices(len(nodes), 1)
-    meet = chart.distance(c[i], c[j]) <= radii[i] + radii[j]
-    want = chart_displacement(chart, c[i], c[j]) <= 2.0 * np.max(radii) / np.sqrt(f_min)
-    assert meet.sum() > 0 and want.sum() > meet.sum()
-    assert sorted(map(tuple, pairs.tolist())) == list(zip(i[meet].tolist(), j[meet].tolist()))
-    assert screened == int(want.sum())
+    within = displacement <= touching_reach(radii, f_min)
+    assert 0 < len(want) < within.sum()
+    assert sorted(map(tuple, pairs.tolist())) == want
+    assert screened == int(within.sum())
+    assert max(sizes) <= budget
+
+
+@st.composite
+def touching_cases(draw):
+    """(chart, lattice, nodes, radii, f_min): a lattice of draw_lattice
+    (its torus sub-box reaches both sides of the seam), a random subset
+    of its nodes as centers, radii of whole and half lattice steps so
+    that lattice ties occur, and f_min the least f over every center's
+    ball box of radius 2 max(r), which holds every geodesic and chord
+    between two balls that meet."""
+    chart, lattice, _, _, rng = draw_lattice(draw, (0.1, 3.8))
+    nodes = np.flatnonzero(rng.random(len(lattice)) < draw(st.sampled_from([0.3, 0.7, 1.0])))
+    if len(nodes) == 0:
+        nodes = np.array([0])
+    radii = float(lattice.step[0]) / 2.0 * rng.integers(1, draw(st.sampled_from([3, 7])), len(nodes))
+    box_lo, box_hi, _ = geo.ball_bbox(chart, lattice.points[nodes], np.full(len(nodes), 2.0 * radii.max()))
+    f_min = float(np.min(chart.factor_range(box_lo, box_hi)[0]))
+    return chart, lattice, nodes, radii, f_min
+
+
+@settings(max_examples=60, deadline=None)
+@given(touching_cases())
+def test_touching_pairs_fuzz(case):
+    """The touching pairs equal brute force, lattice ties included, and
+    the screened count lies between the numbers of pairs within the reach
+    less and more a relative 1e-12."""
+    chart, lattice, nodes, radii, f_min = case
+    pairs, screened = cov._touching_pairs(chart, lattice, nodes, radii, f_min)
+    want, displacement = brute_force_touching(chart, lattice.points[nodes], radii)
+    assert sorted(map(tuple, pairs.tolist())) == want
+    reach = touching_reach(radii, f_min)
+    assert np.sum(displacement <= reach * (1 - 1e-12)) <= screened <= np.sum(displacement <= reach * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("model", ["euclidean", "hyperbolic-halfplane", "flat-torus"])
+def test_core_disjointness_reports_meeting_cores(model):
+    """Cores scaled up until neighbours meet: check_core_disjointness
+    reports exactly the number of core pairs with d(x_i, x_j) <= r_i + r_j
+    over all pairs."""
+    c = cov.build_admissible_covering(acceptance._field_for(model), 1, box=SMALL_BOXES[model])
+    c.core_radii = 2.0 * c.core_radii
+    want, _ = brute_force_touching(c.chart, c.centers, c.core_radii)
+    report = cov.check_core_disjointness(c)
+    assert len(want) > 0
+    assert report["violations"] == len(want)
 
 
 @pytest.mark.parametrize("box", [[(3.4, 4.6), (1.0, 2.0)], [(0.0, 8.0), (0.0, 4.0)],
