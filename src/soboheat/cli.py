@@ -263,6 +263,9 @@ def cmd_solve(cfg) -> int:
         box = [(chart.lo[i], chart.hi[i]) for i in range(chart.n)]
     per_axis = _parse_grid(_get(cfg, "grid", "33x33"), chart.n)
     grid = norms.Grid.over_box(chart, box, per_axis)
+    estimates = _get(cfg, "estimates", False)
+    if estimates:
+        grid.require_derivative_nodes()
     forcing = _forcing_from_config(cfg, chart, box)
     kind = _get(cfg, "kind", "scalar")
     if kind == "one-form":
@@ -297,7 +300,7 @@ def cmd_solve(cfg) -> int:
             "worst_margin": contraction["worst_margin"],
         }
     ]
-    if _get(cfg, "estimates", False):
+    if estimates:
         params = _params_from_config(cfg)
         margin = 0.25 * min(hi - lo for lo, hi in box)
         fld = admissible.radius_field(chart, admissible.grid_centers(chart, 5, margin), params)

@@ -8,11 +8,27 @@ differences plus Christoffel corrections:
             (Hess u)_ij  = d_i d_j u - Gamma^k_ij d_k u
   one-forms (D w)_ij     = d_i w_j - Gamma^k_ij w_k
 
-and one further covariant step for second derivatives of one-forms.
-Pointwise moduli contract all lower indices with g^{-1}; for a conformal
-metric that is a factor f^(-rank/2) on the Euclidean modulus.  Time-
-dependent fields get Bochner norms: L^s in time (trapezoid rule) of the
-spatial norm.
+and one further covariant step for second derivatives of one-forms.  On
+g = f delta the connection needs only d phi, phi = (1/2) log f:
+
+  Gamma^l_ma T_l = d_a phi T_m + d_m phi T_a - delta_ma (d phi . T),
+
+so a grid stores n arrays of d phi, not n^3 of Gamma.  Pointwise moduli
+contract all lower indices with g^{-1}; for a conformal metric that is a
+factor f^(-rank/2) on the Euclidean modulus.  Time-dependent fields get
+Bochner norms: L^s in time (trapezoid rule) of the spatial norm.
+
+A norm runs on the sub-grid over the index box of its nonzero node
+weights (quadrature x ball mask x weight), grown by 2l nodes on each axis
+that does not wrap and clipped to the grid; an axis that wraps stays
+whole.  The kept weighted nodes then get the numbers the whole grid gives
+them.  Each derivative step reaches one node further, and the one-sided
+edge stencil (-3 f_0 + 4 f_1 - f_2)/2h at a grid edge reaches two nodes
+inward, so l steps from a weighted node at the edge reach 2l nodes.  A
+growth of l alone leaves a crop edge inside that reach: a one-node ball at
+a grid corner then reads a second-order norm that is off by percents.
+With l >= 1 the growth keeps the 3 nodes the edge stencil needs on every
+axis that has them.
 """
 
 from __future__ import annotations
@@ -23,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CapabilityError, DomainError, MetricChart, budget_blocks, christoffel
+from .geometry import CapabilityError, DomainError, MetricChart, budget_blocks
 
 NORM_BUDGET = 1 << 16  # grid nodes per block of time slices in a Bochner norm
 
@@ -61,7 +77,7 @@ class Grid:
             shp = [1] * chart.n
             shp[i] = self.shape[i]
             self.quadrature = self.quadrature * w.reshape(shp)
-        self._gamma = None
+        self._dphi = None
 
     @classmethod
     def over_box(cls, chart: MetricChart, box, per_axis):
@@ -75,14 +91,39 @@ class Grid:
         return cls(chart, axes, wraps)
 
     @property
-    def gamma(self):
-        """Gamma^u_ij at the nodes, index axes first: (u, i, j, *shape)."""
-        if self._gamma is None:
+    def dphi(self):
+        """d_a phi of phi = (1/2) log f at the nodes, index axis first:
+        (a, *shape)."""
+        if self._dphi is None:
             n = self.chart.n
             flat = self.points.reshape(-1, n)
-            gamma = christoffel(self.chart, flat).reshape(self.shape + (n,) * 3)
-            self._gamma = np.ascontiguousarray(np.moveaxis(gamma, (-3, -2, -1), (0, 1, 2)))
-        return self._gamma
+            f = self.f.reshape(-1)
+            self._dphi = np.stack([
+                0.5 * (self.chart.conformal_derivative(flat, np.eye(n, dtype=int)[a]) / f)
+                for a in range(n)]).reshape((n,) + self.shape)
+        return self._dphi
+
+    def crop(self, index: tuple) -> Grid:
+        """The sub-grid over index, one slice per axis (whole on an axis
+        that wraps): the parent's nodes, f, quadrature and d phi, with its
+        h and wraps.  Its edge nodes keep their weights, and f is not
+        evaluated again."""
+        sub = object.__new__(Grid)
+        sub.chart, sub.h, sub.wraps = self.chart, self.h, self.wraps
+        sub.axes = [a[i] for a, i in zip(self.axes, index)]
+        sub.points = self.points[index]
+        sub.shape = sub.points.shape[:-1]
+        sub.f = self.f[index]
+        sub.quadrature = self.quadrature[index]
+        sub._dphi = self.dphi[(slice(None),) + index]
+        return sub
+
+    def require_derivative_nodes(self):
+        """Raise DomainError unless every axis that does not wrap has the 3
+        nodes of the second-order edge stencil."""
+        for i, (size, wraps) in enumerate(zip(self.shape, self.wraps)):
+            if not wraps and size < 3:
+                raise DomainError(f"grid axis {i} has {size} nodes; derivatives need at least 3")
 
     def partial(self, arr: np.ndarray, axis: int, lead: int = 0) -> np.ndarray:
         """Second-order d/dx_axis of arr, whose grid axes start after lead
@@ -143,20 +184,24 @@ def _covariant_step(grid: Grid, tensor: np.ndarray, rank: int) -> np.ndarray:
     leading (e.g. time) axes and the grid axes.  The new index comes
     first:
 
-      (D T)_{m idx} = d_m T_idx - sum_p sum_l Gamma^l_{m idx_p} T_{idx, idx_p -> l}.
+      (D T)_{m idx} = d_m T_idx - sum_p sum_l Gamma^l_{m idx_p} T_{idx, idx_p -> l},
 
-    Every operation is on whole contiguous components, so the cost of a
-    block of time slices grows with its node count only."""
+    with the inner sum in its d phi form (module docstring), O(n) products
+    per index position.  Every operation is on whole contiguous
+    components, so the cost of a block of time slices grows with its node
+    count only."""
     n = grid.chart.n
-    gamma = grid.gamma
+    dphi = grid.dphi
     lead = tensor.ndim - rank - len(grid.shape)
     out = np.empty((n,) + tensor.shape)
     for m in range(n):
         for idx in itertools.product(range(n), repeat=rank):
             d = grid.partial(tensor[idx], m, lead)
             for p, a in enumerate(idx):
-                for l in range(n):
-                    d -= gamma[l, m, a] * tensor[idx[:p] + (l,) + idx[p + 1:]]
+                d -= dphi[a] * tensor[idx[:p] + (m,) + idx[p + 1:]] + dphi[m] * tensor[idx]
+                if m == a:
+                    for l in range(n):
+                        d += dphi[l] * tensor[idx[:p] + (l,) + idx[p + 1:]]
             out[(m,) + idx] = d
     return out
 
@@ -169,6 +214,8 @@ def covariant_tensors(field: DiscreteField, order: int, values=None) -> list:
     if order > 2:
         raise CapabilityError("covariant derivatives available up to order 2")
     vals = field.values if values is None else values
+    if order:
+        grid.require_derivative_nodes()
     rank = 1 if field.kind == "one-form" else 0
     cur = np.ascontiguousarray(np.moveaxis(vals, -1, 0)) if rank else vals
     tensors = [vals]
@@ -224,16 +271,34 @@ def _spatial_norms(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) 
     return total
 
 
-def _spatial_norm(field: DiscreteField, vals, req: NormRequest, q: np.ndarray) -> float:
-    return float(_spatial_norms(field, vals[None], req, q)[0])
+def _crop(field: DiscreteField, q: np.ndarray, l: int):
+    """The field and weights on the sub-grid over the support of q, grown
+    by 2l nodes on each axis that does not wrap (module docstring); None
+    when no weight is nonzero."""
+    support = np.nonzero(q)
+    if not support[0].size:
+        return None
+    grid = field.grid
+    index = tuple(slice(None) if wraps else slice(max(int(nz.min()) - 2 * l, 0),
+                                                  int(nz.max()) + 2 * l + 1)
+                  for nz, wraps in zip(support, grid.wraps))
+    if all(i.indices(size) == (0, size, 1) for i, size in zip(index, grid.shape)):
+        return field, q
+    lead = (slice(None),) if field.times is not None else ()
+    sub = DiscreteField(grid.crop(index), field.values[lead + index], field.kind, field.times)
+    return sub, q[index]
 
 
 def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     """Sum over j <= l of weighted L^r norms of |D^j field|; Bochner L^s
     in time when the field carries a time axis."""
-    q = _node_weights(field.grid, req)
+    nodes = math.prod(field.grid.shape)
+    cropped = _crop(field, _node_weights(field.grid, req), req.l)
+    if cropped is None:
+        return 0.0
+    field, q = cropped
     if field.times is None:
-        return _spatial_norm(field, field.values, req, q)
+        return float(_spatial_norms(field, field.values[None], req, q)[0])
     s = req.s if req.s is not None else req.r
     t = field.times
     if req.window is not None:
@@ -242,8 +307,9 @@ def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     else:
         sel = np.ones(len(t), dtype=bool)
     idx = np.flatnonzero(sel)
-    # blocks of consecutive slices of at most NORM_BUDGET grid nodes
-    blocks = budget_blocks(np.full(len(idx), math.prod(field.grid.shape)), NORM_BUDGET)
+    # blocks of consecutive slices of at most NORM_BUDGET nodes of the whole
+    # grid: a crop runs the blocks the whole grid would, in less memory
+    blocks = budget_blocks(np.full(len(idx), nodes), NORM_BUDGET)
     vals = np.concatenate([_spatial_norms(field, field.values[idx[a:b]], req, q)
                            for a, b in blocks] or [np.zeros(0)])
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
@@ -256,8 +322,13 @@ def holder_volume_check(field: DiscreteField, ball, r: float) -> dict:
         raise DomainError("needs r >= 2")
     q = _node_weights(field.grid, NormRequest(region=ball))
     vol = float(np.sum(q))
-    lhs = _spatial_norm(field, field.at_time(0), NormRequest(r=2.0), q)
-    lr = _spatial_norm(field, field.at_time(0), NormRequest(r=r), q)
+    cropped = _crop(DiscreteField(field.grid, field.at_time(0), field.kind), q, 0)
+    if cropped is None:
+        lhs = lr = 0.0
+    else:
+        sub, sub_q = cropped
+        lhs, lr = (float(_spatial_norms(sub, sub.values[None], NormRequest(r=p), sub_q)[0])
+                   for p in (2.0, r))
     rhs = vol ** (0.5 - 1.0 / r) * lr
     return {"lhs": lhs, "rhs": rhs, "volume": vol, "holds": lhs <= rhs * (1 + 1e-12)}
 

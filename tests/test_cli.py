@@ -229,6 +229,8 @@ def test_config_parse_error(tmp_path, capsys):
     ["solve", "--model", "euclidean", "--grid", "5x5", "--width", "0"],
     ["solve", "--model", "euclidean", "--grid", "5x5", "--width", "nan"],
     ["solve", "--model", "euclidean", "--grid", "5x5", "--tfreq", "inf"],
+    # estimates need 3 nodes on every axis with ends: checked before the solve
+    ["solve", "--model", "euclidean", "--grid", "2x33", "--estimates"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content
@@ -244,6 +246,7 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
     # the error names the bad input, not the default margin it met later
     assert "--margin" in argv or "leaves an empty box" not in err
+    assert not (tmp_path / "solve_report.jsonl").exists()
 
 
 @pytest.mark.parametrize("name", ["euclidean", "perturbed-euclidean", "flat-torus"])

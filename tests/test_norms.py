@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from soboheat import norms
-from soboheat.geometry import CapabilityError, DomainError, make_chart
+from soboheat.geometry import CapabilityError, DomainError, christoffel, make_chart
 
 
 def torus_grid(nx=64, L=2 * math.pi):
@@ -173,16 +173,23 @@ def test_region_mask_built_once_per_time_indexed_request(monkeypatch):
     assert value == expect
 
 
-def _bochner_norm_slice_by_slice(field, req):
-    """The Bochner norm with one spatial norm per time slice."""
+def _full_grid_norm(field, req):
+    """The norm on the whole grid with the full masked weights, one spatial
+    norm per time slice: the reference for time blocks and crops."""
     q = norms._node_weights(field.grid, req)
+
+    def spatial(vals):
+        return float(norms._spatial_norms(field, vals[None], req, q)[0])
+
+    if field.times is None:
+        return spatial(field.values)
     s = req.s if req.s is not None else req.r
     t = field.times
     sel = np.ones(len(t), dtype=bool)
     if req.window is not None:
         sel = (t >= req.window[0] - 1e-12) & (t <= req.window[1] + 1e-12)
     idx = np.flatnonzero(sel)
-    vals = np.array([norms._spatial_norm(field, field.values[j], req, q) for j in idx])
+    vals = np.array([spatial(field.values[j]) for j in idx])
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))
 
 
@@ -205,16 +212,16 @@ def test_time_blocked_norms_match_slice_by_slice(monkeypatch, budget, name, kind
                 norms.NormRequest(r=4.0, l=2, region=(center, 0.3), window=(0.15, 0.75)),
                 norms.NormRequest(r=2.5, l=2, weight=rng.random(grid.shape)),
                 norms.NormRequest(r=2.0, l=1, window=(2.0, 3.0))]:  # no slice in the window
-        want = _bochner_norm_slice_by_slice(field, req)
+        want = _full_grid_norm(field, req)
         assert norms.sobolev_norm(field, req) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
 def _covariant_tensors_einsum(grid, vals, rank, order):
     """Covariant derivatives with the index axes last, contracted with
-    einsum against Gamma^u_ij stored index-last."""
+    einsum against Gamma^u_ij from geometry.christoffel, index-last."""
     n = grid.chart.n
     nd = len(grid.shape)
-    gamma = np.moveaxis(grid.gamma, (0, 1, 2), (-3, -2, -1))
+    gamma = christoffel(grid.chart, grid.points)
     tensors = [vals]
     for _ in range(order):
         parts = np.stack([grid.partial(vals, ax) for ax in range(n)], axis=nd)
@@ -247,3 +254,104 @@ def test_covariant_tensors_match_einsum_reference(kind):
             scale = np.max(np.abs(w))
             assert np.max(np.abs(g - w)) <= 1e-13 * scale
             assert np.max(np.abs(b[j] - w)) <= 1e-13 * scale
+
+
+def _crop_grids():
+    """A half-plane grid with two ends per axis, and a flat-torus grid that
+    wraps on axis 0 only."""
+    halfplane = norms.Grid.over_box(make_chart("hyperbolic-halfplane"),
+                                    [(-0.5, 0.5), (0.75, 1.5)], 21)
+    L = 2 * math.pi
+    torus = norms.Grid.over_box(make_chart("flat-torus", n=2, L=L), [(0.0, L), (0.0, L / 2)],
+                                [24, 13])
+    return {"halfplane": halfplane, "torus": torus}
+
+
+def _node_ball(grid, i, j, nodes):
+    """A ball around node (i, j) that holds its `nodes` nearest nodes."""
+    center = grid.points[i, j]
+    d = np.sort(grid.chart.distance(grid.points.reshape(-1, 2), center[None, :]))
+    return center, float(d[nodes - 1])
+
+
+def _crop_regions(name, grid):
+    """(label, ball): inside the grid, across an edge, one or two nodes at
+    a corner or an edge, across the torus seam, and off the grid."""
+    if name == "torus":
+        return [("seam", (np.array([0.1, 1.5]), 0.9)),
+                ("seam and edge", (np.array([6.2, 0.2]), 0.7)),
+                ("inside", (np.array([3.0, 1.5]), 0.5))]
+    mid = grid.shape[1] // 2
+    return [("inside", (np.array([0.0, 1.1]), 0.15)),
+            ("across an edge", (np.array([0.45, 0.8]), 0.2)),
+            ("corner node", _node_ball(grid, 0, 0, 1)),
+            ("far corner node", _node_ball(grid, -1, -1, 1)),
+            ("edge node", _node_ball(grid, mid, 0, 1)),
+            ("two edge nodes", _node_ball(grid, 0, mid, 2)),
+            ("off the grid", (np.array([0.0, 3.0]), 0.5))]
+
+
+@pytest.mark.parametrize("l", [0, 1, 2])
+@pytest.mark.parametrize("kind", ["scalar", "one-form"])
+@pytest.mark.parametrize("name", ["halfplane", "torus"])
+def test_cropped_norms_match_the_full_grid(name, kind, l):
+    grid = _crop_grids()[name]
+    rng = np.random.default_rng(11)
+    shape = grid.shape + ((2,) if kind == "one-form" else ())
+    field = norms.DiscreteField(grid, rng.standard_normal(shape), kind)
+    for label, ball in _crop_regions(name, grid):
+        req = norms.NormRequest(r=3.0, l=l, region=ball, weight=1.0 + rng.random(grid.shape))
+        nodes = int(np.count_nonzero(norms._node_weights(grid, req)))
+        if "node" in label:
+            assert nodes == (2 if label.startswith("two") else 1), label
+        got, want = norms.sobolev_norm(field, req), _full_grid_norm(field, req)
+        if label == "off the grid":
+            assert nodes == 0 and got == 0.0 and want == 0.0
+        else:
+            assert want > 0 and abs(got - want) <= 1e-14 * want, label
+
+
+@pytest.mark.parametrize("budget", [1, 5 * 21, norms.NORM_BUDGET])
+@pytest.mark.parametrize("kind", ["scalar", "one-form"])
+def test_cropped_time_indexed_norms_match_the_full_grid(monkeypatch, budget, kind):
+    monkeypatch.setattr(norms, "NORM_BUDGET", budget)
+    grids = _crop_grids()
+    times = np.linspace(0.0, 1.0, 9)
+    rng = np.random.default_rng(5)
+    for name, grid in grids.items():
+        shape = (len(times),) + grid.shape + ((2,) if kind == "one-form" else ())
+        field = norms.DiscreteField(grid, rng.standard_normal(shape), kind, times)
+        for label, ball in _crop_regions(name, grid):
+            for req in [norms.NormRequest(r=2.0, l=2, region=ball, s=3.0, window=(0.1, 0.65)),
+                        norms.NormRequest(r=4.0, l=1, region=ball),
+                        norms.NormRequest(r=2.0, l=0, region=ball, window=(0.25, 0.5))]:
+                got, want = norms.sobolev_norm(field, req), _full_grid_norm(field, req)
+                if label == "off the grid":
+                    assert got == 0.0 and want == 0.0
+                else:
+                    assert want > 0 and abs(got - want) <= 1e-14 * want, (name, label)
+
+
+def test_a_zero_weight_gives_zero_without_derivatives(monkeypatch):
+    grid = euclid_grid(17)
+    field = norms.DiscreteField(grid, np.ones(grid.shape))
+    monkeypatch.setattr(norms, "covariant_tensors", None)  # never called
+    assert norms.sobolev_norm(field, norms.NormRequest(l=2, weight=np.zeros(grid.shape))) == 0.0
+
+
+def test_a_crop_keeps_the_parents_nodes_and_weights():
+    grid = _crop_grids()["halfplane"]
+    index = (slice(0, 5), slice(7, 12))
+    sub = grid.crop(index)
+    assert sub.shape == (5, 5) and sub.wraps == grid.wraps and np.array_equal(sub.h, grid.h)
+    assert np.array_equal(sub.points, grid.points[index])
+    assert np.array_equal(sub.quadrature, grid.quadrature[index])  # no new end half-weights
+    assert np.array_equal(sub.dphi, grid.dphi[(slice(None),) + index])
+
+
+def test_derivatives_need_three_nodes_on_an_axis_with_ends():
+    grid = norms.Grid.over_box(make_chart("euclidean", n=2), [(4.0, 6.0), (4.0, 6.0)], [2, 9])
+    field = norms.DiscreteField(grid, np.ones(grid.shape))
+    assert norms.sobolev_norm(field, norms.NormRequest(l=0)) > 0
+    with pytest.raises(DomainError, match="axis 0 has 2 nodes.*at least 3"):
+        norms.sobolev_norm(field, norms.NormRequest(l=1))
