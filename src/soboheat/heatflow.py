@@ -9,16 +9,20 @@ solves the SPD system (W + dt K) u+ = W (u + dt forcing).
 Homogeneous Dirichlet data is imposed by restriction to interior nodes;
 an axis that wraps (Grid.wraps: a whole period) has no boundary.
 
-One-forms (2-D grids that wrap on both axes only) use a discrete-exterior-
-calculus Hodge Laplacian d delta + delta d with diagonal Hodge stars on
-the staggered edge grid.
-
-On a flat chart over a grid that wraps on every axis (the whole flat
-torus), each block of the step matrix is circulant, so a step is an FFT,
-a solve per Fourier mode with the symbol read off the assembled matrix,
-and an inverse FFT.  Every other grid has an end on some axis; its step
-matrix is factored once per solve (sparse LU).  Either way, every step's
-residual is checked against the assembled sparse matrix.
+On a flat chart (f = 1) over a grid that wraps on every axis (the whole
+flat torus) nothing is assembled.  There the scalar step matrix is
+hvol (I + dt L), with L the periodic stencil sum_a (2 u - u+ - u-)/h_a^2
+and hvol the cell volume.  One-forms live only there (2-D grids that
+wrap on both axes), on the staggered edge grid with the diagonal Hodge
+stars of discrete exterior calculus.  Their Hodge Laplacian
+d delta + delta d has no cross block between x- and y-edges, and the
+step matrix is (h2/h1)(I + dt L) on the x-edges and (h1/h2)(I + dt L)
+on the y-edges.  Each step is one rfftn per component, a division by
+1 + dt times the closed-form symbol sum_a (2 - 2 cos(2 pi k_a/N_a))/h_a^2,
+and one irfftn.  Every other grid has an end on some axis; its step
+matrix is assembled and factored once per solve (sparse LU).  Every
+step's residual is checked by applying the step matrix apart from the
+solve: the np.roll stencil on the torus, the sparse matrix elsewhere.
 """
 
 from __future__ import annotations
@@ -37,10 +41,6 @@ from .norms import DiscreteField, Grid, NormRequest, sobolev_norm
 STEP_RTOL = 1e-10
 
 
-def _flat_index(shape):
-    return np.arange(int(np.prod(shape))).reshape(shape)
-
-
 def discrete_laplacian(grid: Grid):
     """(K, W): stiffness and lumped mass for the scalar Laplace-Beltrami
     operator; the operator is W^-1 K, symmetric PSD in the W inner
@@ -49,7 +49,7 @@ def discrete_laplacian(grid: Grid):
     n = chart.n
     shape = grid.shape
     N = int(np.prod(shape))
-    idx = _flat_index(shape)
+    idx = np.arange(N).reshape(shape)
     hvol = float(np.prod(grid.h))
     rows, cols, vals = [], [], []
     for ax in range(n):
@@ -109,8 +109,8 @@ class ParabolicProblem:
                 f"(horizon + margin)/dt = {ratio:.12g} is not a whole number of steps"
             )
         if self.kind == "one-form":
-            if self.grid.chart.n != 2 or not all(self.grid.wraps):
-                raise CapabilityError("one-form problems need a fully periodic 2-D grid")
+            if self.grid.chart.n != 2 or not _on_flat_torus(self.grid):
+                raise CapabilityError("one-form problems need a fully periodic 2-D flat grid")
         elif self.kind != "scalar":
             raise DomainError(f"unknown problem kind {self.kind!r}")
 
@@ -133,57 +133,65 @@ class ParabolicSolution:
                              self.u.kind, self.times)
 
 
-def _circulant_symbol(A, shape):
-    """Fourier symbol of A, whose c x c blocks of prod(shape) grid nodes
-    are each circulant on the grid: sym[..., i, j] is the rfftn of block
-    (i, j)'s column at node 0, read off one matvec per block column."""
-    N = math.prod(shape)
-    c = A.shape[0] // N
-    unit = np.zeros(A.shape[0])
-    cols = []
-    for j in range(c):
-        unit[j * N] = 1.0
-        cols.append((A @ unit).reshape((c,) + shape))
-        unit[j * N] = 0.0
-    sym = np.fft.rfftn(np.stack(cols, axis=1), axes=tuple(range(2, 2 + len(shape))))
-    return np.moveaxis(sym, (0, 1), (-2, -1))
+def _on_flat_torus(grid: Grid) -> bool:
+    return grid.chart.is_flat and all(grid.wraps)
 
 
-def _fft_solver(A, shape):
-    """b -> A^-1 b by FFT for A block-circulant on a grid that wraps on
-    every axis: one c x c solve per Fourier mode."""
-    inv = np.linalg.inv(_circulant_symbol(A, shape))
-    c = inv.shape[-1]
-    axes = tuple(range(1, 1 + len(shape)))
+def _periodic_laplacian(x, h):
+    """Sum over the grid axes (the last len(h) axes of x) of the periodic
+    stencil (2 x - x+ - x-) / h_a^2."""
+    lead = x.ndim - len(h)
+    out = np.zeros_like(x)
+    for a, ha in enumerate(h):
+        out += (2.0 * x - np.roll(x, 1, lead + a) - np.roll(x, -1, lead + a)) / ha**2
+    return out
+
+
+def _periodic_symbol(shape, h):
+    """The stencil's Fourier symbol sum_a (2 - 2 cos(2 pi k_a / N_a)) / h_a^2
+    on the half spectrum of rfftn."""
+    freqs = [np.fft.fftfreq(N) for N in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
+    return sum((2.0 - 2.0 * np.cos(2.0 * np.pi * k)) / ha**2
+               for k, ha in zip(np.meshgrid(*freqs, indexing="ij", sparse=True), h))
+
+
+def _torus_step(mass, grid: Grid, dt):
+    """(apply, solve) for the step matrix diag(mass) (I + dt L) on a flat
+    grid that wraps on every axis, L the periodic stencil on each of the
+    mass.size / nodes components: apply by np.roll, solve by one rfftn,
+    a division by the closed-form symbol and one irfftn."""
+    shape, h = grid.shape, grid.h
+    comps = (mass.size // math.prod(shape),) + shape
+    axes = tuple(range(1, len(comps)))
+    denom = 1.0 + dt * _periodic_symbol(shape, h)
+
+    def apply(x):
+        x = x.reshape(comps)
+        return mass * (x + dt * _periodic_laplacian(x, h)).ravel()
 
     def solve(b):
-        bh = np.fft.rfftn(b.reshape((c,) + shape), axes=axes)
-        xh = np.einsum("...ij,j...->i...", inv, bh)
-        return np.fft.irfftn(xh, s=shape, axes=axes).ravel()
+        bh = np.fft.rfftn((b / mass).reshape(comps), axes=axes)
+        return np.fft.irfftn(bh / denom, s=shape, axes=axes).ravel()
 
-    return solve
+    return apply, solve
 
 
-def _implicit_euler(A, mass, omegas, dt, grid):
+def _implicit_euler(step, mass, omegas, dt):
     """States x_0 = 0, ..., x_steps of A x_(j+1) = mass (x_j + dt omega_j)
     with the step-averaged forcing omega_j = (omegas[j] + omegas[j+1]) / 2;
-    A = diag(mass) + dt (stiffness) is solved by FFT on a flat grid that
-    wraps on every axis and factored once otherwise.  Returns the states
-    and each step's relative residual against A; raises NumericalError
-    when one exceeds STEP_RTOL."""
-    if grid.chart.is_flat and all(grid.wraps):
-        solve = _fft_solver(A, grid.shape)
-    else:
-        solve = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+    step = (apply, solve) gives x -> A x and b -> A^-1 b.  Returns the
+    states and each step's relative residual against apply; raises
+    NumericalError when one exceeds STEP_RTOL."""
+    apply, solve = step
     steps = len(omegas) - 1
-    x = np.zeros((steps + 1, A.shape[0]))
+    x = np.zeros((steps + 1, mass.size))
     residuals = np.zeros(steps)
     for j in range(steps):
         # step-averaged forcing: the discrete L2 bound then telescopes to
         # exactly the trapezoid time integral of the forcing norm
         b = mass * (x[j] + dt * (0.5 * (omegas[j] + omegas[j + 1])))
         x[j + 1] = solve(b)
-        res = np.linalg.norm(A @ x[j + 1] - b)
+        res = np.linalg.norm(apply(x[j + 1]) - b)
         bnorm = np.linalg.norm(b)
         if not res <= STEP_RTOL * bnorm:  # a NaN residual fails too
             raise NumericalError(
@@ -207,16 +215,20 @@ def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
     if problem.kind == "one-form":
         return _solve_one_form(problem)
     grid = problem.grid
-    K, W = discrete_laplacian(grid)
-    inner = interior_mask(grid)
-    Ki = K[inner][:, inner]
-    Wi = W[inner]
-    A = sp.diags(Wi) + problem.dt * Ki
     times = problem.dt * np.arange(problem.steps + 1)
     omegas = np.stack([np.asarray(problem.forcing(t, grid.points), dtype=float)
                        for t in times])
-    xi, residuals = _implicit_euler(A, Wi, omegas.reshape(len(times), -1)[:, inner],
-                                    problem.dt, grid)
+    inner = interior_mask(grid)
+    if _on_flat_torus(grid):
+        mass = grid.quadrature.ravel()
+        step = _torus_step(mass, grid, problem.dt)
+    else:
+        K, W = discrete_laplacian(grid)
+        mass = W[inner]
+        A = (sp.diags(mass) + problem.dt * K[inner][:, inner]).tocsc()
+        step = A.dot, splu(A, permc_spec="MMD_AT_PLUS_A").solve
+    xi, residuals = _implicit_euler(step, mass, omegas.reshape(len(times), -1)[:, inner],
+                                    problem.dt)
     u = np.zeros((len(times), inner.size))
     u[:, inner] = xi
     u = u.reshape(omegas.shape)
@@ -230,54 +242,19 @@ def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
     )
 
 
-# -- one-forms via DEC on periodic grids -------------------------------
-
-
-def _dec_operators(grid: Grid):
-    """d0, d1 and diagonal Hodge stars for a fully periodic 2-D grid.
-
-    Edge order: all x-edges (node -> node + e_x) then all y-edges.  In
-    two dimensions the star on 1-forms is conformally invariant, so *1
-    carries only the flat length ratios; *0 and *2 carry the area factor.
-    """
-    chart = grid.chart
-    shape = grid.shape
-    N = int(np.prod(shape))
-    idx = _flat_index(shape)
-    h1, h2 = grid.h
-    ex = np.roll(idx, -1, axis=0).ravel()
-    ey = np.roll(idx, -1, axis=1).ravel()
-    base = idx.ravel()
-    rows = np.concatenate([np.arange(N), np.arange(N), np.arange(N) + N, np.arange(N) + N])
-    cols = np.concatenate([ex, base, ey, base])
-    vals = np.concatenate([np.ones(N), -np.ones(N), np.ones(N), -np.ones(N)])
-    d0 = sp.coo_matrix((vals, (rows, cols)), shape=(2 * N, N)).tocsr()
-    # faces at (i+1/2, j+1/2): boundary = +x-edge(i,j) +y-edge(i+1,j) -x-edge(i,j+1) -y-edge(i,j)
-    f = np.arange(N)
-    x_lo = base
-    x_hi = np.roll(idx, -1, axis=1).ravel()  # x-edge shifted in y
-    y_lo = base + 0  # y-edge at (i, j)
-    y_hi = np.roll(idx, -1, axis=0).ravel()  # y-edge at (i+1, j)
-    rows = np.concatenate([f, f, f, f])
-    cols = np.concatenate([x_lo, y_hi + N, x_hi, y_lo + N])
-    vals = np.concatenate([np.ones(N), np.ones(N), -np.ones(N), -np.ones(N)])
-    d1 = sp.coo_matrix((vals, (rows, cols)), shape=(N, 2 * N)).tocsr()
-    fnode = grid.f.ravel()
-    star0 = fnode * h1 * h2
-    star1 = np.concatenate([np.full(N, h2 / h1), np.full(N, h1 / h2)])
-    fcent = grid.points + 0.5 * np.array([h1, h2])
-    fcent = chart.conformal_factor(chart.wrap(fcent).reshape(-1, 2))
-    star2 = 1.0 / (fcent * h1 * h2)
-    return d0, d1, star0, star1, star2
+# -- one-forms on the flat torus ----------------------------------------
 
 
 def one_form_hodge_matrices(grid: Grid):
-    """(B, S1): S1-weighted Hodge Laplacian B = S1 Delta_1 (symmetric PSD)
-    and the diagonal edge inner product S1."""
-    d0, d1, s0, s1, s2 = _dec_operators(grid)
-    S1 = sp.diags(s1)
-    B = S1 @ d0 @ sp.diags(1.0 / s0) @ d0.T @ S1 + d1.T @ sp.diags(s2) @ d1
-    return B.tocsr(), s1
+    """Edge weights s1 of the diagonal Hodge star on one-forms: h2/h1 on
+    the x-edges, then h1/h2 on the y-edges.  On the flat torus the DEC step
+    matrix S1 + dt S1 Delta_1 splits into s1 (I + dt L) on each edge grid,
+    L the periodic 5-point stencil, so these are all a one-form step
+    needs.  The name stays while the benchmark's span tracer looks it up
+    (ROADMAP item 1)."""
+    h1, h2 = grid.h
+    N = math.prod(grid.shape)
+    return np.concatenate([np.full(N, h2 / h1), np.full(N, h1 / h2)])
 
 
 def edge_midpoints(grid: Grid):
@@ -300,16 +277,15 @@ def sample_one_form_on_edges(fn, t: float, midpoints) -> np.ndarray:
 
 def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
     grid = problem.grid
-    B, s1 = one_form_hodge_matrices(grid)
-    A = sp.diags(s1) + problem.dt * B
+    s1 = one_form_hodge_matrices(grid)
     times = problem.dt * np.arange(problem.steps + 1)
     mids = edge_midpoints(grid)
     omegas = np.stack([sample_one_form_on_edges(problem.forcing, t, mids) for t in times])
-    u, residuals = _implicit_euler(A, s1, omegas, problem.dt, grid)
+    u, residuals = _implicit_euler(_torus_step(s1, grid, problem.dt), s1, omegas, problem.dt)
     dtu = _time_derivative(u, problem.dt)
     # edge arrays are packaged as nodal two-component fields for norms:
     # averaging the two staggered samples back onto nodes
-    N = int(np.prod(grid.shape))
+    N = math.prod(grid.shape)
 
     def to_nodes(arr):
         wx = arr[:, :N].reshape((-1,) + grid.shape)

@@ -292,7 +292,6 @@ def _crop(field: DiscreteField, q: np.ndarray, l: int):
 def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     """Sum over j <= l of weighted L^r norms of |D^j field|; Bochner L^s
     in time when the field carries a time axis."""
-    nodes = math.prod(field.grid.shape)
     cropped = _crop(field, _node_weights(field.grid, req), req.l)
     if cropped is None:
         return 0.0
@@ -307,9 +306,8 @@ def sobolev_norm(field: DiscreteField, req: NormRequest) -> float:
     else:
         sel = np.ones(len(t), dtype=bool)
     idx = np.flatnonzero(sel)
-    # blocks of consecutive slices of at most NORM_BUDGET nodes of the whole
-    # grid: a crop runs the blocks the whole grid would, in less memory
-    blocks = budget_blocks(np.full(len(idx), nodes), NORM_BUDGET)
+    # blocks of consecutive slices of at most NORM_BUDGET nodes of the grid it runs on
+    blocks = budget_blocks(np.full(len(idx), math.prod(field.grid.shape)), NORM_BUDGET)
     vals = np.concatenate([_spatial_norms(field, field.values[idx[a:b]], req, q)
                            for a, b in blocks] or [np.zeros(0)])
     return float(np.trapezoid(vals**s, t[idx]) ** (1.0 / s))

@@ -164,16 +164,6 @@ def test_one_form_eigen_mode():
     assert hf.check_threshold_contraction(sol)["holds"]
 
 
-def test_one_form_hodge_matrix_symmetric_psd():
-    grid = torus_grid(16)
-    B, s1 = hf.one_form_hodge_matrices(grid)
-    assert abs(B - B.T).max() <= 1e-12
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        v = rng.standard_normal(B.shape[0])
-        assert v @ (B @ v) >= -1e-10
-
-
 def test_local_estimate_zero_for_zero_forcing():
     grid = euclid_grid(17)
     prob = hf.ParabolicProblem(grid, lambda t, p: np.zeros(p.shape[:-1]),
@@ -225,15 +215,26 @@ def test_inaccurate_step_raises(monkeypatch):
         hf.solve_parabolic(prob)
 
 
-@pytest.mark.parametrize("grid", [euclid_grid(9), torus_grid(8)], ids=["splu", "fft"])
-def test_nan_forcing_raises(grid):
-    """A NaN residual must fail the step check, not pass it."""
-    def forcing(t, pts):
-        vals = eigen_forcing(t, pts)
-        vals[4, 4] = math.nan
-        return vals
+def _nan_one_form(t, pts):
+    vals = one_form_forcing(t, pts)
+    vals[4, 4, 0] = math.nan
+    return vals
 
-    prob = hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0, dt=0.05)
+
+def _nan_scalar(t, pts):
+    vals = eigen_forcing(t, pts)
+    vals[4, 4] = math.nan
+    return vals
+
+
+@pytest.mark.parametrize("grid,kind,forcing", [
+    (euclid_grid(9), "scalar", _nan_scalar),
+    (torus_grid(8), "scalar", _nan_scalar),
+    (torus_grid(8), "one-form", _nan_one_form),
+], ids=["splu", "fft", "fft-one-form"])
+def test_nan_forcing_raises(grid, kind, forcing):
+    """A NaN residual must fail the step check, not pass it."""
+    prob = hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0, dt=0.05, kind=kind)
     with pytest.raises(NumericalError, match="residual nan"):
         hf.solve_parabolic(prob)
 
@@ -256,37 +257,104 @@ def test_torus_sub_box_has_two_ends_like_a_euclidean_box():
 
 
 # -- FFT steps on grids that wrap on every axis -------------------------
+#
+# The reference assembles what the solver does not: the scalar stiffness
+# and mass of discrete_laplacian, and for one-forms the discrete-exterior-
+# calculus Hodge Laplacian B = S1 d0 *0^-1 d0^T S1 + d1^T *2 d1 on the
+# staggered edge grid.
 
 
-def _step_matrix(grid, kind, dt=0.01):
+def _dec_operators(grid):
+    """d0, d1 and the diagonal Hodge stars *0, *1, *2 of a 2-D grid that
+    wraps on both axes; edges: all x-edges (node -> node + e_x), then all
+    y-edges."""
+    shape = grid.shape
+    N = math.prod(shape)
+    idx = np.arange(N).reshape(shape)
+    h1, h2 = grid.h
+    base = idx.ravel()
+    ex = np.roll(idx, -1, axis=0).ravel()
+    ey = np.roll(idx, -1, axis=1).ravel()
+    ones = np.ones(N)
+    d0 = sp.coo_matrix((np.concatenate([ones, -ones, ones, -ones]),
+                        (np.concatenate([base, base, base + N, base + N]),
+                         np.concatenate([ex, base, ey, base]))), shape=(2 * N, N)).tocsr()
+    # faces at (i+1/2, j+1/2): boundary = +x-edge(i,j) +y-edge(i+1,j)
+    # -x-edge(i,j+1) -y-edge(i,j)
+    d1 = sp.coo_matrix((np.concatenate([ones, ones, -ones, -ones]),
+                        (np.concatenate([base] * 4),
+                         np.concatenate([base, ex + N, ey, base + N]))), shape=(N, 2 * N)).tocsr()
+    chart = grid.chart
+    star0 = grid.f.ravel() * h1 * h2
+    star1 = np.concatenate([np.full(N, h2 / h1), np.full(N, h1 / h2)])
+    fcent = chart.conformal_factor(chart.wrap(grid.points + 0.5 * grid.h).reshape(-1, 2))
+    star2 = 1.0 / (fcent * h1 * h2)
+    return d0, d1, star0, star1, star2
+
+
+def _reference_hodge_matrix(grid):
+    d0, d1, s0, s1, s2 = _dec_operators(grid)
+    S1 = sp.diags(s1)
+    B = S1 @ d0 @ sp.diags(1.0 / s0) @ d0.T @ S1 + d1.T @ sp.diags(s2) @ d1
+    return B.tocsr(), s1
+
+
+def _reference_step(grid, kind, dt):
+    """(A, mass): the assembled step matrix and its diagonal mass."""
     if kind == "scalar":
-        K, W = hf.discrete_laplacian(grid)
-        return sp.diags(W) + dt * K
-    B, s1 = hf.one_form_hodge_matrices(grid)
-    return sp.diags(s1) + dt * B
+        K, mass = hf.discrete_laplacian(grid)
+    else:
+        K, mass = _reference_hodge_matrix(grid)
+        assert np.array_equal(mass, hf.one_form_hodge_matrices(grid))
+    return (sp.diags(mass) + dt * K).tocsc(), mass
 
 
 @pytest.mark.parametrize("counts,kind", [
     ((16, 16), "scalar"), ((12, 20), "scalar"), ((15, 9), "scalar"),
     ((6, 8, 5), "scalar"), ((96, 96), "one-form"), ((15, 9), "one-form"),
-    ((12, 18), "one-form"),
+    ((12, 18), "one-form"), ((12, 18), "scalar"), ((96, 96), "scalar"),
+    ((16, 16), "one-form"), ((12, 20), "one-form"),
 ])
 def test_fft_step_matches_a_sparse_lu_reference(counts, kind):
+    """The np.roll stencil is the assembled step matrix, and the FFT solve
+    is its LU solve."""
     grid = torus_grid(counts, n=len(counts))
-    A = _step_matrix(grid, kind)
-    b = np.random.default_rng(7).standard_normal(A.shape[0])
-    x = hf._fft_solver(A, grid.shape)(b)
-    ref = sp.linalg.splu(A.tocsc()).solve(b)
-    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+    dt = 0.01
+    A, mass = _reference_step(grid, kind, dt)
+    apply, solve = hf._torus_step(mass, grid, dt)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(A.shape[0])
+    ref = A @ x
+    assert np.linalg.norm(apply(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+    b = rng.standard_normal(A.shape[0])
+    ref = sp.linalg.splu(A).solve(b)
+    assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_one_form_hodge_matrix_symmetric_psd():
+    """The reference B has no block between x- and y-edges, and it is
+    symmetric PSD."""
+    rng = np.random.default_rng(3)
+    for counts in [(16, 16), (12, 20), (15, 9), (12, 18), (96, 96)]:
+        B, _ = _reference_hodge_matrix(torus_grid(counts))
+        N = B.shape[0] // 2
+        scale = abs(B).max()
+        assert abs(B[:N, N:]).max() <= 1e-15 * scale
+        assert abs(B - B.T).max() <= 1e-15 * scale
+        for _ in range(5):
+            v = rng.standard_normal(B.shape[0])
+            assert v @ (B @ v) >= -1e-12 * scale * (v @ v)
 
 
 def test_wrong_symbol_raises(monkeypatch):
-    # the FFT never checks itself: the residual against the assembled
-    # matrix catches a symbol that is off
-    symbol = hf._circulant_symbol
-    monkeypatch.setattr(hf, "_circulant_symbol", lambda A, shape: 2.0 * symbol(A, shape))
+    # the FFT never checks itself: the residual of the np.roll stencil
+    # catches a symbol that is off
+    symbol = hf._periodic_symbol
+    monkeypatch.setattr(hf, "_periodic_symbol", lambda shape, h: 2.0 * symbol(shape, h))
     problems = [
         hf.ParabolicProblem(torus_grid(16), eigen_forcing, horizon=0.1, margin=0.0, dt=0.05),
+        hf.ParabolicProblem(torus_grid(8, n=3), eigen_forcing, horizon=0.1, margin=0.0,
+                            dt=0.05),
         hf.ParabolicProblem(torus_grid(16), one_form_forcing, horizon=0.1, margin=0.0,
                             dt=0.05, kind="one-form"),
     ]
@@ -295,30 +363,50 @@ def test_wrong_symbol_raises(monkeypatch):
             hf.solve_parabolic(prob)
 
 
+class _AttributeSpy:
+    """Stands in for a module and records each attribute taken from it."""
+
+    def __init__(self, module, log):
+        self._module, self._log = module, log
+
+    def __getattr__(self, name):
+        self._log.append(name)
+        return getattr(self._module, name)
+
+
 def test_only_grids_with_an_end_are_factored(monkeypatch):
-    factored = []
-    splu = hf.splu
+    factored, assembled, sparse = [], [], []
+    splu, laplacian = hf.splu, hf.discrete_laplacian
 
     def spy(A, **kw):
         factored.append(A.shape)
         return splu(A, **kw)
 
     monkeypatch.setattr(hf, "splu", spy)
+    monkeypatch.setattr(hf, "discrete_laplacian", lambda g: assembled.append(g) or laplacian(g))
+    monkeypatch.setattr(hf, "sp", _AttributeSpy(sp, sparse))
     torus = make_chart("flat-torus", n=2, L=L)
     sub_boxes = [norms.Grid.over_box(torus, box, 9)
                  for box in ([(0.0, 2.0), (0.0, 2.0)], [(0.0, 2.0), (0.0, L)])]
     assert [g.wraps for g in sub_boxes] == [(False, False), (False, True)]
     for grid in (euclid_grid(9), *sub_boxes):
         factored.clear()
+        assembled.clear()
+        sparse.clear()
         hf.solve_parabolic(hf.ParabolicProblem(grid, eigen_forcing, horizon=0.1, margin=0.0,
                                                dt=0.05))
-        assert len(factored) == 1
+        assert len(factored) == len(assembled) == 1
+        assert sparse
     factored.clear()
-    for kind, forcing in (("scalar", eigen_forcing), ("one-form", one_form_forcing)):
-        sol = hf.solve_parabolic(hf.ParabolicProblem(torus_grid(16), forcing, horizon=0.1,
+    assembled.clear()
+    sparse.clear()
+    for kind, forcing, grid in (("scalar", eigen_forcing, torus_grid(16)),
+                                ("scalar", eigen_forcing, torus_grid(6, n=3)),
+                                ("one-form", one_form_forcing, torus_grid(16))):
+        sol = hf.solve_parabolic(hf.ParabolicProblem(grid, forcing, horizon=0.1,
                                                      margin=0.0, dt=0.05, kind=kind))
         assert np.all(sol.residuals <= hf.STEP_RTOL)
-    assert factored == []
+    assert factored == assembled == sparse == []
 
 
 def test_one_form_forcing_must_return_two_components():
