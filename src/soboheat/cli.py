@@ -185,7 +185,7 @@ def cmd_cover(cfg) -> int:
     disjoint = covering.check_core_disjointness(cov)
     dilated = covering.certify_dilated_overlap(cov, box=box)
     out = _outdir(cfg)
-    payload = json.loads(cov.to_json())
+    payload = cov.to_dict()
     payload["core_disjointness"] = disjoint
     payload["dilated_overlap"] = dilated
     payload["model"] = cfg["model"]

@@ -3,27 +3,29 @@
 At level k every sample center x proposes a core ball of radius
 r_k(x) = 2^(-k) R(x) / 50 (dilation denominator eta = 10, so 5 eta = 50).
 A greedy pass in decreasing-radius order keeps a pairwise disjoint core
-family; the 5-fold dilates form the cover.  Certificates are measured on
-a probe grid: full coverage, and a maximum overlap count bounded by
-T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated family B(x, R(x)/10)
-obeys the level-scaled bound T * 2^(n k).
+family; the 5-fold dilates form the cover.  A ball that touches no other
+is kept outright, so the greedy loops only over the balls that touch.
+Certificates are measured on a probe grid: full coverage, and a maximum
+overlap count bounded by T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated
+family B(x, R(x)/10) obeys the level-scaled bound T * 2^(n k).
 
 Probes and candidate centers are lattices of the box, and one screen
 serves both queries: per axis, the nodes within a chart reach of the
-center (nearest image on a periodic axis, one index range per image) are
-an index range in closed form.  The screen walks the rows (axes 0..n-2)
-within reach of each ball and gives every (ball, row) its range on the
-last axis.  Touching pairs check every screened pair of centers exactly.
-Overlap counts settle (probe, ball) pairs by closed-form bounds on f over
-each ball's own box: the probes surely inside are counted with a
-difference array along the rows, and only the thin shell outside them
-reaches the distance.  Both run the balls in blocks of at most
+center are an index range in closed form; on a periodic axis two ranges,
+about c and the one image c -+ L that the nodes more than half a period
+away fall to.  The screen walks the rows (axes 0..n-2) within reach of
+each ball and gives every (ball, row) its ranges on the last axis.
+Touching pairs check every screened pair of centers exactly.  Overlap
+counts settle (probe, ball) pairs by closed-form bounds on f over each
+ball's own box: the probes surely inside, and the shell probes the
+distance finds inside, go into one difference array along the rows as
+each run of balls ends, so a count call holds O(probes + balls) ints and
+temporaries of PAIR_BUDGET size.  Both run the balls in blocks of at most
 PAIR_BUDGET rows and pass at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -53,14 +55,23 @@ def vitali_select(radii, touching) -> np.ndarray:
     radii = np.asarray(radii, dtype=float)
     if np.any(radii <= 0):
         raise DomainError("all radii must be positive")
-    adj = [[] for _ in range(len(radii))]
-    for a, b in touching:
-        adj[a].append(b)
-        adj[b].append(a)
-    chosen = np.zeros(len(radii), dtype=bool)
-    for i in np.lexsort((np.arange(len(radii)), -radii)):
-        if not any(chosen[j] for j in adj[i]):
-            chosen[i] = True
+    pairs = np.asarray(touching, dtype=np.intp).reshape(-1, 2)
+    # the neighbours of touched[t] are neighbours[start[t]:stop[t]]
+    ends = np.concatenate([pairs, pairs[:, ::-1]])
+    ends = ends[np.argsort(ends[:, 0], kind="stable")]
+    touched, start = np.unique(ends[:, 0], return_index=True)
+    stop = np.append(start[1:], len(ends))
+    neighbours = ends[:, 1].tolist()
+    # a ball in no touching pair is kept whatever comes before it; the
+    # greedy decides only the balls that touch another
+    order = np.lexsort((touched, -radii[touched]))
+    kept = set()
+    for i, a, b in zip(touched[order].tolist(), start[order].tolist(), stop[order].tolist()):
+        if kept.isdisjoint(neighbours[a:b]):
+            kept.add(i)
+    chosen = np.ones(len(radii), dtype=bool)
+    chosen[touched] = False
+    chosen[list(kept)] = True
     return np.flatnonzero(chosen)
 
 
@@ -115,22 +126,21 @@ class Covering:
         self.coverage_fraction = float(coverage_fraction)
         self.t_bound = float(t_bound)
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "schema_version": 1,
-                "k": self.k,
-                "eta": self.eta,
-                "eps": self.eps,
-                "centers": [list(map(float, c)) for c in self.centers],
-                "core_radii": [float(v) for v in self.core_radii],
-                "cover_radii": [float(v) for v in self.cover_radii],
-                "overlap": self.overlap_certificate,
-                "coverage_fraction": self.coverage_fraction,
-                "T_bound": self.t_bound,
-            },
-            indent=1,
-        )
+    def to_dict(self) -> dict:
+        """The covering as plain JSON values (`soboheat cover` adds its
+        reports and encodes it once)."""
+        return {
+            "schema_version": 1,
+            "k": self.k,
+            "eta": self.eta,
+            "eps": self.eps,
+            "centers": self.centers.tolist(),
+            "core_radii": self.core_radii.tolist(),
+            "cover_radii": self.cover_radii.tolist(),
+            "overlap": self.overlap_certificate,
+            "coverage_fraction": self.coverage_fraction,
+            "T_bound": self.t_bound,
+        }
 
 
 def _grown_box(chart: MetricChart, lo, hi, reach):
@@ -144,16 +154,15 @@ def _expand(start, length):
     return np.arange(int(length.sum())) + np.repeat(start - (np.cumsum(length) - length), length)
 
 
-def _axis_nodes(chart: MetricChart, lattice: _Lattice, centers, reach, axis):
-    """(index, sq, width): every ball's lattice indices on the axis within
-    chart reach of the center (`_axis_ranges`), ball after ball, their
-    squared chart displacements from the center (the nearest image on a
+def _axis_nodes(chart: MetricChart, lattice: _Lattice, c, first, last, axis):
+    """(index, sq, width): the lattice indices on the axis in every ball's
+    ranges first..last about the coordinate c (`_axis_ranges`), ball after
+    ball, their squared chart displacements from c (the nearest image on a
     periodic axis), and how many each ball has."""
-    first, last = _axis_ranges(chart, lattice, centers[:, axis], reach, axis)
     size = np.maximum(last - first + 1, 0)
     index = _expand(first.ravel(), size.ravel())
     width = size.sum(axis=-1)
-    d = np.abs(lattice.axes[axis][index] - np.repeat(centers[:, axis], width))
+    d = np.abs(lattice.axes[axis][index] - np.repeat(c, width))
     if chart.periodic[axis]:
         d = np.minimum(d, (chart.hi - chart.lo)[axis] - d)
     return index, d * d, width
@@ -166,25 +175,27 @@ def _screen(chart: MetricChart, lattice: _Lattice, centers, reach):
     axes and sq their squared displacement, and each (ball, row)'s index
     ranges on the last axis within sqrt(reach^2 - sq).  All ranges come
     from `_axis_ranges`.  The balls go in runs whose ranges hold at most
-    PAIR_BUDGET rows (a larger ball is a run of its own); each run starts
-    from one entry per ball and grows it axis by axis, dropping the
-    entries whose squared displacement so far exceeds reach^2."""
+    PAIR_BUDGET rows (a larger ball is a run of its own); each run lists
+    its balls' nodes per axis, starts from one entry per ball and grows
+    it axis by axis, dropping the entries whose squared displacement so
+    far exceeds reach^2.  Only the index ranges are kept for all balls."""
     last = chart.n - 1
-    nodes = [_axis_nodes(chart, lattice, centers, reach, i) for i in range(last)]
-    width = np.stack([w for _, _, w in nodes], axis=-1)
-    begin = np.cumsum(width, axis=0) - width
+    ranges = [_axis_ranges(chart, lattice, centers[:, i], reach, i) for i in range(last)]
+    width = np.stack([np.maximum(b - a + 1, 0).sum(axis=-1) for a, b in ranges], axis=-1)
     strides = np.append(np.cumprod(lattice.count[last - 1:0:-1])[::-1], 1)
     reach2 = reach**2
     for start, stop in budget_blocks(np.prod(width, axis=-1), PAIR_BUDGET):
         ball = np.arange(start, stop)
         row = np.zeros(len(ball), dtype=np.intp)
         sq = np.zeros(len(ball))
-        for i, (index, axis_sq, _) in enumerate(nodes):
-            w = width[ball, i]
-            j = _expand(begin[ball, i], w)
-            ball = np.repeat(ball, w)
-            row = np.repeat(row, w) + index[j] * strides[i]
-            sq = np.repeat(sq, w) + axis_sq[j]
+        for i, (a, b) in enumerate(ranges):
+            index, axis_sq, w = _axis_nodes(chart, lattice, centers[start:stop, i],
+                                            a[start:stop], b[start:stop], i)
+            k = ball - start
+            j = _expand((np.cumsum(w) - w)[k], w[k])
+            ball = np.repeat(ball, w[k])
+            row = np.repeat(row, w[k]) + index[j] * strides[i]
+            sq = np.repeat(sq, w[k]) + axis_sq[j]
             inside = sq <= reach2[ball]
             ball, row, sq = ball[inside], row[inside], sq[inside]
         yield (ball, row, sq,
@@ -222,21 +233,26 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
 def _axis_ranges(chart: MetricChart, lattice: _Lattice, c, half, axis: int):
     """(first, last), each (entries, images): inclusive index ranges of the
     lattice nodes on the axis within half[e] of the coordinate c[e], the
-    nearest image on a periodic axis.  A periodic axis has one range per
-    image c - L, c, c + L, each kept to the nodes nearer that image than
-    the others (a node half a period from c goes to c), so the ranges are
-    disjoint; any other axis has one.  Ranges are clipped to the lattice;
+    nearest image on a periodic axis.  A periodic axis has two ranges, one
+    per image, each kept to the nodes nearer that image than the other (a
+    node half a period from c goes to c), so the ranges are disjoint; any
+    other axis has one.  The lattice spans less than a period, so the nodes
+    more than half a period from c lie all below it (image c - L) or all
+    above it (image c + L), and the images are c - L, c where some lie
+    below and c, c + L otherwise.  Ranges are clipped to the lattice;
     first > last where one is empty."""
     x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
     c = c[:, None]
     if chart.periodic[axis]:
         period = (chart.hi - chart.lo)[axis]
-        images = c + period * np.array([-1.0, 0.0, 1.0])
-        # the nodes nearest to c: [near, far]; the images below and above c get the rest
+        # the nodes nearest to c: [near, far]
         near = np.ceil((c - period / 2.0 - x0) / step)
         far = np.floor((c + period / 2.0 - x0) / step)
-        lower = np.concatenate([np.zeros_like(near), near, far + 1], axis=1)
-        upper = np.concatenate([near - 1, far, np.full_like(far, m - 1)], axis=1)
+        below = near > 0
+        images = c + period * np.where(below, [-1.0, 0.0], [0.0, 1.0])
+        cut = np.where(below, near, far + 1)  # the first node of the upper image
+        lower = np.concatenate([np.zeros_like(cut), cut], axis=1)
+        upper = np.concatenate([cut - 1, np.full_like(cut, m - 1)], axis=1)
     else:
         images, lower, upper = c, 0, m - 1
     half = half[:, None]
@@ -261,9 +277,10 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     `_screen` walks the probe rows by the outer chart radius
     (r + s) / sqrt(f_min) and gives every (ball, row) its outer index
     ranges on the last axis; the inner ones, by r - s and f_max, come
-    from `_axis_ranges` here.  The inner ranges are counted with a
-    difference array along the rows, and only the probes between the two
-    ranges go to the distance, at most PAIR_BUDGET pairs per call.
+    from `_axis_ranges` here.  Only the probes between the two ranges go
+    to the distance, at most PAIR_BUDGET pairs per call.  Each run adds
+    its inner ranges, and the shell probes found inside, to one
+    difference array along the rows, which is summed once at the end.
     """
     last = chart.n - 1
     m = int(probes.count[last])
@@ -273,8 +290,9 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     inner = (radii - slack) / np.sqrt(f_max)
     outer = (radii + slack) / np.sqrt(f_min)
     inner2 = np.where(inner >= 0, inner * inner, -1.0)  # -1: no probe is surely inside
-    counts = np.zeros(len(probes), dtype=int)
-    starts, ends = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+    # one difference array along the rows, m + 1 wide: +1 where a run of
+    # counted probes starts, -1 after it ends; probe p sits at p + p // m
+    marks = np.zeros(len(probes) // m * (m + 1), dtype=np.intp)
     for ball, row, sq, first, end in _screen(chart, probes, centers, outer):
         a, b = _axis_ranges(chart, probes, centers[ball, last],
                             np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
@@ -283,19 +301,20 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
         empty = (a > b) | (inner2[ball] < sq)[:, None]
         a, b = np.where(empty, end + 1, a), np.where(empty, end, b)
         base = (row * (m + 1))[:, None]
-        starts.append((base + a)[~empty])
-        ends.append((base + b + 1)[~empty])
-        # the shell: [first, a) and (b, end] of every range
+        np.add.at(marks, (base + a)[~empty], 1)
+        np.subtract.at(marks, (base + b + 1)[~empty], 1)
+        # the shell: [first, a) and (b, end] of every range, the empty ones dropped
         seg_start = (row * m)[:, None] + np.concatenate([first, b + 1], axis=1)
-        seg_len = np.maximum(np.concatenate([a - first, end - b], axis=1), 0)
+        seg_len = np.concatenate([a - first, end - b], axis=1)
         seg_ball = np.broadcast_to(ball[:, None], seg_len.shape)
-        for p, q in _segment_pairs(seg_start.ravel(), seg_len.ravel(), seg_ball.ravel()):
-            inside = chart.distance(probes.points[p], centers[q]) <= radii[q]
-            counts += np.bincount(p[inside], minlength=len(probes))
-    size = len(probes) // m * (m + 1)
-    marks = (np.bincount(np.concatenate(starts), minlength=size)
-             - np.bincount(np.concatenate(ends), minlength=size))
-    return counts + np.cumsum(marks.reshape(-1, m + 1), axis=1)[:, :m].ravel()
+        some = seg_len > 0
+        for p, q in _segment_pairs(seg_start[some], seg_len[some], seg_ball[some]):
+            hit = p[chart.distance(probes.points[p], centers[q]) <= radii[q]]
+            hit += hit // m
+            np.add.at(marks, hit, 1)
+            np.subtract.at(marks, hit + 1, 1)
+    rows = marks.reshape(-1, m + 1)
+    return np.cumsum(rows, axis=1, out=rows)[:, :m].ravel()
 
 
 def _segment_pairs(start, length, ball):

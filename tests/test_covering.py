@@ -1,5 +1,7 @@
 import json
 import math
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,57 @@ def test_vitali_selected_balls_disjoint(data):
                 assert abs(xs[i] - xs[j]) > rs[i] + rs[j]
 
 
+def sequential_vitali(radii, touching):
+    """The greedy over every ball in turn: decreasing radius, ties by
+    index, each kept unless it touches a ball kept before it."""
+    adj = [[] for _ in range(len(radii))]
+    for a, b in touching:
+        adj[a].append(b)
+        adj[b].append(a)
+    chosen = np.zeros(len(radii), dtype=bool)
+    for i in np.lexsort((np.arange(len(radii)), -np.asarray(radii))):
+        if not any(chosen[j] for j in adj[i]):
+            chosen[i] = True
+    return np.flatnonzero(chosen)
+
+
+@st.composite
+def vitali_cases(draw):
+    """(radii, pairs): 1 to 40 radii, many of them tied, and a list of
+    index pairs i != j with repeats and both orientations."""
+    n = draw(st.integers(1, 40))
+    radii = draw(st.lists(st.sampled_from([0.25, 0.5, 1.0]) | st.floats(0.1, 2.0),
+                          min_size=n, max_size=n))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, max(n - 1, 1)))
+                          .map(lambda p: (p[0], (p[0] + p[1]) % n)), max_size=3 * n if n > 1 else 0))
+    again = draw(st.lists(st.sampled_from(pairs), max_size=n)) if pairs else []
+    return radii, pairs + again + [(j, i) for i, j in again[::2]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(vitali_cases())
+def test_vitali_select_equals_sequential_greedy(case):
+    radii, pairs = case
+    assert np.array_equal(cov.vitali_select(radii, pairs), sequential_vitali(radii, pairs))
+    assert np.array_equal(cov.vitali_select(radii, np.array(pairs, dtype=int).reshape(-1, 2)),
+                          sequential_vitali(radii, pairs))
+
+
+def test_vitali_select_long_chain():
+    """20 000 balls in a chain, each touching the next and listed in rank
+    order: the greedy keeps every other ball, and the pass stays linear
+    in the chain (a round-based greedy would need a round per ball)."""
+    n = 20_000
+    radii = np.linspace(2.0, 1.0, n)
+    pairs = np.stack([np.arange(n - 1), np.arange(1, n)], axis=-1)
+    start = time.perf_counter()
+    kept = cov.vitali_select(radii, pairs)
+    elapsed = time.perf_counter() - start
+    assert np.array_equal(kept, np.arange(0, n, 2))
+    assert np.array_equal(kept, sequential_vitali(radii, pairs))
+    assert elapsed < 0.5
+
+
 def test_build_covering_euclidean_level0():
     fld = euclid_field()
     c = cov.build_admissible_covering(fld, 0, box=BOX)
@@ -83,7 +136,7 @@ def test_dilated_overlap_certificate():
 def test_covering_json_roundtrip():
     fld = euclid_field()
     c = cov.build_admissible_covering(fld, 0, box=BOX)
-    payload = json.loads(c.to_json())
+    payload = json.loads(json.dumps(c.to_dict()))
     assert payload["schema_version"] == 1
     assert payload["k"] == 0
     assert len(payload["centers"]) == len(c.centers)
@@ -188,6 +241,65 @@ TIE_CASES = {
     "hyperbolic-halfplane-boundary": (("hyperbolic-halfplane", {}), [-0.3, 0.7], [0.3, 1.3], 1 / 40),
     "hyperbolic-ball-boundary": (("hyperbolic-ball", {}), [-0.3, -0.3], [0.3, 0.3], 1 / 40),
 }
+
+
+def three_image_ranges(chart, lattice, c, half, axis):
+    """`_axis_ranges` with one range per image c - L, c, c + L on a
+    periodic axis, each kept to the nodes nearer that image than the
+    others."""
+    x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
+    period = (chart.hi - chart.lo)[axis]
+    c = c[:, None]
+    images = c + period * np.array([-1.0, 0.0, 1.0])
+    near = np.ceil((c - period / 2.0 - x0) / step)
+    far = np.floor((c + period / 2.0 - x0) / step)
+    lower = np.concatenate([np.zeros_like(near), near, far + 1], axis=1)
+    upper = np.concatenate([near - 1, far, np.full_like(far, m - 1)], axis=1)
+    half = half[:, None]
+    first = np.clip(np.maximum(np.ceil((images - half - x0) / step), lower), 0, m)
+    last = np.clip(np.minimum(np.floor((images + half - x0) / step), upper), -1, m - 1)
+    return first.astype(np.intp), last.astype(np.intp)
+
+
+def index_sets(first, last):
+    """Per entry and range, the set of indices first..last."""
+    return [[set(range(a, b + 1)) for a, b in zip(f, l)] for f, l in zip(first, last)]
+
+
+@st.composite
+def periodic_range_cases(draw):
+    """(chart, lattice, c, half): a torus lattice over the whole period or
+    a sub-box (some reaching from near 0 to near L), centers anywhere or
+    on nodes and half a period off nodes, and halves up to 0.75 L,
+    among them whole numbers of steps and exactly L / 2."""
+    L = 4.0
+    chart = make_chart("flat-torus", n=2, L=L)
+    box = draw(st.sampled_from([(0.0, L), (0.0, L), (0.2, 1.4), (0.1, 3.9), (0.0, 3.9999),
+                                (1.5, 4.0), (2.9, 3.3)]))
+    lo, hi, endpoint = cov._target_box(chart, [box, box])
+    lattice = cov._Lattice(lo, hi, [draw(st.integers(2, 40))] * 2, endpoint)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, step = lattice.axes[0], float(lattice.step[0])
+    c = np.concatenate([rng.uniform(0.0, L, 30), rng.choice(x, 10),
+                        np.mod(rng.choice(x, 10) + L / 2.0, L)])
+    half = np.concatenate([rng.uniform(0.0, 0.75 * L, 30), step * rng.integers(0, 8, 10),
+                           np.full(10, L / 2.0)])
+    return chart, lattice, c, half
+
+
+@settings(max_examples=80, deadline=None)
+@given(periodic_range_cases())
+def test_periodic_axis_ranges_drop_an_empty_image(case):
+    """The two ranges of a periodic axis hold the index sets of two
+    adjacent ranges of the three-image version, c - L and c or c and
+    c + L, and the range left out is empty in every case."""
+    chart, lattice, c, half = case
+    for axis in (0, 1):
+        want = index_sets(*three_image_ranges(chart, lattice, c, half, axis))
+        got = index_sets(*cov._axis_ranges(chart, lattice, c, half, axis))
+        for (below, mid, above), two in zip(want, got):
+            assert two in ([below, mid], [mid, above])
+            assert not (above if two == [below, mid] else below)
 
 
 def brute_force_counts(chart, probes, centers, radii, chunk=1 << 20):
@@ -300,6 +412,32 @@ def test_count_memberships_fuzz(case):
     chart, probes, centers, radii = case
     counts = cov._count_memberships(chart, probes, centers, radii)
     assert np.array_equal(counts, brute_force_counts(chart, probes.points, centers, radii))
+
+
+def test_count_memberships_memory_is_linear_in_probes(monkeypatch):
+    """One count call holds O(probes + balls) ints and temporaries of
+    PAIR_BUDGET size, however many (ball, row) entries the screen yields:
+    a 3-D flat torus with 31^3 probes and 16^3 balls 2.5 center spacings
+    wide yields ten entries per probe, and the call must stay below 4 ints
+    per probe, 16 per ball and 64 per budget pair."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", 4096)
+    chart = make_chart("flat-torus", n=3, L=3.0)
+    lo, hi, endpoint = cov._target_box(chart, None)
+    probes = cov._Lattice(lo, hi, [31] * 3, endpoint)
+    centers = cov._Lattice(lo, hi, [16] * 3, endpoint).points
+    radii = np.full(len(centers), 2.5 * 3.0 / 16)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        counts = cov._count_memberships(chart, probes, centers, radii)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(ball) for ball, *_ in cov._screen(chart, probes, centers, radii))
+    assert entries > 8 * len(probes)
+    assert counts.min() >= 1
+    assert peak <= 8 * (4 * len(probes) + 16 * len(centers) + 64 * cov.PAIR_BUDGET)
 
 
 def chart_displacement(chart, x, y):
