@@ -21,8 +21,8 @@ from . import admissible, covering, exponents, heatflow, norms
 from .geometry import grid_points, make_chart, volume_of_ball
 
 
-def _params(eps=0.2, m=2):
-    return admissible.AdmissibilityParams(m=m, eps=eps)
+def _params(eps=0.2):
+    return admissible.AdmissibilityParams(m=2, eps=eps)
 
 
 # model name -> (chart kwargs, covering box, field-sample box, field grid)
@@ -66,15 +66,14 @@ def _model_chart(name):
     return make_chart(kwargs.pop("name"), **kwargs)
 
 
-def _field_for(name, params=None):
+def _field_for(name):
     setup = MODEL_SETUPS[name]
     chart = _model_chart(name)
-    params = params or _params()
     if setup["field_box"] is None:
         pts = admissible.grid_centers(chart, setup["field_pts"])
     else:
         pts = grid_points(*np.transpose(setup["field_box"]), setup["field_pts"])
-    return admissible.radius_field(chart, pts, params)
+    return admissible.radius_field(chart, pts, _params())
 
 
 # -- criteria -----------------------------------------------------------
@@ -333,8 +332,8 @@ def criterion_8():
     }
 
 
-def _torus_eigen_error(nx, dt, T=0.5, against="continuum"):
-    L = 2 * math.pi
+def _torus_eigen_error(nx, dt, against="continuum"):
+    L, T = 2 * math.pi, 0.5
     chart = make_chart("flat-torus", n=2, L=L)
     grid = norms.Grid.over_box(chart, [(0, L), (0, L)], nx)
 
@@ -377,14 +376,6 @@ def criterion_9():
 
 def problem_catalog():
     """One parabolic problem per model, plus a one-form problem."""
-
-    def bump_forcing(c, width, tfreq):
-        def fn(t, pts, c=np.asarray(c, dtype=float)):
-            r2 = np.sum((pts - c) ** 2, axis=-1)
-            return np.exp(-r2 / width**2) * math.sin(tfreq * t)
-
-        return fn
-
     L = 4.0
     torus = make_chart("flat-torus", n=2, L=L)
 
@@ -409,7 +400,7 @@ def problem_catalog():
     for name, (box, c, width) in boxes.items():
         grid = norms.Grid.over_box(_model_chart(name), box, 33)
         problems[name] = heatflow.ParabolicProblem(
-            grid, bump_forcing(c, width, 3.0), horizon=0.3, margin=0.1, dt=0.01
+            grid, heatflow.bump_forcing(c, width, 3.0), horizon=0.3, margin=0.1, dt=0.01
         )
     tg = norms.Grid.over_box(torus, [(0, L), (0, L)], 32)
     problems["flat-torus"] = heatflow.ParabolicProblem(
@@ -444,11 +435,7 @@ def criterion_11():
     ok = True
     box = [(4.0, 6.0), (4.0, 6.0)]
     center = np.array([5.0, 5.0])
-
-    def forcing(t, pts):
-        r2 = np.sum((pts - center) ** 2, axis=-1)
-        return np.exp(-r2 / 0.09) * math.sin(3.0 * t)
-
+    forcing = heatflow.bump_forcing(center, 0.3, 3.0)
     for name in ("euclidean", "perturbed-euclidean"):
         chart = _model_chart(name)
         fld = admissible.radius_field(

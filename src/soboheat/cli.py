@@ -1,9 +1,11 @@
 """Command-line front end: radius fields, coverings, exponent tables,
 solver experiments, and the verification suites.
 
-Config is a flat JSON object (--config file); command-line flags override
-file values.  All outputs land under --out and are deterministic for a
-fixed config.  MP_THREADS caps BLAS/OpenMP worker counts.
+Config is a flat JSON object (--config file); flags override its values.
+Its numbers read as the flags read them: n, m and k are whole, r is the
+decimal as written (2.3 is 23/10), and true or false is no number; only
+estimates takes them.  All outputs land under --out and are deterministic
+for a fixed config.
 """
 
 from __future__ import annotations
@@ -11,14 +13,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 from pathlib import Path
-
-if os.environ.get("MP_THREADS"):
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, os.environ["MP_THREADS"])
 
 import numpy as np
 
@@ -63,6 +60,8 @@ def _get(cfg, key, default=None, required=False, cast=None):
         return default
     val = cfg[key]
     if cast is not None:
+        if isinstance(val, bool):  # a JSON true is an int to Python
+            raise ConfigError(f"field {key!r}: expected a number, got {json.dumps(val)}")
         try:
             val = cast(val)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
@@ -70,9 +69,21 @@ def _get(cfg, key, default=None, required=False, cast=None):
     return val
 
 
+def _whole(val) -> int:
+    """A whole number: 3, 3.0 or "3", not 3.9 or "3.9"."""
+    if isinstance(val, float) and not val.is_integer():
+        raise ValueError(f"{val!r} is not a whole number")
+    return int(val)
+
+
+def _rational(val) -> Fraction:
+    """The exact value of the decimal as written: 2.3 is 23/10."""
+    return Fraction(str(val))
+
+
 def _chart_from_config(cfg):
     name = _get(cfg, "model", required=True)
-    kwargs = {"n": _get(cfg, "n", 2, cast=int)}
+    kwargs = {"n": _get(cfg, "n", 2, cast=_whole)}
     if name == "perturbed-euclidean":
         kwargs["a"] = _get(cfg, "a", 0.1, cast=float)
         freq = _get(cfg, "frequency", None, cast=float)
@@ -85,7 +96,7 @@ def _chart_from_config(cfg):
 
 def _params_from_config(cfg):
     return admissible.AdmissibilityParams(
-        m=_get(cfg, "m", 2, cast=int),
+        m=_get(cfg, "m", 2, cast=_whole),
         eps=_get(cfg, "eps", 0.2, cast=float),
         bisection_tol=_get(cfg, "tol", 1e-3, cast=float),
     )
@@ -179,7 +190,7 @@ def cmd_cover(cfg) -> int:
     from . import covering
 
     fld = _radius_field(cfg)
-    k = _get(cfg, "k", 0, cast=int)
+    k = _get(cfg, "k", 0, cast=_whole)
     box = _parse_box(_get(cfg, "cover-box"), fld.chart.n)
     cov = covering.build_admissible_covering(fld, k, box=box)
     disjoint = covering.check_core_disjointness(cov)
@@ -198,9 +209,9 @@ def cmd_cover(cfg) -> int:
 
 
 def cmd_exponents(cfg) -> int:
-    m = _get(cfg, "m", required=True, cast=int)
-    n = _get(cfg, "n", required=True, cast=int)
-    r = _get(cfg, "r", required=True, cast=Fraction)
+    m = _get(cfg, "m", required=True, cast=_whole)
+    n = _get(cfg, "n", required=True, cast=_whole)
+    r = _get(cfg, "r", required=True, cast=_rational)
     variant = _get(cfg, "variant", "sections")
     table = exponents.bootstrap_table(m, n, r, variant)
     out = _outdir(cfg)
@@ -220,6 +231,8 @@ FORCINGS = ("bump", "eigen", "zero")
 
 
 def _forcing_from_config(cfg, chart, box):
+    from .heatflow import bump_forcing
+
     name = _get(cfg, "forcing", "bump")
     if name not in FORCINGS:
         raise ConfigError(f"unknown forcing {name!r}; choose from {sorted(FORCINGS)}")
@@ -235,12 +248,7 @@ def _forcing_from_config(cfg, chart, box):
         raise ConfigError(f"field 'width' must be finite and > 0, got {width!r}")
     if not math.isfinite(tfreq):
         raise ConfigError(f"field 'tfreq' must be finite, got {tfreq!r}")
-
-    def bump(t, pts):
-        r2 = np.sum((pts - center) ** 2, axis=-1)
-        return np.exp(-r2 / width**2) * math.sin(tfreq * t)
-
-    return bump
+    return bump_forcing(center, width, tfreq)
 
 
 def _along_dx1(g):
@@ -264,8 +272,16 @@ def cmd_solve(cfg) -> int:
     per_axis = _parse_grid(_get(cfg, "grid", "33x33"), chart.n)
     grid = norms.Grid.over_box(chart, box, per_axis)
     estimates = _get(cfg, "estimates", False)
+    if not isinstance(estimates, bool):
+        raise ConfigError(f"field 'estimates' must be true or false, got {json.dumps(estimates)}")
     if estimates:
         grid.require_derivative_nodes()
+        # the estimate inputs are read and built before anything is written
+        margin = 0.25 * min(hi - lo for lo, hi in box)
+        fld = admissible.radius_field(chart, admissible.grid_centers(chart, 5, margin),
+                                      _params_from_config(cfg))
+        table = exponents.bootstrap_table(_get(cfg, "m", 2, cast=_whole), chart.n,
+                                          _get(cfg, "r", 4, cast=_rational))
     forcing = _forcing_from_config(cfg, chart, box)
     kind = _get(cfg, "kind", "scalar")
     if kind == "one-form":
@@ -301,12 +317,6 @@ def cmd_solve(cfg) -> int:
         }
     ]
     if estimates:
-        params = _params_from_config(cfg)
-        margin = 0.25 * min(hi - lo for lo, hi in box)
-        fld = admissible.radius_field(chart, admissible.grid_centers(chart, 5, margin), params)
-        table = exponents.bootstrap_table(
-            _get(cfg, "m", 2, cast=int), chart.n, _get(cfg, "r", 4, cast=Fraction)
-        )
         center = np.array([(lo + hi) / 2.0 for lo, hi in box])
         R = 0.4 * min(hi - lo for lo, hi in box)
         loc = heatflow.local_estimate_experiment(sol, (center, R), r=float(table.r))

@@ -35,6 +35,7 @@ from .geometry import (PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_
                        rounding_slack)
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
+CANDIDATE_FACTOR = 3.0  # candidate spacing in smallest core radii (build_admissible_covering)
 # PAIR_BUDGET (from geometry) caps the (node, ball) pairs per distance call and the
 # rows per run of balls, for both queries
 
@@ -116,7 +117,6 @@ class Covering:
         self.lattice = lattice
         self.nodes = np.asarray(nodes)
         self.k = int(k)
-        self.eta = ETA
         self.eps = float(eps)
         self.centers = lattice.points[self.nodes]
         self.core_radii = np.asarray(core_radii, dtype=float)
@@ -132,7 +132,7 @@ class Covering:
         return {
             "schema_version": 1,
             "k": self.k,
-            "eta": self.eta,
+            "eta": ETA,
             "eps": self.eps,
             "centers": self.centers.tolist(),
             "core_radii": self.core_radii.tolist(),
@@ -327,15 +327,17 @@ def _segment_pairs(start, length, ball):
             yield node[cut:cut + PAIR_BUDGET], owner[cut:cut + PAIR_BUDGET]
 
 
-def build_admissible_covering(field: RadiusField, k: int, box=None,
-                              candidate_factor: float = 3.0) -> Covering:
+def build_admissible_covering(field: RadiusField, k: int, box=None) -> Covering:
     """Level-k covering of a working box, with measured certificates.
 
-    Candidate centers sit on a grid of spacing ~candidate_factor times
-    the smallest core radius (certified from the field's Lipschitz lower
-    bound), which guarantees every probe lands inside the 5-fold dilate
-    of a selected ball.  Raises DomainError if a probe stays uncovered
-    or k < 0.
+    Candidate centers sit on a grid of geodesic spacing CANDIDATE_FACTOR
+    = 3 times the smallest core radius r (certified from the field's
+    Lipschitz lower bound).  The factor is the one that puts every probe
+    inside a 5-fold dilate: a probe lies within 3 r sqrt(n)/2 <= 2.6 r of
+    its nearest candidate (n <= 3), and a candidate the greedy drops meets
+    a kept core of radius r' >= its own >= r, so it lies within 2 r' of
+    that core's center, and the probe within 5 r' of it.  Raises
+    DomainError if a probe stays uncovered or k < 0.
     """
     if k < 0:
         raise DomainError(f"covering level k must be >= 0, got {k}")
@@ -351,9 +353,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None,
         raise DomainError("radius field lower bound vanishes on the box")
     r_core_min = 2.0**-k * r_min_est / (5 * ETA)
     f_min_box, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, r_min_est))
-    # geodesic candidate spacing ~ candidate_factor * r_core_min, so a
-    # probe's nearest candidate ball reaches it through the 5-fold dilate
-    spacing = candidate_factor * r_core_min / math.sqrt(f_max_box)
+    spacing = CANDIDATE_FACTOR * r_core_min / math.sqrt(f_max_box)
     lattice = _spaced_grid(lo, hi, spacing, endpoint)
     r_eps_cand = field.lower_bound_at(lattice.points)
     nodes = np.flatnonzero(r_eps_cand > 0)

@@ -40,12 +40,6 @@ RationalLike = Union[int, Fraction, str]
 VARIANTS = ("sections", "functions")
 
 
-def _frac(x: RationalLike) -> Fraction:
-    if isinstance(x, float):
-        return Fraction(x).limit_denominator(10**9)
-    return Fraction(x)
-
-
 def _ceil(x: Fraction) -> int:
     return -((-x.numerator) // x.denominator)
 
@@ -100,7 +94,7 @@ class WeightSpec:
 
 def k_star(m: int, n: int, r: RationalLike) -> int:
     """Number of bootstrap steps needed to climb from L^2 to L^r."""
-    r = _frac(r)
+    r = Fraction(r)
     if r < 2:
         raise ValueError(f"target integrability r={r} must be >= 2")
     return _ceil(Fraction(n) * (r - 2) / (2 * m * r))
@@ -111,7 +105,7 @@ def integrability_chain(m: int, n: int, r: RationalLike) -> list:
 
     Entries where the right-hand side is <= 0 are math.inf.
     """
-    r = _frac(r)
+    r = Fraction(r)
     ks = k_star(m, n, r)
     chain = []
     for k in range(ks + 1):
@@ -126,7 +120,7 @@ def bootstrap_table(m: int, n: int, r: RationalLike, variant: str = "sections") 
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     if m < 1 or n < 2:
         raise ValueError(f"need m >= 1 and n >= 2, got m={m}, n={n}")
-    r = _frac(r)
+    r = Fraction(r)
     if r < 2:
         raise ValueError(f"target integrability r={r} must be >= 2")
 
@@ -183,9 +177,9 @@ def bootstrap_table(m: int, n: int, r: RationalLike, variant: str = "sections") 
     )
 
 
-def weight_spec(table: ExponentTable, r: RationalLike | None = None) -> WeightSpec:
-    """Weight powers (r*delta, r*gamma, r*beta) for the global estimate."""
-    r = table.r if r is None else _frac(r)
+def weight_spec(table: ExponentTable) -> WeightSpec:
+    """Weight powers r (delta, gamma, beta), r = table.r, for the global estimate."""
+    r = table.r
     return WeightSpec(w1_exp=r * table.delta, w2_exp=r * table.gamma, w3_exp=r * table.beta)
 
 

@@ -61,6 +61,7 @@ class NumericalError(ArithmeticError):
 
 
 M_MAX = 3  # highest analytic metric-derivative order
+CMT_SAMPLE_DENSITY = 16.0  # cmt_bound_check's sample nodes per unit of chart length, >= 9 per axis
 
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
@@ -115,7 +116,7 @@ class MetricChart:
     sum_{|beta| = k} sup |d^beta f| over a box; lipschitz(chart, lo, hi, c)
     bounds the Lipschitz constant of d(., c) over a box that holds c;
     ball_box(chart, c, R) is a chart box (lo, hi) that contains the
-    geodesic ball B(c, R); is_flat says f is constant.
+    geodesic ball B(c, R); is_flat says f is constant (jet_bound of order 1 is 0).
     """
 
     def __init__(
@@ -131,34 +132,33 @@ class MetricChart:
         jet_bound: Callable,
         lipschitz: Callable,
         ball_box: Callable,
-        is_flat: bool,
-        params: dict | None = None,
+        params: dict,
     ):
         self.name = name
         self.n = dim
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
         self.periodic = tuple(periodic)
-        self.params = dict(params or {})
+        self.params = dict(params)
         self._distance_fn = distance_fn
         self.jet = jet
         self._factor_range = factor_range
         self._jet_bound = jet_bound
         self._lipschitz = lipschitz
         self._ball_box = ball_box
-        self.is_flat = is_flat
         if not self.factor_range(self.lo, self.hi)[0] > 0:
             raise NumericalError(f"chart {name}: conformal factor not positive on the box")
+        self.is_flat = bool(self.jet_bound(self.lo, self.hi, 1) == 0)
 
     # -- basic queries -------------------------------------------------
 
-    def contains(self, x, margin: float = 0.0):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
         ok = np.ones(x.shape[:-1], dtype=bool)
         for i in range(self.n):
             if self.periodic[i]:
                 continue
-            ok &= (x[..., i] >= self.lo[i] + margin) & (x[..., i] <= self.hi[i] - margin)
+            ok &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
         return ok
 
     def sub_box(self, box):
@@ -520,7 +520,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean, jet, jet.range,
-                           jet.bound, _lip_metric, _box_flat, True, params)
+                           jet.bound, _lip_metric, _box_flat, params)
     if name == "perturbed-euclidean":
         n = _dim(name, params, (2, 3))
         a = _finite("perturbation amplitude", params.get("a", 0.1))
@@ -530,8 +530,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _sine_profile(a, freq), _sine_extrema(a, freq))
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord, jet, jet.range,
-                           jet.bound, _lip_chord, _box_perturbed, a == 0 or freq == 0,
-                           {"a": a, "frequency": freq})
+                           jet.bound, _lip_chord, _box_perturbed, {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
@@ -539,7 +538,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError("half-plane box must satisfy y > 0")
         jet = AxisProfile(1, _inverse_square_profile, _inverse_square_extrema)
         return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane, jet, jet.range,
-                           jet.bound, _lip_metric, _box_halfplane, False, params)
+                           jet.bound, _lip_metric, _box_halfplane, params)
     if name == "hyperbolic-ball":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
@@ -547,7 +546,7 @@ def make_chart(name: str, **params) -> MetricChart:
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
         return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
-                           _disc_range, _disc_jet_bound, _lip_metric, _box_disc, False, params)
+                           _disc_range, _disc_jet_bound, _lip_metric, _box_disc, params)
     if name == "flat-torus":
         n = _dim(name, params, (2, 3))
         L = _finite("torus side L", params.get("L", 2 * math.pi))
@@ -555,7 +554,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError(f"torus side L must be positive, got {L}")
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus, jet, jet.range,
-                           jet.bound, _lip_metric, _box_flat, True, {"L": L})
+                           jet.bound, _lip_metric, _box_flat, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 
@@ -769,9 +768,8 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     sub_axes = [(axes[i][:, None] + sub * h[i]).ravel() for i in range(n)]
     total = 0.0
     # slab over the first axis in blocks of ~256k cells to bound memory
-    mesh_rest = np.meshgrid(*axes[1:], indexing="ij")
-    rest = np.stack([m.ravel() for m in mesh_rest], axis=-1) if n > 1 else np.zeros((1, 0))
-    rows_per_block = max(1, (1 << 18) // max(1, len(rest)))
+    rest = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=-1)
+    rows_per_block = max(1, (1 << 18) // len(rest))
     for start in range(0, res, rows_per_block):
         x0 = axes[0][start : start + rows_per_block]
         pts = np.concatenate(
@@ -787,7 +785,7 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
 # -- the Christoffel-control bound ------------------------------------
 
 
-def cmt_bound_check(chart: MetricChart, center, radius: float, m: int, sample_density: float = 16.0) -> dict:
+def cmt_bound_check(chart: MetricChart, center, radius: float, m: int) -> dict:
     """Smallest C with |d^{k-1} Gamma| <= C * sum_{|b|<=k} sup_ij |d^b g_ij|
     over a sample grid of the ball, for every k <= m.
     """
@@ -799,7 +797,7 @@ def cmt_bound_check(chart: MetricChart, center, radius: float, m: int, sample_de
     radius = _ball_radius(radius)
     if not ball_bbox(chart, center, radius)[2]:
         raise DomainError("ball exits the working domain")
-    per_axis = max(9, int(math.ceil(2 * radius * sample_density)) + 1)
+    per_axis = max(9, int(math.ceil(2 * radius * CMT_SAMPLE_DENSITY)) + 1)
     pts, _ = ball_sample_points(chart, center, radius, per_axis)
     n = chart.n
     jet = _phi_jet(chart, pts, m)

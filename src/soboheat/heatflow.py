@@ -133,6 +133,17 @@ class ParabolicSolution:
                              self.u.kind, self.times)
 
 
+def bump_forcing(center, width, tfreq):
+    """The forcing exp(-|x - center|^2 / width^2) sin(tfreq t)."""
+    center = np.asarray(center, dtype=float)
+
+    def forcing(t, pts):
+        r2 = np.sum((pts - center) ** 2, axis=-1)
+        return np.exp(-r2 / width**2) * math.sin(tfreq * t)
+
+    return forcing
+
+
 def _on_flat_torus(grid: Grid) -> bool:
     return grid.chart.is_flat and all(grid.wraps)
 
@@ -317,13 +328,13 @@ def l2_norm_at_times(field: DiscreteField) -> np.ndarray:
     return np.sqrt(np.sum(mod2 * q, axis=tuple(range(1, mod2.ndim))))
 
 
-def check_threshold_contraction(solution: ParabolicSolution, slack: float = 1e-8) -> dict:
+def check_threshold_contraction(solution: ParabolicSolution) -> dict:
     """||u(t_j)||_L2 <= integral_0^t_j ||forcing||_L2 ds at every node."""
     un = l2_norm_at_times(solution.u)
     fn = l2_norm_at_times(solution.forcing_field())
     t = solution.times
     cum = np.concatenate([[0.0], np.cumsum(0.5 * (fn[1:] + fn[:-1]) * np.diff(t))])
-    ok = un <= cum * (1 + slack) + 1e-300
+    ok = un <= cum * (1 + 1e-8) + 1e-300
     return {
         "holds": bool(np.all(ok)),
         "worst_margin": float(np.max(un - cum)),
@@ -332,10 +343,11 @@ def check_threshold_contraction(solution: ParabolicSolution, slack: float = 1e-8
     }
 
 
-def local_estimate_experiment(solution: ParabolicSolution, ball, m: int = 2,
-                              r: float = 2.0, s: float = 2.0) -> dict:
+def local_estimate_experiment(solution: ParabolicSolution, ball, r: float = 2.0) -> dict:
     """Interior-vs-exterior norm ratio on the half ball B(x, R/2) with the
-    two time windows [0, T + margin/2] and [0, T + margin]."""
+    two time windows [0, T + margin/2] and [0, T + margin], at m = 2
+    space derivatives and time exponent s = 2."""
+    m, s = 2, 2.0
     prob = solution.problem
     center, R = ball
     half = (center, R / 2.0)
@@ -349,16 +361,16 @@ def local_estimate_experiment(solution: ParabolicSolution, ball, m: int = 2,
     return {"lhs": lhs, "rhs": rhs, "c_emp": 0.0 if rhs == 0 else lhs / rhs}
 
 
-def global_estimate_experiment(solution: ParabolicSolution, rad_field, table, r=None) -> dict:
+def global_estimate_experiment(solution: ParabolicSolution, rad_field, table) -> dict:
     """Weighted global estimate ratio: time-derivative and Sobolev-2 norms
     of u with weights R^(r delta), R^(r gamma) against forcing norms with
-    weight R^(r beta) plus a plain L2 term."""
+    weight R^(r beta) plus a plain L2 term, r = table.r."""
     from .exponents import weight_spec
 
     prob = solution.problem
     grid = prob.grid
-    spec = weight_spec(table, r)
-    rr = float(table.r if r is None else r)
+    spec = weight_spec(table)
+    rr = float(table.r)
     rvals = rad_field.lower_bound_at(grid.points.reshape(-1, grid.chart.n)).reshape(grid.shape)
     w1 = rvals ** float(spec.w1_exp)
     w2 = rvals ** float(spec.w2_exp)

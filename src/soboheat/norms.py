@@ -331,14 +331,11 @@ def holder_volume_check(field: DiscreteField, ball, r: float) -> dict:
     return {"lhs": lhs, "rhs": rhs, "volume": vol, "holds": lhs <= rhs * (1 + 1e-12)}
 
 
-def covering_sum_norm(field: DiscreteField, covering, weight_exp: float, l: int,
-                      tau: float, use_full_balls: bool = False) -> float:
-    """(sum over members of R(x)^(weight_exp * tau) * member-norm^tau)^(1/tau),
-    members being the cover balls or the full B(x, R(x)/10) family."""
-    radii = covering.r_eps / covering.eta if use_full_balls else covering.cover_radii
+def covering_sum_norm(field: DiscreteField, covering, weight_exp: float, l: int, tau: float) -> float:
+    """(sum over the cover balls of R(x)^(weight_exp * tau) * ball-norm^tau)^(1/tau)."""
     total = 0.0
     for j in range(len(covering.centers)):
-        nrm = sobolev_norm(field, NormRequest(r=tau, l=l,
-                                              region=(covering.centers[j], radii[j])))
+        ball = (covering.centers[j], covering.cover_radii[j])
+        nrm = sobolev_norm(field, NormRequest(r=tau, l=l, region=ball))
         total += covering.r_eps[j] ** (weight_exp * tau) * nrm**tau
     return total ** (1.0 / tau)

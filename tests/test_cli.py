@@ -231,6 +231,23 @@ def test_config_parse_error(tmp_path, capsys):
     ["solve", "--model", "euclidean", "--grid", "5x5", "--tfreq", "inf"],
     # estimates need 3 nodes on every axis with ends: checked before the solve
     ["solve", "--model", "euclidean", "--grid", "2x33", "--estimates"],
+    # config numbers read as the flags read them: whole n, m and k, no booleans
+    ["cover", "--model", "euclidean", "--grid", "4x4", "--box", "4.3:5.7,4.3:5.7",
+     "--cover-box", "4.5:5.5,4.5:5.5", "--config", {"k": 1.7}],
+    ["cover", "--model", "euclidean", "--grid", "4x4", "--box", "4.3:5.7,4.3:5.7",
+     "--cover-box", "4.5:5.5,4.5:5.5", "--config", {"k": True}],
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"m": 2.9}],
+    ["radius", "--model", "euclidean", "--grid", "2", "--config", {"n": 3.9}],
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"tol": True}],
+    ["exponents", "--config", {"m": 2, "n": 4.5, "r": 4}],
+    ["exponents", "--config", {"m": True, "n": 4, "r": 4}],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--T", "0.02", "--dt", "0.01",
+     "--config", {"alpha": False}],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--config", {"estimates": 1}],
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--config", {"estimates": "yes"}],
+    # read before the solve, whose files would otherwise be written first
+    ["solve", "--model", "euclidean", "--grid", "5x5", "--T", "0.02", "--alpha", "0.01",
+     "--estimates", "--config", {"m": 2.5}],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # a dict stands for a config file with that content
@@ -246,7 +263,34 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     assert "Traceback" not in err
     # the error names the bad input, not the default margin it met later
     assert "--margin" in argv or "leaves an empty box" not in err
-    assert not (tmp_path / "solve_report.jsonl").exists()
+    assert [p.name for p in tmp_path.iterdir() if p != cfg] == []
+
+
+@pytest.mark.parametrize("command,values", [
+    ("radius", {"model": "perturbed-euclidean", "n": 2, "a": 0.2, "m": 2, "eps": 0.25,
+                "tol": 0.002, "grid": "3x3", "margin": 4}),
+    ("cover", {"model": "euclidean", "k": 1, "m": 2, "eps": 0.2, "grid": "4x4",
+               "box": "4.3:5.7,4.3:5.7", "cover-box": "4.5:5.5,4.5:5.5"}),
+    ("exponents", {"m": 2, "n": 3, "r": 2.3}),
+    ("solve", {"model": "euclidean", "box": "4:6,4:6", "grid": "17x17", "width": 0.3,
+               "tfreq": 2.5, "T": 0.2, "alpha": 0.1, "dt": 0.02, "estimates": True, "m": 2,
+               "r": 2.3}),
+])
+def test_config_file_and_flags_write_the_same_files(tmp_path, command, values):
+    """The same values, once as flags and once as JSON numbers in a config
+    file, give byte-identical outputs; r = 2.3 is 23/10 either way."""
+    flags = [command]
+    for key, val in values.items():
+        flags += [f"--{key}"] if val is True else [f"--{key}", str(val)]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(values))
+    outs = [tmp_path / "flags", tmp_path / "file"]
+    assert run(flags + ["--out", str(outs[0])]) == 0
+    assert run([command, "--config", str(cfg), "--out", str(outs[1])]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names and names == sorted(p.name for p in outs[1].iterdir())
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("name", ["euclidean", "perturbed-euclidean", "flat-torus"])

@@ -108,7 +108,7 @@ def test_vitali_select_long_chain():
 def test_build_covering_euclidean_level0():
     fld = euclid_field()
     c = cov.build_admissible_covering(fld, 0, box=BOX)
-    assert c.k == 0 and c.eta == 10
+    assert c.k == 0 and c.to_dict()["eta"] == 10
     assert c.coverage_fraction == 1.0
     assert c.overlap_certificate <= c.t_bound
     # core radii are 2^-k R_eps / (5 eta) evaluated at the centers

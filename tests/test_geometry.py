@@ -254,7 +254,9 @@ JET_CASES = [("euclidean", 2, {}), ("euclidean", 3, {}),
              ("perturbed-euclidean", 2, {"a": 0.0, "frequency": 2.0}),
              ("perturbed-euclidean", 3, {"a": 0.2, "frequency": 0.0}),
              ("hyperbolic-halfplane", 2, {}), ("hyperbolic-ball", 2, {}),
-             ("flat-torus", 2, {"L": 4.0}), ("flat-torus", 3, {"L": 3.0})]
+             ("flat-torus", 2, {"L": 4.0}), ("flat-torus", 3, {"L": 3.0}),
+             # f = 1 to every float, yet not flat: its derivatives are not 0
+             ("perturbed-euclidean", 2, {"a": 1e-17, "frequency": 1.0})]
 
 
 @pytest.mark.parametrize("name,n,kw", JET_CASES)

@@ -6,7 +6,10 @@ checks that every name in it resolves in the package.
 The second test keeps the package free of definitions that nothing uses:
 every function, class and method must be reached from the command line
 (`cli`), the verification suites (`acceptance`), import-time module code or
-the tracer's TARGETS."""
+the tracer's TARGETS.
+
+The third keeps it free of options that nothing sets: every defaulted
+parameter must be passed by some call in the package or the benchmark."""
 
 import ast
 import importlib
@@ -17,6 +20,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SPANS = ROOT / "bench" / "spans.py"
 PACKAGE = ROOT / "src" / "soboheat"
 ENTRY_MODULES = ("cli", "acceptance")
+CALLERS = (PACKAGE, ROOT / "bench")
+SEAMS = {("cli", "main", "argv")}  # tests pass argv; the console entry point passes none
 
 
 def _targets() -> dict:
@@ -111,3 +116,85 @@ def test_every_definition_is_reached():
             todo.append(key)
     unreached = sorted(f"{module}.{qualname}" for module, qualname in graph.keys() - reached)
     assert not unreached, "reached by no command, criterion or traced name: " + ", ".join(unreached)
+
+
+def _top_level_defs(tree):
+    """(qualname, short name a call uses, def, bound) for every module-level
+    function and every method of a module-level class; a constructor is
+    called by its class's name, and bound methods take self or cls first.
+    Nested closures are left out."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node.name, node, False
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list)
+                    short = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", short, item, not static
+
+
+def _defaulted_parameters() -> dict:
+    """(module, qualname, parameter) -> (short name, position) of every
+    defaulted parameter; the position leaves out self or cls and is None
+    for a keyword-only parameter."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualname, short, fn, bound in _top_level_defs(ast.parse(path.read_text())):
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            for i in range(len(positional) - len(args.defaults), len(positional)):
+                found[(path.stem, qualname, positional[i].arg)] = (short, i - bound)
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    found[(path.stem, qualname, arg.arg)] = (short, None)
+    return found
+
+
+def _call_sites() -> dict:
+    """short name -> [(caller, call)] for every call in the package and the
+    benchmark; caller is the (module, qualname) of the enclosing
+    module-level function or method, None outside one."""
+    sites = defaultdict(list)
+    for path in sorted(p for root in CALLERS for p in root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(node): (path.stem, qualname) for qualname, _, fn, _ in _top_level_defs(tree)
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                short = getattr(node.func, "id", getattr(node.func, "attr", None))
+                sites[short].append((owners.get(id(node)), node))
+    return sites
+
+
+def _passed(call, name, position):
+    """The expression a call passes for the parameter; Ellipsis when a
+    *args or **kwargs may pass it, None when it passes nothing."""
+    for kw in call.keywords:
+        if kw.arg == name:
+            return kw.value
+    if position is not None:
+        if any(isinstance(arg, ast.Starred) for arg in call.args[:position + 1]):
+            return Ellipsis
+        if position < len(call.args):
+            return call.args[position]
+    return Ellipsis if any(kw.arg is None for kw in call.keywords) else None
+
+
+def test_every_parameter_is_set_by_a_caller():
+    """A default that no call overrides is a constant under another name.
+    A call that passes its own caller's parameter straight on sets it only
+    if that parameter is set in turn."""
+    params, sites = _defaulted_parameters(), _call_sites()
+    passes = {key: [(caller, _passed(call, key[2], position)) for caller, call in sites[short]]
+              for key, (short, position) in params.items()}
+    unset, grown = set(), True
+    while grown:
+        now = {key for key, calls in passes.items() if not any(
+            expr is not None and not (isinstance(expr, ast.Name) and caller is not None
+                                      and (*caller, expr.id) in unset)
+            for caller, expr in calls)}
+        grown, unset = now != unset, now
+    unset -= SEAMS
+    assert not unset, "set by no caller: " + ", ".join(
+        f"{module}.{qualname}({name})" for module, qualname, name in sorted(unset))
