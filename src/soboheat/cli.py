@@ -139,8 +139,14 @@ def _parse_box(text, n):
 
 
 def _outdir(cfg) -> Path:
-    out = Path(_get(cfg, "out", "."))
-    out.mkdir(parents=True, exist_ok=True)
+    out = _get(cfg, "out", ".")
+    if not isinstance(out, str):
+        raise ConfigError(f"field 'out' must be a directory path, got {json.dumps(out)}")
+    out = Path(out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(out)!r}: {exc.strerror}")
     return out
 
 

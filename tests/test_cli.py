@@ -331,43 +331,76 @@ def test_parse_box_rejects_non_finite_bounds(spec):
 
 
 def test_exponents_imports_no_heavy_modules(tmp_path):
+    out = str(tmp_path)
     # (calls, modules they must leave unloaded)
     runs = [
-        (f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {str(tmp_path)!r}]) == 0\n",
-         ("sympy", "scipy.spatial", "scipy.sparse")),
+        (f"assert cli.main(['exponents', '--m', '2', '--n', '4', '--r', '4', '--out', {out!r}]) == 0\n",
+         ("sympy", "scipy")),
         # coverings screen pairs on their own lattices
-        (f"assert cli.main(['cover', '--model', 'flat-torus', '--grid', '3x3', '--out', {str(tmp_path)!r}]) == 0\n",
-         ("sympy", "scipy.spatial")),
+        (f"assert cli.main(['cover', '--model', 'flat-torus', '--grid', '3x3', '--out', {out!r}]) == 0\n",
+         ("sympy", "scipy")),
         # closed-form factor jets: charts and radius fields need no symbolic algebra
         ("from soboheat.geometry import CATALOG, make_chart\n"
          "charts = [make_chart(name) for name in CATALOG]\n"
          "assert cli.main(['radius', '--model', 'perturbed-euclidean', '--grid', '2x2', '--margin', '4',"
-         f" '--out', {str(tmp_path)!r}]) == 0\n",
-         ("sympy",)),
+         f" '--out', {out!r}]) == 0\n",
+         ("sympy", "scipy")),
         # the chord kernel and the ball volumes on it stay numpy-only
         ("from soboheat.geometry import CATALOG, make_chart, volume_of_ball\n"
          "charts = {name: make_chart(name) for name in CATALOG}\n"
          "assert volume_of_ball(charts['perturbed-euclidean'], [5.0, 5.0], 1.0) > 0\n",
          ("scipy",)),
+        # heat steps on both solve paths, one-forms, the estimates and the
+        # heat criteria run on numpy alone
+        ("".join(f"assert cli.main({argv + ['--out', out]!r}) == 0\n" for argv in [
+            ["solve", "--model", "flat-torus", "--grid", "16x16"],
+            ["solve", "--model", "perturbed-euclidean", "--box", "4:6,4:6", "--grid", "17x17"],
+            ["solve", "--model", "hyperbolic-ball", "--grid", "17x17"],
+            ["solve", "--model", "flat-torus", "--grid", "16x16", "--kind", "one-form"],
+            ["solve", "--model", "euclidean", "--box", "4:6,4:6", "--grid", "17x17",
+             "--estimates"],
+            ["verify", "heatflow"],
+         ]), ("sympy", "scipy")),
+        # the heat workload's layers, imported
+        ("import soboheat.geometry, soboheat.admissible, soboheat.norms, soboheat.heatflow, "
+         "soboheat.exponents\n", ("scipy",)),
     ]
     for calls, heavy in runs:
         code = ("import sys\nfrom soboheat import cli\n" + calls
-                + f"print(sorted(m for m in {heavy!r} if m in sys.modules))\n")
+                + f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))\n")
         res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
         assert res.stdout.splitlines()[-1] == "[]"
 
 
 def _exits_0_or_2_with_one_error_line(argv, out):
-    """Run the CLI in process: exit 0, or exit 2 with one `error:` line."""
+    """Run the CLI in process, with --out unless out is None: exit 0, or
+    exit 2 with one `error:` line.  Returns the exit code."""
     stderr = io.StringIO()
     with contextlib.redirect_stderr(stderr), contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv + ["--out", str(out)])
+        code = cli.main(argv + ([] if out is None else ["--out", str(out)]))
     err = stderr.getvalue()
     assert code in (0, 2), err
     if code == 2:
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
     assert "Traceback" not in err
+    return code
+
+
+@pytest.mark.parametrize("out", [5, None, ["out"], "cfg.json"])
+@pytest.mark.parametrize("argv", [
+    ["exponents", "--m", "2", "--n", "4", "--r", "4"],
+    ["solve", "--model", "euclidean", "--box", "4:6,4:6", "--grid", "5x5", "--T", "0.02",
+     "--alpha", "0", "--dt", "0.01"],
+], ids=["exponents", "solve"])
+def test_config_out_that_is_no_directory_exits_2(tmp_path, monkeypatch, argv, out):
+    """A config `out` that is not a string, or names a file, is a bad input
+    like any other, not a traceback from Path; nothing is written."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"out": out}))
+    monkeypatch.chdir(tmp_path)
+    assert _exits_0_or_2_with_one_error_line(argv + ["--config", str(cfg)], None) == 2
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @settings(max_examples=200, deadline=None)

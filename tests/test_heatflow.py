@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from soboheat import heatflow as hf
 from soboheat import norms
-from soboheat.geometry import CapabilityError, DomainError, NumericalError, make_chart
+from soboheat.geometry import (AxisProfile, CapabilityError, DomainError, NumericalError,
+                               make_chart)
 
 L = 2 * math.pi
 
@@ -19,6 +21,20 @@ def torus_grid(nx=32, n=2):
 def euclid_grid(nx=33):
     chart = make_chart("euclidean", n=2)
     return norms.Grid.over_box(chart, [(4.0, 6.0), (4.0, 6.0)], nx)
+
+
+# per model: a solve box inside its working box
+BOXES = {"euclidean": (4.0, 6.0), "perturbed-euclidean": (4.25, 5.75),
+         "hyperbolic-halfplane": ((-0.5, 0.5), (0.5, 1.5)), "hyperbolic-ball": (-0.4, 0.4),
+         "flat-torus": (0.0, L)}
+
+
+def model_grid(name, nodes, n=2, box=None):
+    chart = make_chart(name, n=n, **({"L": L} if name == "flat-torus" else {}))
+    if box is None:
+        box = BOXES[name]
+        box = list(box) if isinstance(box[0], tuple) else [box] * n
+    return norms.Grid.over_box(chart, box, nodes)
 
 
 def eigen_forcing(t, pts):
@@ -53,20 +69,25 @@ def test_problem_validation():
             hf.ParabolicProblem(grid, eigen_forcing, horizon=horizon, margin=margin, dt=dt)
 
 
+def _dense_stiffness(grid):
+    """The stencil of discrete_laplacian's edge weights as a dense matrix:
+    its rows are K applied to the unit vectors."""
+    edges, _ = hf.discrete_laplacian(grid)
+    N = math.prod(grid.shape)
+    return hf._stencil(0.0, edges, 1.0)(np.eye(N).reshape((N,) + grid.shape)).reshape(N, N)
+
+
 def test_laplacian_symmetric_and_psd():
-    for grid in (torus_grid(16), euclid_grid(17)):
-        K, W = hf.discrete_laplacian(grid)
-        assert abs(K - K.T).max() <= 1e-12
-        # 50-step Lanczos probe for the smallest Ritz value
-        vals = sp.linalg.eigsh(K, k=1, which="SA", maxiter=50,
-                               return_eigenvectors=False, tol=1e-8)
-        assert vals[0] >= -1e-10
+    for grid in (torus_grid(16), euclid_grid(17), model_grid("hyperbolic-ball", (13, 11))):
+        K = _dense_stiffness(grid)
+        assert np.max(np.abs(K - K.T)) <= 1e-12 * np.max(np.abs(K))
+        assert np.linalg.eigvalsh(K)[0] >= -1e-10 * np.max(np.abs(K))
 
 
 def test_laplacian_annihilates_constants_on_torus():
     grid = torus_grid(16)
-    K, _ = hf.discrete_laplacian(grid)
-    assert np.max(np.abs(K @ np.ones(K.shape[0]))) <= 1e-12
+    edges, _ = hf.discrete_laplacian(grid)
+    assert np.max(np.abs(hf._stencil(0.0, edges, 1.0)(np.ones(grid.shape)))) <= 1e-12
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -107,16 +128,16 @@ def test_steady_state_reached():
     def v(pts):
         return np.sin(pts[..., 0]) + 0.5 * np.cos(2 * pts[..., 1])
 
-    K, W = hf.discrete_laplacian(grid)
-    vvals = v(grid.points).ravel()
-    omega_vec = (K @ vvals) / W  # forcing = (positive) Laplacian of v
+    edges, W = hf.discrete_laplacian(grid)
+    vvals = v(grid.points)
+    omega_vec = hf._stencil(0.0, edges, 1.0)(vvals) / W  # forcing = (positive) Laplacian of v
 
     def forcing(t, pts):
-        return omega_vec.reshape(grid.shape)
+        return omega_vec
 
     prob = hf.ParabolicProblem(grid, forcing, horizon=5.0, margin=0.0, dt=0.05)
     sol = hf.solve_parabolic(prob)
-    vc = vvals - vvals.mean()  # steady state is fixed up to the constant mode
+    vc = vvals.ravel() - vvals.mean()  # steady state is fixed up to the constant mode
     uc = sol.u.values[-1].ravel() - sol.u.values[-1].mean()
     rel = np.linalg.norm(uc - vc) / np.linalg.norm(vc)
     assert rel < 1e-2
@@ -198,21 +219,13 @@ def test_every_step_records_its_residual():
                             dt=0.01),
         hf.ParabolicProblem(torus_grid(16), one_form_forcing, horizon=0.1,
                             margin=0.0, dt=0.01, kind="one-form"),
+        hf.ParabolicProblem(model_grid("hyperbolic-ball", 17), eigen_forcing, horizon=0.2,
+                            margin=0.1, dt=0.02),
     ]
     for prob in problems:
         sol = hf.solve_parabolic(prob)
         assert len(sol.residuals) == prob.steps == len(sol.times) - 1
         assert np.all(sol.residuals <= 1e-10)
-
-
-def test_inaccurate_step_raises(monkeypatch):
-    # a factor of a different matrix leaves residuals far above the guard
-    splu = hf.splu
-    monkeypatch.setattr(hf, "splu", lambda A, **kw: splu(2.0 * A, **kw))
-    prob = hf.ParabolicProblem(euclid_grid(9), eigen_forcing, horizon=0.1, margin=0.0,
-                               dt=0.05)
-    with pytest.raises(NumericalError, match="residual"):
-        hf.solve_parabolic(prob)
 
 
 def _nan_one_form(t, pts):
@@ -231,7 +244,8 @@ def _nan_scalar(t, pts):
     (euclid_grid(9), "scalar", _nan_scalar),
     (torus_grid(8), "scalar", _nan_scalar),
     (torus_grid(8), "one-form", _nan_one_form),
-], ids=["splu", "fft", "fft-one-form"])
+    (model_grid("hyperbolic-ball", 9), "scalar", _nan_scalar),
+], ids=["separable", "fft", "fft-one-form", "block"])
 def test_nan_forcing_raises(grid, kind, forcing):
     """A NaN residual must fail the step check, not pass it."""
     prob = hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0, dt=0.05, kind=kind)
@@ -256,12 +270,49 @@ def test_torus_sub_box_has_two_ends_like_a_euclidean_box():
     assert whole.wraps == (True, True)
 
 
-# -- FFT steps on grids that wrap on every axis -------------------------
+# -- references: sparse assembly and LU, in the tests only ---------------
 #
-# The reference assembles what the solver does not: the scalar stiffness
-# and mass of discrete_laplacian, and for one-forms the discrete-exterior-
+# The scalar reference assembles the stiffness from the chart, one COO
+# entry per edge; the one-form reference assembles the discrete-exterior-
 # calculus Hodge Laplacian B = S1 d0 *0^-1 d0^T S1 + d1^T *2 d1 on the
-# staggered edge grid.
+# staggered edge grid.  The solver holds neither matrix.
+
+
+def _reference_stiffness(grid):
+    """The sparse stiffness K: f^(n/2-1) hvol / h_a^2 at each edge midpoint,
+    on every edge along every axis (past the end of an axis that wraps)."""
+    chart = grid.chart
+    n = chart.n
+    shape = grid.shape
+    N = math.prod(shape)
+    idx = np.arange(N).reshape(shape)
+    hvol = float(np.prod(grid.h))
+    rows, cols, vals = [], [], []
+    for ax in range(n):
+        keep = [slice(None)] * n
+        if not grid.wraps[ax]:
+            keep[ax] = slice(0, shape[ax] - 1)
+        keep = tuple(keep)
+        p = idx[keep].ravel()
+        q = np.roll(idx, -1, axis=ax)[keep].ravel()
+        step = np.zeros(n)
+        step[ax] = grid.h[ax] / 2.0
+        fmid = chart.conformal_factor(chart.wrap(grid.points[keep] + step).reshape(-1, n))
+        a = fmid ** (n / 2.0 - 1.0) * hvol / grid.h[ax] ** 2
+        rows += [p, q, p, q]
+        cols += [p, q, q, p]
+        vals += [a, a, -a, -a]
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(N, N)
+    ).tocsr()
+
+
+def _interior_mask(grid):
+    """The unknowns: every node but those at the two ends of an axis that
+    does not wrap."""
+    mask = np.zeros(grid.shape, dtype=bool)
+    mask[tuple(slice(None) if w else slice(1, -1) for w in grid.wraps)] = True
+    return mask.ravel()
 
 
 def _dec_operators(grid):
@@ -300,13 +351,94 @@ def _reference_hodge_matrix(grid):
 
 
 def _reference_step(grid, kind, dt):
-    """(A, mass): the assembled step matrix and its diagonal mass."""
+    """(A, mass): the assembled step matrix on the unknowns and its
+    diagonal mass."""
     if kind == "scalar":
-        K, mass = hf.discrete_laplacian(grid)
+        inner = _interior_mask(grid)
+        K, mass = _reference_stiffness(grid)[inner][:, inner], grid.quadrature.ravel()[inner]
     else:
         K, mass = _reference_hodge_matrix(grid)
-        assert np.array_equal(mass, hf.one_form_hodge_matrices(grid))
     return (sp.diags(mass) + dt * K).tocsc(), mass
+
+
+def _solve_and_capture(monkeypatch, prob):
+    """The solution, and what solve_parabolic handed its time loop:
+    (apply, solve), the mass, the forcing on the unknowns and the states."""
+    seen = []
+    loop = hf._implicit_euler
+
+    def spy(step, mass, omegas, dt):
+        states, residuals = loop(step, mass, omegas, dt)
+        seen.append((step, mass, omegas, states))
+        return states, residuals
+
+    monkeypatch.setattr(hf, "_implicit_euler", spy)
+    sol = hf.solve_parabolic(prob)
+    assert len(seen) == 1
+    return (sol, *seen[0])
+
+
+def _mixed_torus(counts, wraps):
+    """A flat-torus grid that wraps on the axes flagged in wraps."""
+    return model_grid("flat-torus", counts, n=len(counts),
+                      box=[(0.0, L if w else 2.0) for w in wraps])
+
+
+# (id, grid): every model in 2-D, n = 3 where the model allows it, and
+# flat-torus grids with an end on some axes
+END_CASES = [
+    ("euclidean", lambda: model_grid("euclidean", (17, 13))),
+    ("perturbed-euclidean", lambda: model_grid("perturbed-euclidean", (15, 18))),
+    ("hyperbolic-halfplane", lambda: model_grid("hyperbolic-halfplane", (14, 17))),
+    ("hyperbolic-ball", lambda: model_grid("hyperbolic-ball", (17, 14))),
+    ("flat-torus-sub-box", lambda: _mixed_torus((11, 9), (False, False))),
+    ("euclidean-3d", lambda: model_grid("euclidean", (7, 6, 8), n=3)),
+    ("perturbed-euclidean-3d", lambda: model_grid("perturbed-euclidean", (8, 7, 6), n=3)),
+    ("flat-torus-wraps-x", lambda: _mixed_torus((12, 9), (True, False))),
+    ("flat-torus-wraps-y", lambda: _mixed_torus((9, 11), (False, True))),
+    ("flat-torus-3d-wraps-xz", lambda: _mixed_torus((6, 7, 5), (True, False, True))),
+    ("flat-torus-3d-wraps-y", lambda: _mixed_torus((7, 6, 5), (False, True, False))),
+]
+
+
+def _bump(grid):
+    lo = grid.points.reshape(-1, grid.chart.n).min(axis=0)
+    hi = grid.points.reshape(-1, grid.chart.n).max(axis=0)
+    return hf.bump_forcing((lo + hi) / 2.0, 0.3 * float(np.min(hi - lo)), 3.0)
+
+
+def _check_against_lu(monkeypatch, grid, kind, dt):
+    """The np.roll stencil is the assembled step matrix, each solve is its
+    LU solve, and every state of the time loop is the LU recurrence's.
+    Returns the solve and the mass."""
+    forcing = _bump(grid) if kind == "scalar" else one_form_forcing
+    prob = hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0, dt=dt, kind=kind)
+    sol, (apply, solve), mass, omegas, states = _solve_and_capture(monkeypatch, prob)
+    assert np.all(sol.residuals <= hf.STEP_RTOL)
+    A, ref_mass = _reference_step(grid, kind, dt)
+    assert np.array_equal(mass, ref_mass)
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(A.shape[0])
+    ref = A @ x
+    assert np.linalg.norm(apply(x) - ref) <= 1e-14 * np.linalg.norm(ref)
+    lu = splu(A)
+    b = rng.standard_normal(A.shape[0])
+    ref = lu.solve(b)
+    assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    ref = np.zeros_like(states)
+    for j in range(prob.steps):
+        ref[j + 1] = lu.solve(mass * (ref[j] + dt * 0.5 * (omegas[j] + omegas[j + 1])))
+    assert np.linalg.norm(states - ref) <= 1e-12 * np.linalg.norm(ref)
+    if kind == "scalar":
+        inner = _interior_mask(grid)
+        u = sol.u.values.reshape(len(sol.times), -1)
+        assert np.array_equal(u[:, inner], states) and np.all(u[:, ~inner] == 0)
+    return solve, mass
+
+
+@pytest.mark.parametrize("case", END_CASES, ids=[c[0] for c in END_CASES])
+def test_steps_on_grids_with_an_end_match_a_sparse_lu_reference(monkeypatch, case):
+    _check_against_lu(monkeypatch, case[1](), "scalar", 0.02)
 
 
 @pytest.mark.parametrize("counts,kind", [
@@ -315,20 +447,23 @@ def _reference_step(grid, kind, dt):
     ((12, 18), "one-form"), ((12, 18), "scalar"), ((96, 96), "scalar"),
     ((16, 16), "one-form"), ((12, 20), "one-form"),
 ])
-def test_fft_step_matches_a_sparse_lu_reference(counts, kind):
-    """The np.roll stencil is the assembled step matrix, and the FFT solve
-    is its LU solve."""
+def test_fft_step_matches_a_sparse_lu_reference(monkeypatch, counts, kind):
+    """On a grid that wraps on every axis the step matches the LU
+    reference too, and it is bit for bit one rfftn of b / mass, a division
+    by 1 + dt times the stencil's closed-form symbol and one irfftn."""
     grid = torus_grid(counts, n=len(counts))
     dt = 0.01
-    A, mass = _reference_step(grid, kind, dt)
-    apply, solve = hf._torus_step(mass, grid, dt)
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(A.shape[0])
-    ref = A @ x
-    assert np.linalg.norm(apply(x) - ref) <= 1e-14 * np.linalg.norm(ref)
-    b = rng.standard_normal(A.shape[0])
-    ref = sp.linalg.splu(A).solve(b)
-    assert np.linalg.norm(solve(b) - ref) <= 1e-12 * np.linalg.norm(ref)
+    solve, mass = _check_against_lu(monkeypatch, grid, kind, dt)
+    shape = grid.shape
+    comps = (mass.size // math.prod(shape),) + shape
+    axes = tuple(range(1, len(comps)))
+    freqs = [np.fft.fftfreq(N) for N in shape[:-1]] + [np.fft.rfftfreq(shape[-1])]
+    symbol = sum((2.0 - 2.0 * np.cos(2.0 * np.pi * k)) / ha**2
+                 for k, ha in zip(np.meshgrid(*freqs, indexing="ij", sparse=True), grid.h))
+    b = np.random.default_rng(5).standard_normal(mass.size)
+    expect = np.fft.irfftn(np.fft.rfftn((b / mass).reshape(comps), axes=axes)
+                           / (1.0 + dt * symbol), s=shape, axes=axes).ravel()
+    assert np.array_equal(solve(b), expect)
 
 
 def test_one_form_hodge_matrix_symmetric_psd():
@@ -349,64 +484,106 @@ def test_one_form_hodge_matrix_symmetric_psd():
 def test_wrong_symbol_raises(monkeypatch):
     # the FFT never checks itself: the residual of the np.roll stencil
     # catches a symbol that is off
-    symbol = hf._periodic_symbol
-    monkeypatch.setattr(hf, "_periodic_symbol", lambda shape, h: 2.0 * symbol(shape, h))
+    modes = hf._modes
+
+    def wrong(m, h, wraps, half):
+        lam, Q = modes(m, h, wraps, half)
+        return (2.0 * lam if wraps else lam), Q
+
+    monkeypatch.setattr(hf, "_modes", wrong)
     problems = [
         hf.ParabolicProblem(torus_grid(16), eigen_forcing, horizon=0.1, margin=0.0, dt=0.05),
         hf.ParabolicProblem(torus_grid(8, n=3), eigen_forcing, horizon=0.1, margin=0.0,
                             dt=0.05),
         hf.ParabolicProblem(torus_grid(16), one_form_forcing, horizon=0.1, margin=0.0,
                             dt=0.05, kind="one-form"),
+        hf.ParabolicProblem(_mixed_torus((9, 12), (False, True)), eigen_forcing, horizon=0.1,
+                            margin=0.0, dt=0.05),
     ]
     for prob in problems:
         with pytest.raises(NumericalError, match="residual"):
             hf.solve_parabolic(prob)
 
 
-class _AttributeSpy:
-    """Stands in for a module and records each attribute taken from it."""
+def test_wrong_eigenbasis_raises(monkeypatch):
+    """A basis that is not the eigenbasis, on the pencil's axis and on every
+    stencil axis with ends, leaves residuals far above the guard."""
+    eigh = np.linalg.eigh
 
-    def __init__(self, module, log):
-        self._module, self._log = module, log
+    def wrong(a):
+        lam, V = eigh(a)
+        return lam, V[:, ::-1]
 
-    def __getattr__(self, name):
-        self._log.append(name)
-        return getattr(self._module, name)
+    monkeypatch.setattr(np.linalg, "eigh", wrong)
+    for grid in (euclid_grid(9), model_grid("perturbed-euclidean", 9),
+                 model_grid("hyperbolic-halfplane", 9), model_grid("euclidean", 6, n=3),
+                 _mixed_torus((12, 9), (True, False))):
+        prob = hf.ParabolicProblem(grid, eigen_forcing, horizon=0.1, margin=0.0, dt=0.05)
+        with pytest.raises(NumericalError, match="residual"):
+            hf.solve_parabolic(prob)
 
 
-def test_only_grids_with_an_end_are_factored(monkeypatch):
-    factored, assembled, sparse = [], [], []
-    splu, laplacian = hf.splu, hf.discrete_laplacian
+def test_inaccurate_step_raises(monkeypatch):
+    # a Schur complement inverted with an error leaves residuals far above
+    # the guard on the block path (the hyperbolic ball)
+    inv = np.linalg.inv
 
-    def spy(A, **kw):
-        factored.append(A.shape)
-        return splu(A, **kw)
+    def wrong(a):
+        out = inv(a)
+        out[..., 0, 0] *= 1.001
+        return out
 
-    monkeypatch.setattr(hf, "splu", spy)
-    monkeypatch.setattr(hf, "discrete_laplacian", lambda g: assembled.append(g) or laplacian(g))
-    monkeypatch.setattr(hf, "sp", _AttributeSpy(sp, sparse))
-    torus = make_chart("flat-torus", n=2, L=L)
-    sub_boxes = [norms.Grid.over_box(torus, box, 9)
-                 for box in ([(0.0, 2.0), (0.0, 2.0)], [(0.0, 2.0), (0.0, L)])]
-    assert [g.wraps for g in sub_boxes] == [(False, False), (False, True)]
-    for grid in (euclid_grid(9), *sub_boxes):
-        factored.clear()
-        assembled.clear()
-        sparse.clear()
-        hf.solve_parabolic(hf.ParabolicProblem(grid, eigen_forcing, horizon=0.1, margin=0.0,
-                                               dt=0.05))
-        assert len(factored) == len(assembled) == 1
-        assert sparse
-    factored.clear()
-    assembled.clear()
-    sparse.clear()
-    for kind, forcing, grid in (("scalar", eigen_forcing, torus_grid(16)),
-                                ("scalar", eigen_forcing, torus_grid(6, n=3)),
-                                ("one-form", one_form_forcing, torus_grid(16))):
-        sol = hf.solve_parabolic(hf.ParabolicProblem(grid, forcing, horizon=0.1,
-                                                     margin=0.0, dt=0.05, kind=kind))
+    monkeypatch.setattr(np.linalg, "inv", wrong)
+    prob = hf.ParabolicProblem(model_grid("hyperbolic-ball", 9), eigen_forcing, horizon=0.1,
+                               margin=0.0, dt=0.05)
+    with pytest.raises(NumericalError, match="residual"):
+        hf.solve_parabolic(prob)
+
+
+def test_the_chart_jet_alone_picks_the_solve(monkeypatch):
+    """Every chart whose jet is an AxisProfile is solved by the separable
+    path, wrapping or not; the hyperbolic ball by block elimination."""
+    calls = []
+    for name in ("_separable_solve", "_block_solve"):
+        real = getattr(hf, name)
+        monkeypatch.setattr(hf, name, lambda *a, real=real, name=name: calls.append(name)
+                            or real(*a))
+    problems = [(model_grid(name, 9), eigen_forcing, "scalar") for name in BOXES]
+    problems += [(model_grid(name, 6, n=3), eigen_forcing, "scalar")
+                 for name in ("euclidean", "perturbed-euclidean", "flat-torus")]
+    problems += [(_mixed_torus((8, 9), (True, False)), eigen_forcing, "scalar"),
+                 (torus_grid(8), one_form_forcing, "one-form")]
+    for grid, forcing, kind in problems:
+        calls.clear()
+        sol = hf.solve_parabolic(hf.ParabolicProblem(grid, forcing, horizon=0.1, margin=0.0,
+                                                     dt=0.05, kind=kind))
         assert np.all(sol.residuals <= hf.STEP_RTOL)
-    assert factored == assembled == sparse == []
+        ball = grid.chart.name == "hyperbolic-ball"
+        assert calls == ["_block_solve" if ball else "_separable_solve"]
+        assert isinstance(grid.chart.jet, AxisProfile) != ball
+
+
+@pytest.mark.parametrize("name,nodes,n,box", [
+    ("euclidean", (2, 2), 2, None),
+    ("perturbed-euclidean", (2, 2), 2, None),
+    ("hyperbolic-halfplane", (2, 2), 2, None),
+    ("hyperbolic-halfplane", (2, 9), 2, None),
+    ("hyperbolic-halfplane", (9, 2), 2, None),
+    ("hyperbolic-ball", (2, 2), 2, None),
+    ("hyperbolic-ball", (2, 9), 2, None),
+    ("hyperbolic-ball", (9, 2), 2, None),
+    ("flat-torus", (2, 2), 2, [(0.0, 2.0), (0.0, 2.0)]),
+    ("flat-torus", (2, 8), 2, [(0.0, 2.0), (0.0, L)]),
+    ("euclidean", (2, 2, 2), 3, None),
+    ("perturbed-euclidean", (5, 2, 5), 3, None),
+])
+def test_grids_without_interior_nodes_solve_to_zero(name, nodes, n, box):
+    """A grid whose every node lies on an end has no unknown: the solve
+    returns zeros and raises nothing, on both paths."""
+    grid = model_grid(name, nodes, n=n, box=box)
+    sol = hf.solve_parabolic(hf.ParabolicProblem(grid, _bump(grid), horizon=0.1, margin=0.0,
+                                                 dt=0.05))
+    assert np.all(sol.u.values == 0.0) and np.all(sol.residuals == 0.0)
 
 
 def test_one_form_forcing_must_return_two_components():
