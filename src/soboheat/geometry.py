@@ -743,12 +743,14 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     of its sub-points (an 8x8 grid in 2-D, 4x4x4 in 3-D) that lie in the
     ball, and the volume is the sum of sqrt_det at the cell centres times
     the weights, times the cell volume, summed one slab of ~2^18 cells at
-    a time.  The weights come from `_inside_counts`: blocks of sub-points
-    that a Lipschitz bound on d(., center) over the box settles wholly
-    inside or outside are never split, and the distance runs only near the
-    boundary.  The bound is `MetricChart.distance_lipschitz` (sqrt(f_max)
-    on the four true metrics; the perturbed-Euclidean chord adds a term),
-    so every weight equals the count a test of every sub-point would give.
+    a time; sqrt_det runs only at the centres of cells of nonzero weight,
+    and every other cell adds an exact 0.  The weights come from
+    `_inside_counts`: blocks of sub-points that a Lipschitz bound on
+    d(., center) over the box settles wholly inside or outside are never
+    split, and the distance runs only near the boundary.  The bound is
+    `MetricChart.distance_lipschitz` (sqrt(f_max) on the four true
+    metrics; the perturbed-Euclidean chord adds a term), so every weight
+    equals the count a test of every sub-point would give.
     """
     center = np.asarray(center, dtype=float)
     radius = _ball_radius(radius)
@@ -772,13 +774,19 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     rows_per_block = max(1, (1 << 18) // len(rest))
     for start in range(0, res, rows_per_block):
         x0 = axes[0][start : start + rows_per_block]
-        pts = np.concatenate(
-            [np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1
-        )
         rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
-        count = _inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
-        weights = count / (1 << (depth * n))
-        total += float(np.sum(chart.sqrt_det(pts) * weights))
+        weights = _inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
+        weights /= 1 << (depth * n)
+        live = weights > 0
+        # the centres of the live cells, in row-major order
+        pts = np.empty((np.count_nonzero(live), n))
+        pts[:, 0] = np.repeat(x0, np.count_nonzero(live.reshape(len(x0), -1), axis=1))
+        for i in range(1, n):
+            pts[:, i] = np.tile(rest[:, i - 1], len(x0))[live]
+        # the other cells keep their exact 0, so the sum over the whole
+        # slab keeps its order and bits
+        weights[live] *= chart.sqrt_det(pts)
+        total += float(np.sum(weights))
     return total * cell
 
 

@@ -28,10 +28,17 @@ so they step the same way.
 Every step's residual is checked by applying the step matrix apart from
 the solve: one np.roll stencil over the edge weights, which are 0 past
 the last node of an axis with ends.
+
+A solve holds two time series of (steps + 1) x nodes x components
+floats, u and the forcing, each allocated once in its final layout: the
+forcing samples and the states are written into them in place (a
+one-form's edge series are dropped once their nodal copies exist).
+ParabolicSolution.dt_u, a third, is computed when it is first read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -153,7 +160,7 @@ def _separable_solve(grid: Grid, dt, edges, scale):
     denom = base + dt * symbol
 
     def solve(b):
-        x = (b / scale.ravel()).reshape(scale.shape)
+        x = b.reshape(scale.shape) / scale
         for a, M in into.items():
             x = _along(M, x, a - n)
         if wrapped:
@@ -163,7 +170,7 @@ def _separable_solve(grid: Grid, dt, edges, scale):
             x = x / denom
         for a, M in back.items():
             x = _along(M, x, a - n)
-        return x.ravel()
+        return x.reshape(b.shape)
 
     return solve
 
@@ -172,18 +179,22 @@ def _block_solve(mass, edges, dt):
     """b -> A^-1 b for A = diag(mass) + dt K on the interior of a 2-D grid
     with ends on both axes, by block LDL^T elimination over the rows
     (axis 0).  The diagonal blocks are tridiagonal; the blocks between
-    rows are diagonal, -dt times the axis-0 edge weights; each inverse
-    Schur complement is kept dense."""
+    rows are diagonal, -dt times the axis-0 edge weights.  Each row's
+    Schur complement is built when its turn comes and only its dense
+    inverse is kept: rows x cols^2 floats in all."""
     e0, e1 = edges
     rows, cols = mass.shape
     c = dt * e0[1:-2, 1:-1]  # between interior rows k and k + 1
+    diag = mass + dt * (e0[1:-1, 1:-1] + e0[:-2, 1:-1] + e1[1:-1, 1:-1] + e1[1:-1, :-2])
+    off = -dt * e1[1:-1, 1:-2]
     i = np.arange(cols)
-    blocks = np.zeros((rows, cols, cols))
-    blocks[:, i, i] = mass + dt * (e0[1:-1, 1:-1] + e0[:-2, 1:-1] + e1[1:-1, 1:-1] + e1[1:-1, :-2])
-    blocks[:, i[1:], i[:-1]] = blocks[:, i[:-1], i[1:]] = -dt * e1[1:-1, 1:-2]
-    inv = np.empty_like(blocks)
+    inv = np.empty((rows, cols, cols))
     for k in range(rows):
-        schur = blocks[k] if k == 0 else blocks[k] - c[k - 1][:, None] * inv[k - 1] * c[k - 1]
+        schur = np.zeros((cols, cols))
+        schur[i, i] = diag[k]
+        schur[i[1:], i[:-1]] = schur[i[:-1], i[1:]] = off[k]
+        if k > 0:
+            schur -= c[k - 1][:, None] * inv[k - 1] * c[k - 1]
         inv[k] = np.linalg.inv(schur)
 
     def solve(b):
@@ -192,7 +203,7 @@ def _block_solve(mass, edges, dt):
             x[k] = inv[k] @ (x[k] if k == 0 else x[k] + c[k - 1] * x[k - 1])
         for k in range(rows - 2, -1, -1):
             x[k] += inv[k] @ (c[k] * x[k + 1])
-        return x.ravel()
+        return x.reshape(b.shape)
 
     return solve
 
@@ -201,14 +212,16 @@ def _step(grid: Grid, dt, mass, edges, scale):
     """(apply, solve) for the step matrix A = diag(mass) + dt K on the
     unknowns, K given by its edge weights; mass, edges and scale may
     carry leading component axes.  apply embeds x with zero Dirichlet
-    values and applies the stencil; solve is chosen by the chart's jet."""
+    values and applies the stencil; solve is chosen by the chart's jet.
+    Both take the unknowns flat or in their grid shape and answer in the
+    shape they were given."""
     inner = (Ellipsis,) + _interior(grid)
     stencil = _stencil(mass, edges, dt)
     full = np.zeros(np.broadcast_shapes(mass.shape, *(e.shape for e in edges)))
 
     def apply(x):
         full[inner] = x.reshape(full[inner].shape)
-        return stencil(full)[inner].ravel()
+        return stencil(full)[inner].reshape(x.shape)
 
     if isinstance(grid.chart.jet, AxisProfile):
         return apply, _separable_solve(grid, dt, edges, scale)
@@ -252,9 +265,20 @@ class ParabolicSolution:
     problem: ParabolicProblem
     times: np.ndarray
     u: DiscreteField
-    dt_u: DiscreteField
     forcing_values: np.ndarray
     residuals: np.ndarray  # per step, ||A x - b|| / ||b||
+
+    @functools.cached_property
+    def dt_u(self) -> DiscreteField:
+        """The backward difference (u_j - u_(j-1)) / dt, with the first
+        time node taking the second's.  It is computed on first read, so
+        a solve whose caller never reads it holds u and the forcing only."""
+        u = self.u.values
+        dtu = np.empty_like(u)
+        np.subtract(u[1:], u[:-1], out=dtu[1:])
+        dtu[1:] /= self.problem.dt
+        dtu[0] = dtu[1]
+        return DiscreteField(self.problem.grid, dtu, self.u.kind, self.times)
 
     def forcing_field(self) -> DiscreteField:
         return DiscreteField(self.problem.grid, self.forcing_values,
@@ -276,15 +300,16 @@ def _on_flat_torus(grid: Grid) -> bool:
     return grid.chart.is_flat and all(grid.wraps)
 
 
-def _implicit_euler(step, mass, omegas, dt):
-    """States x_0 = 0, ..., x_steps of A x_(j+1) = mass (x_j + dt omega_j)
-    with the step-averaged forcing omega_j = (omegas[j] + omegas[j+1]) / 2;
-    step = (apply, solve) gives x -> A x and b -> A^-1 b.  Returns the
-    states and each step's relative residual against apply; raises
+def _implicit_euler(step, mass, omegas, dt, x):
+    """Writes the states x_0 = 0, ..., x_steps of A x_(j+1) = mass (x_j +
+    dt omega_j), with the step-averaged forcing omega_j = (omegas[j] +
+    omegas[j+1]) / 2, into x (the unknowns' view of the solution, in the
+    layout of omegas); step = (apply, solve) gives x -> A x and b -> A^-1
+    b.  Returns each step's relative residual against apply; raises
     NumericalError when one exceeds STEP_RTOL."""
     apply, solve = step
     steps = len(omegas) - 1
-    x = np.zeros((steps + 1, mass.size))
+    x[0] = 0.0
     residuals = np.zeros(steps)
     for j in range(steps):
         # step-averaged forcing: the discrete L2 bound then telescopes to
@@ -300,41 +325,33 @@ def _implicit_euler(step, mass, omegas, dt):
             )
         if bnorm > 0:
             residuals[j] = res / bnorm
-    return x, residuals
-
-
-def _time_derivative(u, dt):
-    dtu = np.zeros_like(u)
-    dtu[1:] = (u[1:] - u[:-1]) / dt
-    dtu[0] = dtu[1]
-    return dtu
+    return residuals
 
 
 def solve_parabolic(problem: ParabolicProblem) -> ParabolicSolution:
-    """Implicit Euler from u(0) = 0 to horizon + margin."""
+    """Implicit Euler from u(0) = 0 to horizon + margin.  The solution
+    holds two series of (steps + 1) x nodes floats, u and the forcing,
+    each allocated once; dt_u is a third once it is read."""
     if problem.kind == "one-form":
         return _solve_one_form(problem)
     grid = problem.grid
     times = problem.dt * np.arange(problem.steps + 1)
-    omegas = np.stack([np.asarray(problem.forcing(t, grid.points), dtype=float)
-                       for t in times])
+    omegas = np.empty((len(times),) + grid.shape)
+    for j, t in enumerate(times):
+        value = np.asarray(problem.forcing(t, grid.points), dtype=float)
+        if value.shape != grid.shape:
+            raise DomainError(f"a scalar forcing must return values of the grid's shape "
+                              f"{grid.shape}, not {value.shape}")
+        omegas[j] = value
     edges, W = discrete_laplacian(grid)
     inner = _interior(grid)
     scale = float(np.prod(grid.h)) * grid.f[inner] ** (grid.chart.n / 2.0 - 1.0)
     step = _step(grid, problem.dt, W, edges, scale)
-    xi, residuals = _implicit_euler(step, W[inner].ravel(),
-                                    omegas[(slice(None),) + inner].reshape(len(times), -1),
-                                    problem.dt)
     u = np.zeros(omegas.shape)
-    u[(slice(None),) + inner] = xi.reshape((len(times),) + scale.shape)
-    return ParabolicSolution(
-        problem,
-        times,
-        DiscreteField(grid, u, "scalar", times),
-        DiscreteField(grid, _time_derivative(u, problem.dt), "scalar", times),
-        omegas,
-        residuals,
-    )
+    series = (slice(None),) + inner
+    residuals = _implicit_euler(step, W[inner], omegas[series], problem.dt, u[series])
+    return ParabolicSolution(problem, times, DiscreteField(grid, u, "scalar", times), omegas,
+                             residuals)
 
 
 # -- one-forms on the flat torus ----------------------------------------
@@ -370,35 +387,42 @@ def sample_one_form_on_edges(fn, t: float, midpoints) -> np.ndarray:
     return np.concatenate([vals[0][..., 0].ravel(), vals[1][..., 1].ravel()])
 
 
+def _edges_to_nodes(values, shape):
+    """Edge series (times, x-edges then y-edges) as a nodal two-component
+    series (times, *shape, 2): each node takes the mean of its edge and
+    the edge before it along that component's axis, which wraps."""
+    N = math.prod(shape)
+    out = np.empty((len(values),) + shape + (2,))
+    for c in range(2):
+        w = values[:, c * N:(c + 1) * N].reshape((-1,) + shape)
+        o = out[..., c]
+        lead = (slice(None),) * (c + 1)  # time, then the axes before c's
+        np.add(w[lead + (slice(1, None),)], w[lead + (slice(None, -1),)],
+               out=o[lead + (slice(1, None),)])
+        np.add(w[lead + (slice(0, 1),)], w[lead + (slice(-1, None),)],
+               out=o[lead + (slice(0, 1),)])
+    out *= 0.5
+    return out
+
+
 def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
     grid = problem.grid
     s1 = one_form_hodge_matrices(grid)
     mass = s1.reshape((2,) + grid.shape)
     times = problem.dt * np.arange(problem.steps + 1)
     mids = edge_midpoints(grid)
-    omegas = np.stack([sample_one_form_on_edges(problem.forcing, t, mids) for t in times])
+    omegas = np.empty((len(times), s1.size))
+    for j, t in enumerate(times):
+        omegas[j] = sample_one_form_on_edges(problem.forcing, t, mids)
     step = _step(grid, problem.dt, mass, [mass / h**2 for h in grid.h], mass)
-    u, residuals = _implicit_euler(step, s1, omegas, problem.dt)
-    dtu = _time_derivative(u, problem.dt)
-    # edge arrays are packaged as nodal two-component fields for norms:
-    # averaging the two staggered samples back onto nodes
-    N = math.prod(grid.shape)
-
-    def to_nodes(arr):
-        wx = arr[:, :N].reshape((-1,) + grid.shape)
-        wy = arr[:, N:].reshape((-1,) + grid.shape)
-        wx = 0.5 * (wx + np.roll(wx, 1, axis=1))
-        wy = 0.5 * (wy + np.roll(wy, 1, axis=2))
-        return np.stack([wx, wy], axis=-1)
-
-    return ParabolicSolution(
-        problem,
-        times,
-        DiscreteField(grid, to_nodes(u), "one-form", times),
-        DiscreteField(grid, to_nodes(dtu), "one-form", times),
-        to_nodes(omegas),
-        residuals,
-    )
+    x = np.empty_like(omegas)
+    residuals = _implicit_euler(step, s1, omegas, problem.dt, x)
+    # the edge series are packaged as nodal two-component fields for
+    # norms; the states' is dropped before the forcing's nodal copy is made
+    u = _edges_to_nodes(x, grid.shape)
+    del x
+    return ParabolicSolution(problem, times, DiscreteField(grid, u, "one-form", times),
+                             _edges_to_nodes(omegas, grid.shape), residuals)
 
 
 # -- verification harnesses --------------------------------------------
@@ -408,7 +432,8 @@ def l2_norm_at_times(field: DiscreteField) -> np.ndarray:
     grid = field.grid
     q = grid.quadrature
     if field.kind == "one-form":
-        mod2 = np.sum(field.values**2, axis=-1) / grid.f
+        v = field.values
+        mod2 = (v[..., 0] ** 2 + v[..., 1] ** 2) / grid.f
     else:
         mod2 = field.values**2
     return np.sqrt(np.sum(mod2 * q, axis=tuple(range(1, mod2.ndim))))

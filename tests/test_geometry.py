@@ -521,6 +521,63 @@ def test_volume_of_ball_equals_band_quadrature_on_hard_balls(name, kw, center, r
     assert geo.volume_of_ball(chart, center, radius) == _volume_by_band(chart, center, radius)
 
 
+def _volume_by_full_slabs(chart, center, radius, quadrature_resolution=256):
+    """The slab loop with sqrt_det at every cell centre, zero-weight
+    cells included: `volume_of_ball` must give the same bits."""
+    center = np.asarray(center, dtype=float)
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    n, res = chart.n, quadrature_resolution
+    h = (hi - lo) / res
+    lip = chart.distance_lipschitz(lo, hi, center)
+    depth = 3 if n == 2 else 2
+    sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
+    axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
+    sub_axes = [(axes[i][:, None] + sub * h[i]).ravel() for i in range(n)]
+    total = 0.0
+    rest = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=-1)
+    rows_per_block = max(1, (1 << 18) // len(rest))
+    for start in range(0, res, rows_per_block):
+        x0 = axes[0][start : start + rows_per_block]
+        pts = np.concatenate([np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1)
+        rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
+        count = geo._inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
+        total += float(np.sum(chart.sqrt_det(pts) * (count / (1 << (depth * n)))))
+    return total * float(np.prod(h))
+
+
+SLAB_CASES = FIVE_CHARTS + [("euclidean", {"n": 3}), ("flat-torus", {"n": 3, "L": 3.0})]
+
+
+@pytest.mark.parametrize("name,kw", SLAB_CASES, ids=map(_case_id, SLAB_CASES))
+def test_volume_of_ball_equals_the_full_slab_sum(name, kw):
+    chart = geo.make_chart(name, **kw)
+    res = 256 if chart.n == 2 else 48
+    for c, r in _seeded_balls(name, kw, 2, 53):
+        assert geo.volume_of_ball(chart, c, r, res) == _volume_by_full_slabs(chart, c, r, res)
+
+
+@pytest.mark.parametrize("name,kw", FIVE_CHARTS, ids=map(_case_id, FIVE_CHARTS))
+def test_volume_of_ball_takes_sqrt_det_only_where_a_cell_weighs(monkeypatch, name, kw):
+    """Every point sqrt_det sees is the centre of a cell with a sub-point
+    in the ball, and it sees one point per such cell."""
+    chart = geo.make_chart(name, **kw)
+    (center, radius), = _seeded_balls(name, kw, 1, 59)
+    seen, counts = [], []
+    sqrt_det, inside_counts = chart.sqrt_det, geo._inside_counts
+    monkeypatch.setattr(chart, "sqrt_det", lambda x: seen.append(np.array(x)) or sqrt_det(x))
+    monkeypatch.setattr(geo, "_inside_counts",
+                        lambda *a: counts.append(inside_counts(*a)) or counts[-1])
+    res = 64
+    geo.volume_of_ball(chart, center, radius, res)
+    pts = np.concatenate(seen)
+    assert len(pts) == sum(np.count_nonzero(c) for c in counts) < sum(map(len, counts))
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    sub = (np.arange(8) + 0.5) / 8 - 0.5
+    offsets = np.stack(np.meshgrid(sub, sub, indexing="ij"), axis=-1).reshape(-1, 2) * (hi - lo) / res
+    d = chart.distance(pts[:, None, :] + offsets[None], center[None, None, :])
+    assert np.all(np.any(d <= radius, axis=1))
+
+
 def _lipschitz_ratios(chart, center, radius, count, seed):
     """|d(x, c) - d(y, c)| / |x - y| on random close pairs in the ball's
     box, with the box's Lipschitz bound."""

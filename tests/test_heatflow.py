@@ -363,14 +363,16 @@ def _reference_step(grid, kind, dt):
 
 def _solve_and_capture(monkeypatch, prob):
     """The solution, and what solve_parabolic handed its time loop:
-    (apply, solve), the mass, the forcing on the unknowns and the states."""
+    (apply, solve), the mass, the forcing on the unknowns and the states,
+    each flat over the unknowns."""
     seen = []
     loop = hf._implicit_euler
 
-    def spy(step, mass, omegas, dt):
-        states, residuals = loop(step, mass, omegas, dt)
-        seen.append((step, mass, omegas, states))
-        return states, residuals
+    def spy(step, mass, omegas, dt, states):
+        residuals = loop(step, mass, omegas, dt, states)
+        seen.append((step, mass.ravel(), omegas.reshape(len(omegas), -1),
+                     states.reshape(len(states), -1)))
+        return residuals
 
     monkeypatch.setattr(hf, "_implicit_euler", spy)
     sol = hf.solve_parabolic(prob)
@@ -611,3 +613,70 @@ def test_edge_midpoints_are_wrapped_once_per_solve(monkeypatch):
     x_edges = one_form_forcing(0.0, wrap(grid.points + np.array([h1 / 2.0, 0.0])))[..., 0]
     y_edges = one_form_forcing(0.0, wrap(grid.points + np.array([0.0, h2 / 2.0])))[..., 1]
     assert np.array_equal(sampled, np.concatenate([x_edges.ravel(), y_edges.ravel()]))
+
+
+@pytest.mark.parametrize("forcing", [
+    lambda t, p: 1.0,
+    lambda t, p: np.zeros(p.shape[0]),
+    lambda t, p: np.zeros(p.shape[:-1] + (2,)),
+], ids=["float", "one-axis", "two-components"])
+def test_scalar_forcing_must_return_the_grid_shape(forcing):
+    """A value that would broadcast into the forcing series, or not fit
+    it, is refused with both shapes named."""
+    prob = hf.ParabolicProblem(euclid_grid(9), forcing, horizon=0.1, margin=0.0, dt=0.05)
+    with pytest.raises(DomainError, match=r"\(9, 9\)"):
+        hf.solve_parabolic(prob)
+
+
+# -- memory: each time series is allocated once ------------------------
+
+
+def _traced_solve(prob):
+    """The solution and the traced peak of its solve, in bytes."""
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        sol = hf.solve_parabolic(prob)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sol, peak
+
+
+@pytest.mark.parametrize("grid,forcing,kind,series", [
+    (torus_grid(96), eigen_forcing, "scalar", 2.6),
+    (euclid_grid(81), None, "scalar", 2.6),
+    (torus_grid(96), one_form_forcing, "one-form", 3.5),
+], ids=["torus-scalar", "euclidean", "torus-one-form"])
+def test_solve_holds_each_series_once(grid, forcing, kind, series):
+    """A series is one (steps + 1) x nodes x components float array.  A
+    solve keeps u and the forcing, each allocated once in its final
+    layout; one-forms also hold their edge series until the nodal copies
+    exist."""
+    prob = hf.ParabolicProblem(grid, forcing or _bump(grid), horizon=0.3, margin=0.1,
+                               dt=0.01, kind=kind)
+    sol, peak = _traced_solve(prob)
+    assert peak <= series * sol.u.values.nbytes
+
+
+def test_ball_solve_keeps_only_the_inverse_schur_blocks():
+    """At 161^2 nodes the inverse blocks alone take 159^3 floats (30.7
+    MiB); keeping the Schur blocks beside them would add as much again."""
+    grid = model_grid("hyperbolic-ball", 161)
+    prob = hf.ParabolicProblem(grid, _bump(grid), horizon=0.3, margin=0.1, dt=0.01)
+    sol, peak = _traced_solve(prob)
+    assert np.all(sol.residuals <= hf.STEP_RTOL)
+    assert peak <= 55 * 2**20
+
+
+def test_contraction_check_does_not_compute_the_time_derivative():
+    grid = euclid_grid(17)
+    sol = hf.solve_parabolic(hf.ParabolicProblem(grid, _bump(grid), horizon=0.2, margin=0.1,
+                                                 dt=0.05))
+    assert hf.check_threshold_contraction(sol)["holds"]
+    assert "dt_u" not in sol.__dict__
+    u = sol.u.values
+    assert np.array_equal(sol.dt_u.values[1:], (u[1:] - u[:-1]) / 0.05)
+    assert np.array_equal(sol.dt_u.values[0], sol.dt_u.values[1])
+    assert sol.dt_u is sol.dt_u
