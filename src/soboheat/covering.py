@@ -13,15 +13,19 @@ Probes and candidate centers are lattices of the box, and one screen
 serves both queries: per axis, the nodes within a chart reach of the
 center are an index range in closed form; on a periodic axis two ranges,
 about c and the one image c -+ L that the nodes more than half a period
-away fall to.  The screen walks the rows (axes 0..n-2) within reach of
-each ball and gives every (ball, row) its ranges on the last axis.
-Touching pairs check every screened pair of centers exactly.  Overlap
-counts settle (probe, ball) pairs by closed-form bounds on f over each
-ball's own box: the probes surely inside, and the shell probes the
-distance finds inside, go into one difference array along the rows as
-each run of balls ends, so a count call holds O(probes + balls) ints and
-temporaries of PAIR_BUDGET size.  Both run the balls in blocks of at most
-PAIR_BUDGET rows and pass at most PAIR_BUDGET pairs per distance call.
+away fall to.  Each ball's images and the index bounds of the nodes
+nearest each (its frame on the axis) are set up once per ball, and a
+range is one step from a frame and a half-width.  The screen walks the
+rows (axes 0..n-2) within reach of each ball and gives every (ball, row)
+its last-axis frame and its ranges there; a periodic last axis drops an
+image that no ball reaches at its full reach.  Touching pairs check every
+screened pair of centers exactly.  Overlap counts settle (probe, ball)
+pairs by closed-form bounds on f over each ball's own box: the probes
+surely inside, and the shell probes the distance finds inside, go into
+one difference array along the rows as each run of balls ends, so a
+count call holds O(probes + balls) ints and temporaries of PAIR_BUDGET
+size.  Both run the balls in blocks of at most PAIR_BUDGET rows and pass
+at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
@@ -156,7 +160,7 @@ def _expand(start, length):
 
 def _axis_nodes(chart: MetricChart, lattice: _Lattice, c, first, last, axis):
     """(index, sq, width): the lattice indices on the axis in every ball's
-    ranges first..last about the coordinate c (`_axis_ranges`), ball after
+    ranges first..last about the coordinate c (`_frame_ranges`), ball after
     ball, their squared chart displacements from c (the nearest image on a
     periodic axis), and how many each ball has."""
     size = np.maximum(last - first + 1, 0)
@@ -169,37 +173,49 @@ def _axis_nodes(chart: MetricChart, lattice: _Lattice, c, first, last, axis):
 
 
 def _screen(chart: MetricChart, lattice: _Lattice, centers, reach):
-    """Per run of balls, (ball, row, sq, first, last): the rows of lattice
-    nodes (axes 0..n-2) within chart reach[ball] of the center (nearest
-    image on a periodic axis), with row their row-major index over those
-    axes and sq their squared displacement, and each (ball, row)'s index
-    ranges on the last axis within sqrt(reach^2 - sq).  All ranges come
-    from `_axis_ranges`.  The balls go in runs whose ranges hold at most
-    PAIR_BUDGET rows (a larger ball is a run of its own); each run lists
-    its balls' nodes per axis, starts from one entry per ball and grows
-    it axis by axis, dropping the entries whose squared displacement so
-    far exceeds reach^2.  Only the index ranges are kept for all balls."""
+    """Per run of balls, (ball, row, sq, frame, first, last): the rows of
+    lattice nodes (axes 0..n-2) within chart reach[ball] of the center
+    (nearest image on a periodic axis), with row their row-major index over
+    those axes and sq their squared displacement, each (ball, row)'s frame
+    on the last axis (`_axis_frame`, gathered by ball) and its index ranges
+    there within sqrt(reach^2 - sq) (`_frame_ranges`).  Every axis's frame
+    is set up once per ball.  On a periodic last axis, an image whose range
+    is empty for every ball at its full reach is dropped: a range only
+    shrinks with its half-width, and every later half-width is at most the
+    reach.  The balls go in runs whose ranges hold at most PAIR_BUDGET rows
+    (a larger ball is a run of its own); each run lists its balls' nodes
+    per axis, starts from one entry per ball and grows it axis by axis,
+    dropping the entries whose squared displacement so far exceeds reach^2.
+    Only the frames and index ranges are kept for all balls."""
     last = chart.n - 1
-    ranges = [_axis_ranges(chart, lattice, centers[:, i], reach, i) for i in range(last)]
+    ranges = [_frame_ranges(lattice, _axis_frame(chart, lattice, centers[:, i], i), reach, i)
+              for i in range(last)]
     width = np.stack([np.maximum(b - a + 1, 0).sum(axis=-1) for a, b in ranges], axis=-1)
     strides = np.append(np.cumprod(lattice.count[last - 1:0:-1])[::-1], 1)
     reach2 = reach**2
+    frame = _axis_frame(chart, lattice, centers[:, last], last)
+    if chart.periodic[last]:
+        # every half-width below, sqrt(reach^2 - sq), is at most sqrt(reach^2)
+        first, end = _frame_ranges(lattice, frame, np.sqrt(reach2), last)
+        used = np.any(first <= end, axis=0)
+        frame = tuple(x[:, used] for x in frame)
     for start, stop in budget_blocks(np.prod(width, axis=-1), PAIR_BUDGET):
-        ball = np.arange(start, stop)
-        row = np.zeros(len(ball), dtype=np.intp)
-        sq = np.zeros(len(ball))
         for i, (a, b) in enumerate(ranges):
             index, axis_sq, w = _axis_nodes(chart, lattice, centers[start:stop, i],
                                             a[start:stop], b[start:stop], i)
-            k = ball - start
-            j = _expand((np.cumsum(w) - w)[k], w[k])
-            ball = np.repeat(ball, w[k])
-            row = np.repeat(row, w[k]) + index[j] * strides[i]
-            sq = np.repeat(sq, w[k]) + axis_sq[j]
+            if i == 0:  # one entry per ball of the run, in order
+                ball, row, sq = np.repeat(np.arange(start, stop), w), index * strides[0], axis_sq
+            else:
+                k = ball - start
+                j = _expand((np.cumsum(w) - w)[k], w[k])
+                ball = np.repeat(ball, w[k])
+                row = np.repeat(row, w[k]) + index[j] * strides[i]
+                sq = np.repeat(sq, w[k]) + axis_sq[j]
             inside = sq <= reach2[ball]
             ball, row, sq = ball[inside], row[inside], sq[inside]
-        yield (ball, row, sq,
-               *_axis_ranges(chart, lattice, centers[ball, last], np.sqrt(reach2[ball] - sq), last))
+        gathered = tuple(x[ball] if np.ndim(x) else x for x in frame)
+        yield (ball, row, sq, gathered,
+               *_frame_ranges(lattice, gathered, np.sqrt(reach2[ball] - sq), last))
 
 
 def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
@@ -217,7 +233,7 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     reach = np.full(len(nodes), (diameter + rounding_slack(diameter)) / math.sqrt(f_min))
     m = int(lattice.count[-1])
     found, screened = [], 0
-    for ball, row, _, first, last in _screen(chart, lattice, centers, reach):
+    for ball, row, _, _, first, last in _screen(chart, lattice, centers, reach):
         start = (row * m)[:, None] + first
         owner = np.broadcast_to(ball[:, None], first.shape)
         for node, i in _segment_pairs(start.ravel(), np.maximum(last - first + 1, 0).ravel(),
@@ -230,34 +246,49 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     return np.concatenate(found), screened
 
 
-def _axis_ranges(chart: MetricChart, lattice: _Lattice, c, half, axis: int):
-    """(first, last), each (entries, images): inclusive index ranges of the
-    lattice nodes on the axis within half[e] of the coordinate c[e], the
-    nearest image on a periodic axis.  A periodic axis has two ranges, one
-    per image, each kept to the nodes nearer that image than the other (a
-    node half a period from c goes to c), so the ranges are disjoint; any
-    other axis has one.  The lattice spans less than a period, so the nodes
-    more than half a period from c lie all below it (image c - L) or all
-    above it (image c + L), and the images are c - L, c where some lie
-    below and c, c + L otherwise.  Ranges are clipped to the lattice;
-    first > last where one is empty."""
-    x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
+def _axis_frame(chart: MetricChart, lattice: _Lattice, c, axis: int):
+    """(images, lower, upper): per center c[e], the images of c[e] on the
+    axis and, per image, the lattice indices lower..upper nearer that image
+    than any other (`_frame_ranges` takes the nodes within a half-width of
+    each).  A periodic axis has two images, and a node half a period from c
+    goes to c, so the index sets are disjoint.  The lattice spans less than
+    a period, so the nodes more than half a period from c lie all below it
+    (image c - L) or all above it (image c + L), and the images are c - L, c
+    where some lie below and c, c + L otherwise.  Any other axis has one
+    image, c itself, and the whole lattice (lower and upper are then
+    scalars, so a frame stores arrays only on a periodic axis).  lower and
+    upper are whole numbers in floats, as the ranges are computed, clipped
+    to the lattice: lower to [0, m] and upper to [-1, m - 1]."""
+    x0, step, m = lattice.lo[axis], lattice.step[axis], int(lattice.count[axis])
     c = c[:, None]
-    if chart.periodic[axis]:
-        period = (chart.hi - chart.lo)[axis]
-        # the nodes nearest to c: [near, far]
-        near = np.ceil((c - period / 2.0 - x0) / step)
-        far = np.floor((c + period / 2.0 - x0) / step)
-        below = near > 0
-        images = c + period * np.where(below, [-1.0, 0.0], [0.0, 1.0])
-        cut = np.where(below, near, far + 1)  # the first node of the upper image
-        lower = np.concatenate([np.zeros_like(cut), cut], axis=1)
-        upper = np.concatenate([cut - 1, np.full_like(cut, m - 1)], axis=1)
-    else:
-        images, lower, upper = c, 0, m - 1
+    if not chart.periodic[axis]:
+        return c, 0, m - 1
+    period = (chart.hi - chart.lo)[axis]
+    # the nodes nearest to c: [near, far]
+    near = np.ceil((c - period / 2.0 - x0) / step)
+    far = np.floor((c + period / 2.0 - x0) / step)
+    below = near > 0
+    images = c + period * np.where(below, [-1.0, 0.0], [0.0, 1.0])
+    cut = np.where(below, near, far + 1)  # the first node of the upper image
+    lower = np.concatenate([np.zeros_like(cut), np.clip(cut, 0, m)], axis=1)
+    upper = np.concatenate([np.clip(cut - 1, -1, m - 1), np.full_like(cut, m - 1)], axis=1)
+    return images, lower, upper
+
+
+def _frame_ranges(lattice: _Lattice, frame, half, axis: int):
+    """(first, last), each (entries, images): inclusive index ranges of the
+    lattice nodes on the axis within half[e] of each image of a frame
+    (`_axis_frame`) and within that image's bounds lower..upper, clipped to
+    the lattice; first > last where one is empty."""
+    images, lower, upper = frame
+    x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
     half = half[:, None]
-    first = np.clip(np.maximum(np.ceil((images - half - x0) / step), lower), 0, m)
-    last = np.clip(np.minimum(np.floor((images + half - x0) / step), upper), -1, m - 1)
+    first = np.ceil((images - half - x0) / step)
+    np.maximum(first, lower, out=first)
+    np.minimum(first, m, out=first)
+    last = np.floor((images + half - x0) / step)
+    np.minimum(last, upper, out=last)
+    np.maximum(last, -1, out=last)
     return first.astype(np.intp), last.astype(np.intp)
 
 
@@ -275,12 +306,14 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     and so does the chord's segment (see `_box_perturbed`).
 
     `_screen` walks the probe rows by the outer chart radius
-    (r + s) / sqrt(f_min) and gives every (ball, row) its outer index
-    ranges on the last axis; the inner ones, by r - s and f_max, come
-    from `_axis_ranges` here.  Only the probes between the two ranges go
-    to the distance, at most PAIR_BUDGET pairs per call.  Each run adds
-    its inner ranges, and the shell probes found inside, to one
-    difference array along the rows, which is summed once at the end.
+    (r + s) / sqrt(f_min) and gives every (ball, row) its last-axis frame
+    and outer index ranges there; the inner ones, by r - s and f_max, are
+    ranges of the same gathered frame, bounded by the outer ones.  Only
+    the probes between the two ranges go to the distance, at most
+    PAIR_BUDGET pairs per call, and only the entries whose inner ranges
+    fall short of the outer ones build shell segments.  Each run adds its
+    inner ranges, and the shell probes found inside, to one difference
+    array along the rows, which is summed once at the end.
     """
     last = chart.n - 1
     m = int(probes.count[last])
@@ -293,20 +326,25 @@ def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
     # one difference array along the rows, m + 1 wide: +1 where a run of
     # counted probes starts, -1 after it ends; probe p sits at p + p // m
     marks = np.zeros(len(probes) // m * (m + 1), dtype=np.intp)
-    for ball, row, sq, first, end in _screen(chart, probes, centers, outer):
-        a, b = _axis_ranges(chart, probes, centers[ball, last],
-                            np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
-        a, b = np.maximum(a, first), np.minimum(b, end)
+    for ball, row, sq, frame, first, end in _screen(chart, probes, centers, outer):
+        # the inner ranges: the frame's images, bounded by the outer ranges
+        # (each of which lies within its image's bounds already)
+        a, b = _frame_ranges(probes, (frame[0], first, end),
+                             np.sqrt(np.maximum(inner2[ball] - sq, 0.0)), last)
         # an empty inner range moves past the outer one, whose nodes are then all shell
         empty = (a > b) | (inner2[ball] < sq)[:, None]
-        a, b = np.where(empty, end + 1, a), np.where(empty, end, b)
+        np.copyto(a, end + 1, where=empty)
+        np.copyto(b, end, where=empty)
         base = (row * (m + 1))[:, None]
         np.add.at(marks, (base + a)[~empty], 1)
         np.subtract.at(marks, (base + b + 1)[~empty], 1)
-        # the shell: [first, a) and (b, end] of every range, the empty ones dropped
-        seg_start = (row * m)[:, None] + np.concatenate([first, b + 1], axis=1)
+        # the shell: [first, a) and (b, end] of every range, only for the
+        # entries whose inner ranges fall short of the outer ones
+        short = np.flatnonzero(np.any((a > first) | (b < end), axis=1))
+        first, end, a, b = first[short], end[short], a[short], b[short]
+        seg_start = (row[short] * m)[:, None] + np.concatenate([first, b + 1], axis=1)
         seg_len = np.concatenate([a - first, end - b], axis=1)
-        seg_ball = np.broadcast_to(ball[:, None], seg_len.shape)
+        seg_ball = np.broadcast_to(ball[short, None], seg_len.shape)
         some = seg_len > 0
         for p, q in _segment_pairs(seg_start[some], seg_len[some], seg_ball[some]):
             hit = p[chart.distance(probes.points[p], centers[q]) <= radii[q]]

@@ -812,7 +812,9 @@ def cmt_bound_check(chart: MetricChart, center, radius: float, m: int) -> dict:
     rhs = np.abs(chart.conformal_factor(pts))  # |beta| = 0 term (g_ij itself)
     witness = 0.0
     for k in range(1, m + 1):
-        lhs = np.max(np.abs(_gamma_map(jet[k - 1])).reshape(len(pts), -1), axis=1)
+        # every entry of _gamma_map(v) is v_j, v_k, -v_i, (v_i + v_i) - v_i or 0, and
+        # for n >= 2 each v_a is one of them: the largest entry is max |v|
+        lhs = np.max(np.abs(jet[k - 1]).reshape(len(pts), -1), axis=1)
         for beta in multi_indices(n, k):
             rhs = rhs + np.abs(chart.conformal_derivative(pts, beta))
         witness = max(witness, float(np.max(lhs / rhs)))

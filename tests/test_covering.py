@@ -244,9 +244,9 @@ TIE_CASES = {
 
 
 def three_image_ranges(chart, lattice, c, half, axis):
-    """`_axis_ranges` with one range per image c - L, c, c + L on a
-    periodic axis, each kept to the nodes nearer that image than the
-    others."""
+    """The ranges of `_axis_frame` and `_frame_ranges` with one range per
+    image c - L, c, c + L on a periodic axis, each kept to the nodes nearer
+    that image than the others."""
     x0, step, m = lattice.lo[axis], lattice.step[axis], lattice.count[axis]
     period = (chart.hi - chart.lo)[axis]
     c = c[:, None]
@@ -296,7 +296,8 @@ def test_periodic_axis_ranges_drop_an_empty_image(case):
     chart, lattice, c, half = case
     for axis in (0, 1):
         want = index_sets(*three_image_ranges(chart, lattice, c, half, axis))
-        got = index_sets(*cov._axis_ranges(chart, lattice, c, half, axis))
+        frame = cov._axis_frame(chart, lattice, c, axis)
+        got = index_sets(*cov._frame_ranges(lattice, frame, half, axis))
         for (below, mid, above), two in zip(want, got):
             assert two in ([below, mid], [mid, above])
             assert not (above if two == [below, mid] else below)
@@ -530,6 +531,97 @@ def test_touching_pairs_fuzz(case):
     assert sorted(map(tuple, pairs.tolist())) == want
     reach = touching_reach(radii, f_min)
     assert np.sum(displacement <= reach * (1 - 1e-12)) <= screened <= np.sum(displacement <= reach * (1 + 1e-12))
+
+
+def column_spy(monkeypatch):
+    """The number of last-axis image columns in every run `_screen`
+    yields."""
+    columns = []
+    screen = cov._screen
+
+    def recording(*args):
+        for run in screen(*args):
+            columns.append(run[3][0].shape[1])
+            yield run
+
+    monkeypatch.setattr(cov, "_screen", recording)
+    return columns
+
+
+def seam_lattice(n):
+    """(chart, lattice): a flat torus of period 4 and a lattice over the
+    whole period, 24 nodes per axis in 2-D and 10 in 3-D."""
+    chart = make_chart("flat-torus", n=n, L=4.0)
+    lo, hi, endpoint = cov._target_box(chart, None)
+    return chart, cov._Lattice(lo, hi, [24 if n == 2 else 10] * n, endpoint)
+
+
+BUDGETS = pytest.mark.parametrize("budget", [cov.PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@BUDGETS
+def test_counts_across_the_seam_keep_both_images(n, budget, monkeypatch):
+    """On a lattice over the whole period, balls within 0.3 of the seam on
+    the last axis reach the nodes on both of its sides, so both image
+    columns stay, and the counts equal brute force."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
+    chart, probes = seam_lattice(n)
+    rng = np.random.default_rng(n)
+    centers = rng.uniform(0.0, 4.0, (30, n))
+    centers[:, -1] = np.mod(rng.uniform(-0.3, 0.3, 30), 4.0)
+    radii = rng.uniform(0.3, 0.8, 30)
+    columns = column_spy(monkeypatch)
+    counts = cov._count_memberships(chart, probes, centers, radii)
+    want = brute_force_counts(chart, probes.points, centers, radii)
+    assert want.max() >= 2
+    assert np.array_equal(counts, want)
+    assert set(columns) == {2}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@BUDGETS
+def test_touching_pairs_across_the_seam_keep_both_images(n, budget, monkeypatch):
+    """Centers on the nodes next to the seam of a whole-period lattice
+    touch across it: both image columns stay, and the pairs equal brute
+    force, some of them across the seam."""
+    monkeypatch.setattr(cov, "PAIR_BUDGET", budget)
+    chart, lattice = seam_lattice(n)
+    m = int(lattice.count[-1])
+    rng = np.random.default_rng(n)
+    nodes = np.flatnonzero(np.isin(np.arange(len(lattice)) % m, [0, 1, m - 2, m - 1])
+                           & (rng.random(len(lattice)) < 0.7))
+    radii = float(lattice.step[0]) * rng.uniform(0.5, 1.5, len(nodes))
+    columns = column_spy(monkeypatch)
+    pairs, _ = cov._touching_pairs(chart, lattice, nodes, radii, 1.0)
+    want, _ = brute_force_touching(chart, lattice.points[nodes], radii)
+    side = lattice.points[nodes, -1] < 2.0
+    assert any(side[i] != side[j] for i, j in want)
+    assert sorted(map(tuple, pairs.tolist())) == want
+    assert set(columns) == {2}
+
+
+def test_sub_box_far_from_the_seam_keeps_one_image(monkeypatch):
+    """A torus sub-box one unit wide and a period of 4, as in the bench
+    cover box: no ball reaches the nodes through the second image, so the
+    screens keep one last-axis column, and counts and pairs equal brute
+    force."""
+    chart = make_chart("flat-torus", n=2, L=4.0)
+    lo, hi, endpoint = cov._target_box(chart, [(1.0, 2.0), (1.5, 2.5)])
+    lattice = cov._spaced_grid(lo, hi, 1 / 30, endpoint)
+    rng = np.random.default_rng(5)
+    centers = rng.uniform(lo, hi, (40, 2))
+    radii = rng.uniform(0.05, 0.3, 40)
+    columns = column_spy(monkeypatch)
+    counts = cov._count_memberships(chart, lattice, centers, radii)
+    assert np.array_equal(counts, brute_force_counts(chart, lattice.points, centers, radii))
+    nodes = rng.choice(len(lattice), 60, replace=False)
+    node_radii = rng.uniform(0.02, 0.1, 60)
+    pairs, _ = cov._touching_pairs(chart, lattice, nodes, node_radii, 1.0)
+    want, _ = brute_force_touching(chart, lattice.points[nodes], node_radii)
+    assert len(want) > 0
+    assert sorted(map(tuple, pairs.tolist())) == want
+    assert len(columns) >= 2 and set(columns) == {1}
 
 
 @pytest.mark.parametrize("model", ["euclidean", "hyperbolic-halfplane", "flat-torus"])

@@ -174,6 +174,22 @@ def test_cmt_bound_holds_on_halfplane():
     assert rep["witness_constant"] > 0
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_gamma_map_largest_entry_is_largest_jet_entry(n, k):
+    """cmt_bound_check takes sup |d^(k-1) Gamma| as max |d^k phi| without
+    building _gamma_map's tensor: both give the same bits on random jets
+    and on the phi-jets of a chart."""
+    rng = np.random.default_rng(10 * n + k)
+    chart = geo.make_chart("hyperbolic-ball") if n == 2 else geo.make_chart("perturbed-euclidean", n=3)
+    pts = chart.lo + (0.1 + 0.8 * rng.random((50, n))) * (chart.hi - chart.lo)
+    jets = [rng.standard_normal((200,) + (n,) * k) * 10.0 ** rng.integers(-8, 8, (200,) + (n,) * k),
+            geo._phi_jet(chart, pts, k)[k - 1]]
+    for v in jets:
+        full = np.max(np.abs(geo._gamma_map(v)).reshape(len(v), -1), axis=1)
+        assert np.array_equal(full, np.max(np.abs(v).reshape(len(v), -1), axis=1))
+
+
 def test_multi_indices_counts():
     # number of multi-indices of order k in n variables is C(n+k-1, k)
     assert len(geo.multi_indices(2, 2)) == 3
