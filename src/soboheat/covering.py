@@ -232,7 +232,7 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     diameter = 2.0 * float(np.max(radii))
     reach = np.full(len(nodes), (diameter + rounding_slack(diameter)) / math.sqrt(f_min))
     m = int(lattice.count[-1])
-    found, screened = [], 0
+    found, screened = [np.empty((0, 2), dtype=np.intp)], 0
     for ball, row, _, _, first, last in _screen(chart, lattice, centers, reach):
         start = (row * m)[:, None] + first
         owner = np.broadcast_to(ball[:, None], first.shape)
@@ -240,6 +240,8 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
                                       owner.ravel()):
             j = ball_of[node]
             i, j = i[j > i], j[j > i]
+            if len(i) == 0:
+                continue
             screened += len(i)
             meet = chart.distance(centers[i], centers[j]) <= radii[i] + radii[j]
             found.append(np.stack([i[meet], j[meet]], axis=-1))

@@ -15,13 +15,13 @@ d^2 Gamma exactly.
 
 No finite differences and no symbolic algebra enter.
 
-Four more closed forms per model say where a ball lies and how f and d
-vary on it: the exact range of f over a box (`MetricChart.factor_range`),
-an upper bound on its derivatives of one order over a box
-(`MetricChart.jet_bound`), an upper bound on the Lipschitz constant of
-d(., c) over a box (`MetricChart.distance_lipschitz`), and a chart box
-that contains the geodesic ball (`ball_bbox`), whose place in the domain
-decides whether the ball fits.  Nothing is sampled.
+Four more closed forms per model say where a ball lies and how f varies
+on it: the exact range of f over a box (`MetricChart.factor_range`), an
+upper bound on its derivatives of one order over a box
+(`MetricChart.jet_bound`), a chart box that contains the geodesic ball
+(`ball_bbox`), whose place in the domain decides whether the ball fits,
+and the ball's section of each line along the last axis, a Euclidean
+disc on that line.  Nothing is sampled.
 
 Geodesic distance is closed form for the flat and hyperbolic models.
 For the perturbed-Euclidean metric no closed form exists; there the
@@ -33,10 +33,9 @@ distinct pair, and grid and lattice callers share each one among many
 point pairs.
 
 `volume_of_ball` weighs each quadrature cell by the share of its
-sub-points in the ball.  The Lipschitz bound settles whole blocks of
-sub-points inside or outside, so the distance runs only near the ball's
-boundary.  It, the covering screens and the radius-field checks pass at
-most PAIR_BUDGET pairs per distance call.
+sub-points in the ball: the sections place each row's interval, and the
+distance runs only beside its ends.  It, the covering screens and the
+radius-field checks pass at most PAIR_BUDGET pairs per distance call.
 """
 
 from __future__ import annotations
@@ -113,10 +112,11 @@ class MetricChart:
     jet(x, beta) is the model's closed form of d^beta f at the points x
     (beta = 0 gives f), for |beta| <= M_MAX; factor_range(lo, hi) is the
     exact (min, max) of f over a box; jet_bound(lo, hi, k) bounds
-    sum_{|beta| = k} sup |d^beta f| over a box; lipschitz(chart, lo, hi, c)
-    bounds the Lipschitz constant of d(., c) over a box that holds c;
-    ball_box(chart, c, R) is a chart box (lo, hi) that contains the
-    geodesic ball B(c, R); is_flat says f is constant (jet_bound of order 1 is 0).
+    sum_{|beta| = k} sup |d^beta f| over a box; ball_box(chart, c, R) is a
+    chart box (lo, hi) that contains the geodesic ball B(c, R); section(chart,
+    c, R, x1) is (mid, r), where B(c, R) meets each line along the last axis
+    through its box at first coordinate x1: |x - mid| <= r, mid (n,) and r of
+    x1's shape; is_flat says f is constant (jet_bound of order 1 is 0).
     """
 
     def __init__(
@@ -130,7 +130,7 @@ class MetricChart:
         jet: Callable,
         factor_range: Callable,
         jet_bound: Callable,
-        lipschitz: Callable,
+        section: Callable,
         ball_box: Callable,
         params: dict,
     ):
@@ -144,7 +144,7 @@ class MetricChart:
         self.jet = jet
         self._factor_range = factor_range
         self._jet_bound = jet_bound
-        self._lipschitz = lipschitz
+        self._section = section
         self._ball_box = ball_box
         if not self.factor_range(self.lo, self.hi)[0] > 0:
             raise NumericalError(f"chart {name}: conformal factor not positive on the box")
@@ -213,13 +213,6 @@ class MetricChart:
         if k > M_MAX:
             raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
         return self._jet_bound(np.asarray(lo, dtype=float), np.asarray(hi, dtype=float), k)
-
-    def distance_lipschitz(self, lo, hi, center) -> float:
-        """Upper bound on the Lipschitz constant of x -> d(x, center), in
-        the chart's Euclidean norm, over the box [lo, hi], which must hold
-        center."""
-        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-        return float(self._lipschitz(self, lo, hi, np.asarray(center, dtype=float)))
 
     def sqrt_det(self, x) -> np.ndarray:
         return self.conformal_factor(x) ** (self.n / 2.0)
@@ -406,35 +399,30 @@ def _dist_chord(chart, x, y):
     uy, iy = np.unique(y[..., axis], return_inverse=True)
     key = ix.reshape(x.shape[:-1]) * len(uy) + iy.reshape(y.shape[:-1])
     pair, ip = np.unique(key, return_inverse=True)
-    xa, ya = ux[pair // len(uy)], uy[pair % len(uy)]
+    mean = _chord_mean(chart, ux[pair // len(uy)], uy[pair % len(uy)])
+    return np.sqrt(_sq_norm(y - x)) * mean[ip].reshape(key.shape)
+
+
+def _chord_mean(chart, xa, ya):
+    """The Gauss-Legendre mean of sqrt(f) from x_a = xa to ya."""
     t = xa[:, None] + _GL_X * (ya - xa)[:, None]
-    integral = np.sum(_GL_W * np.sqrt(chart.jet.profile(t, 0)), axis=-1)
-    step = y - x
-    return np.sqrt(_sq_norm(step)) * integral[ip].reshape(key.shape)
+    return np.sum(_GL_W * np.sqrt(chart.jet.profile(t, 0)), axis=-1)
 
 
-# -- catalog: Lipschitz bounds of d(., c) over a box --------------------
-# Each takes a box (lo, hi) that holds the center c; the box is convex, so
-# it holds the straight segment between any two of its points.
+# -- catalog: the ball's section of each row (see MetricChart) ----------
 
 
-def _lip_metric(chart, lo, hi, c):
-    """d is a metric: |d(x, c) - d(y, c)| <= d(x, y), which is at most the
-    length sqrt(f_max) |x - y| of the straight segment."""
-    return math.sqrt(float(chart.factor_range(lo, hi)[1]))
+def _section_disc(chart, c, R, x1):
+    """The ball is the Euclidean disc inscribed in its square box (on the
+    torus ball_bbox admits only R <= L/2, so no other image comes nearer)."""
+    lo, hi = chart._ball_box(chart, c, R)
+    return (lo + hi) / 2, np.full(np.shape(x1), (hi[0] - lo[0]) / 2)
 
 
-def _lip_chord(chart, lo, hi, c):
-    """The chord |x - c| M(x_1), M the Gauss-Legendre mean of sqrt(f) over
-    the segment, is not a metric.  Its gradient has norm at most
-    M + |x - c| |dM/dx_1|: M <= sqrt(f_max), since the weights are positive
-    and sum to 1, and dM/dx_1 = sum_i w_i t_i f'/(2 sqrt f) with
-    sum_i w_i t_i = 1/2, so |dM/dx_1| <= sup |f'| / (4 sqrt(f_min)); |x - c|
-    is at most D, the box's farthest reach from c."""
-    f_min, f_max = (float(v) for v in chart.factor_range(lo, hi))
-    reach = math.sqrt(float(_sq_norm(np.maximum(np.abs(lo - c), np.abs(hi - c)))))
-    slope = float(chart.jet_bound(lo, hi, 1))
-    return math.sqrt(f_max) + reach * slope / (4.0 * math.sqrt(f_min))
+def _section_chord(chart, c, R, x1):
+    """The chord is |x - c| M(x_1, c_1), and a row fixes x_1: there the ball
+    is the disc about c of radius R / M."""
+    return c, R / _chord_mean(chart, x1, np.full(np.shape(x1), c[0]))
 
 
 # -- catalog: boxes that contain geodesic balls ------------------------
@@ -520,7 +508,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_euclidean, jet, jet.range,
-                           jet.bound, _lip_metric, _box_flat, params)
+                           jet.bound, _section_disc, _box_flat, params)
     if name == "perturbed-euclidean":
         n = _dim(name, params, (2, 3))
         a = _finite("perturbation amplitude", params.get("a", 0.1))
@@ -530,7 +518,7 @@ def make_chart(name: str, **params) -> MetricChart:
         lo, hi = _box(name, params, [[0.0, 10.0]] * n, n)
         jet = AxisProfile(0, _sine_profile(a, freq), _sine_extrema(a, freq))
         return MetricChart(name, n, lo, hi, (False,) * n, _dist_chord, jet, jet.range,
-                           jet.bound, _lip_chord, _box_perturbed, {"a": a, "frequency": freq})
+                           jet.bound, _section_chord, _box_perturbed, {"a": a, "frequency": freq})
     if name == "hyperbolic-halfplane":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-2.0, 2.0], [0.25, 4.0]], 2)
@@ -538,7 +526,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError("half-plane box must satisfy y > 0")
         jet = AxisProfile(1, _inverse_square_profile, _inverse_square_extrema)
         return MetricChart(name, 2, lo, hi, (False, False), _dist_halfplane, jet, jet.range,
-                           jet.bound, _lip_metric, _box_halfplane, params)
+                           jet.bound, _section_disc, _box_halfplane, params)
     if name == "hyperbolic-ball":
         _dim(name, params, (2,))
         lo, hi = _box(name, params, [[-0.6, 0.6], [-0.6, 0.6]], 2)
@@ -546,7 +534,7 @@ def make_chart(name: str, **params) -> MetricChart:
         if corner >= 1.0:
             raise DomainError("hyperbolic-ball box must stay inside the unit disc")
         return MetricChart(name, 2, lo, hi, (False, False), _dist_poincare_ball, _disc_jet,
-                           _disc_range, _disc_jet_bound, _lip_metric, _box_disc, params)
+                           _disc_range, _disc_jet_bound, _section_disc, _box_disc, params)
     if name == "flat-torus":
         n = _dim(name, params, (2, 3))
         L = _finite("torus side L", params.get("L", 2 * math.pi))
@@ -554,7 +542,7 @@ def make_chart(name: str, **params) -> MetricChart:
             raise DomainError(f"torus side L must be positive, got {L}")
         jet = AxisProfile(0, _unit_profile, _unit_extrema)
         return MetricChart(name, n, [0.0] * n, [L] * n, (True,) * n, _dist_torus, jet, jet.range,
-                           jet.bound, _lip_metric, _box_flat, {"L": L})
+                           jet.bound, _section_disc, _box_flat, {"L": L})
     raise DomainError(f"unknown model {name!r}; catalog: {', '.join(CATALOG)}")
 
 
@@ -665,75 +653,47 @@ def rounding_slack(radius):
     return 1e-7 + 1e-9 * radius
 
 
-def _inside_counts(chart: MetricChart, center, radius: float, lip: float, sub_axes, depth: int):
+def _inside_counts(chart: MetricChart, center, radius: float, sub_axes, depth: int):
     """Per cell, how many of its sub-points lie in B(center, radius).
 
     sub_axes[i] holds the sub-point coordinates along axis i, 2^depth per
-    cell, in order.  A block of 2^k sub-points per axis, clipped to the
-    grid, is tested at the centre b of its sub-points, which lies in the
-    box that holds them all.  No sub-point is farther from b than rho, the
-    half-diagonal of an unclipped block, so with lip the Lipschitz bound of
-    d(., center) over that box the block lies inside when
-    d(b) + lip rho <= radius and outside when d(b) - lip rho > radius, each
-    with a rounding slack.  Any other block splits into 2^n, and single
-    sub-points are tested d <= radius.  At most PAIR_BUDGET blocks go to
-    one distance call, depth first, so memory stays bound by the budget.
-    Returns the counts as floats, flat in row-major cell order."""
-    n = len(sub_axes)
-    size = np.array([len(ax) for ax in sub_axes])
-    cells = size >> depth
-    step = np.array([(ax[-1] - ax[0]) / (len(ax) - 1) for ax in sub_axes])
-    slack = rounding_slack(radius)
-    top = int(-(-size.max() // 16) - 1).bit_length()  # at most 16 blocks per axis
-    centres = {}  # level -> per axis, the block centres' coordinates
-    for k in range(top + 1):
-        first = [np.arange(0, m, 1 << k) for m in size]
-        centres[k] = [(ax[f] + ax[np.minimum(f + ((1 << k) - 1), m - 1)]) / 2
-                      for ax, f, m in zip(sub_axes, first, size)]
-    corners = np.indices((2,) * n).reshape(n, -1)
-    count = np.zeros(int(np.prod(cells)))
-    hits, hit_counts = [], []  # flat cells of the blocks inside one cell, and their sub-points
-    stack = [(top, list(np.indices([len(c) for c in centres[top]]).reshape(n, -1)))]
-    while stack:
-        k, blocks = stack.pop()
-        if len(blocks[0]) > PAIR_BUDGET:
-            stack.extend((k, [j[s:s + PAIR_BUDGET] for j in blocks])
-                         for s in range(0, len(blocks[0]), PAIR_BUDGET))
-            continue
-        d = chart.distance(np.stack([c[j] for c, j in zip(centres[k], blocks)], axis=-1), center[None, :])
-        if k == 0:
-            inside = d <= radius
-        else:
-            reach = lip * float(np.sqrt(np.sum((step * ((1 << k) - 1)) ** 2))) / 2
-            inside = d <= radius - slack - reach
-            split = np.flatnonzero(~inside & (d <= radius + slack + reach))
-            if len(split):
-                children = [((j[split] << 1)[:, None] + e).ravel() for j, e in zip(blocks, corners)]
-                # a second child is empty only where the next level has an odd count
-                limit = np.array([len(c) for c in centres[k - 1]])
-                odd = np.flatnonzero(limit % 2)
-                if len(odd):
-                    keep = np.logical_and.reduce([children[i] < limit[i] for i in odd])
-                    children = [c[keep] for c in children]
-                stack.append((k - 1, children))
-        if k >= depth:
-            # every cell of the block, clipped to the grid
-            span = 1 << (k - depth)
-            flat, valid = 0, True
-            for i, (j, c) in enumerate(zip(blocks, cells)):
-                idx = ((j[inside] << (k - depth))[:, None] + np.arange(span)).reshape(
-                    (-1,) + (1,) * i + (span,) + (1,) * (n - 1 - i))
-                flat, valid = flat * c + idx, valid & (idx < c)
-            count[flat[np.broadcast_to(valid, flat.shape)]] = float(1 << (depth * n))
-        else:
-            flat = 0
-            for j, c in zip(blocks, cells):
-                flat = flat * c + (j[inside] >> (depth - k))
-            hits.append(flat)
-            hit_counts.append(np.full(len(flat), float(1 << (k * n))))
-    if hits:
-        count += np.bincount(np.concatenate(hits), np.concatenate(hit_counts), minlength=len(count))
-    return count
+    cell, in order.  A sub-row fixes every coordinate but the last, and the
+    chart's section (mid, r) says the ball meets it in one interval,
+    |x - mid| <= r, whose closed-form ends a binary search places among
+    the sub-points.  One exact test d <= radius on each side of each end
+    makes the counts those of a test of every sub-point, since the ends'
+    rounding (~sqrt(eps) r at a tangent row) leaves them within one
+    sub-point of the true ones.  At most PAIR_BUDGET tests go to one
+    distance call.  Returns floats, flat in row-major cell order."""
+    s, last = 1 << depth, sub_axes[-1]
+    size, cells = len(last), len(last) >> depth
+    mid, r = chart._section(chart, center, radius, sub_axes[0])
+    fixed = [x.ravel() for x in np.meshgrid(*sub_axes[:-1], indexing="ij")]
+    sq = np.repeat(r**2, len(fixed[0]) // len(r)) - sum((x - m) ** 2 for x, m in zip(fixed, mid))
+    half = np.sqrt(np.maximum(sq, 0.0))
+    first = np.searchsorted(last, mid[-1] - half, side="left")
+    stop = np.searchsorted(last, mid[-1] + half, side="right")
+    # the sub-points first - 1, first, stop - 1 and stop of each sub-row
+    probe = np.stack([first - 1, first, stop - 1, stop], axis=-1)
+    pts = np.empty(probe.shape + (len(sub_axes),))
+    pts[..., :-1] = np.stack(fixed, axis=-1)[:, None, :]
+    pts[..., -1] = last[np.clip(probe, 0, size - 1)]
+    d = np.concatenate([chart.distance(pts[i:i + PAIR_BUDGET // 4], center[None, None, :])
+                        for i in range(0, len(pts), PAIR_BUDGET // 4)])
+    inside = (probe >= 0) & (probe < size) & (d <= radius)
+    first = np.where(inside[:, 0], first - 1, np.where(inside[:, 1], first, np.minimum(first + 1, size)))
+    stop = np.maximum(np.where(inside[:, 3], stop + 1, np.where(inside[:, 2], stop, stop - 1)), first)
+    # sub-points first..stop - 1 put min(stop, (k + 1) s) - max(first, k s)
+    # in cell k; with e = q s + m, min(e, (k + 1) s) - k s is s below cell q,
+    # m at q and 0 above, so each end marks two differences in its cell row
+    shape = [len(ax) >> depth for ax in sub_axes[:-1]]
+    row = np.ravel_multi_index(np.meshgrid(*[np.arange(len(ax)) >> depth for ax in sub_axes[:-1]],
+                                           indexing="ij"), shape).ravel() * (cells + 2)
+    (qs, ms), (qf, mf) = np.divmod(stop, s), np.divmod(first, s)
+    diff = np.bincount(np.concatenate([row + qs, row + qs + 1, row + qf, row + qf + 1]),
+                       np.concatenate([ms - s, -ms, s - mf, mf]).astype(float),
+                       minlength=math.prod(shape) * (cells + 2))
+    return np.cumsum(diff.reshape(-1, cells + 2), axis=1)[:, :cells].ravel()
 
 
 def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolution: int = 256) -> float:
@@ -745,12 +705,11 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     the weights, times the cell volume, summed one slab of ~2^18 cells at
     a time; sqrt_det runs only at the centres of cells of nonzero weight,
     and every other cell adds an exact 0.  The weights come from
-    `_inside_counts`: blocks of sub-points that a Lipschitz bound on
-    d(., center) over the box settles wholly inside or outside are never
-    split, and the distance runs only near the boundary.  The bound is
-    `MetricChart.distance_lipschitz` (sqrt(f_max) on the four true
-    metrics; the perturbed-Euclidean chord adds a term), so every weight
-    equals the count a test of every sub-point would give.
+    `_inside_counts`: each row of sub-points meets the ball in the interval
+    of a disc (`MetricChart` section), and the distance tests the
+    sub-points beside its closed-form ends, so every weight is the count a
+    test of every sub-point gives while those ends lie within one
+    sub-point of the true ones.
     """
     center = np.asarray(center, dtype=float)
     radius = _ball_radius(radius)
@@ -763,7 +722,6 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     n = chart.n
     h = (hi - lo) / res
     cell = float(np.prod(h))
-    lip = chart.distance_lipschitz(lo, hi, center)
     depth = 3 if n == 2 else 2  # 2^depth sub-points per cell and axis
     sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
     axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
@@ -775,7 +733,7 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
     for start in range(0, res, rows_per_block):
         x0 = axes[0][start : start + rows_per_block]
         rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
-        weights = _inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
+        weights = _inside_counts(chart, center, radius, [rows] + sub_axes[1:], depth)
         weights /= 1 << (depth * n)
         live = weights > 0
         # the centres of the live cells, in row-major order

@@ -724,3 +724,38 @@ def test_certificates_equal_brute_force_counts(model, monkeypatch):
         assert c.coverage_fraction == np.mean(covered >= 1)
         assert dilated["max_overlap"] == full.max()
         assert dilated["probes"] == len(full)
+
+
+@pytest.mark.parametrize("model", sorted(SMALL_BOXES))
+def test_touching_pairs_send_no_empty_distance_call(model, monkeypatch):
+    """Over the coverings at k = 0, 1, 2 and their core disjointness
+    checks, no distance call of `_touching_pairs` carries 0 pairs; the
+    touching pairs equal brute force, so the greedy selection and the
+    reported violations are those of every pair i < j, and pairs_screened
+    is the number of pairs within the screen's reach."""
+    touching = cov._touching_pairs
+    calls, sizes = [], []
+
+    def spied(chart, lattice, nodes, radii, f_min):
+        distance = chart.distance
+        monkeypatch.setattr(chart, "distance", lambda x, y: sizes.append(
+            int(np.prod(np.broadcast_shapes(np.shape(x)[:-1], np.shape(y)[:-1])))) or distance(x, y))
+        try:
+            out = touching(chart, lattice, nodes, radii, f_min)
+        finally:
+            monkeypatch.setattr(chart, "distance", distance)
+        calls.append((chart, lattice.points[nodes], radii, f_min, out))
+        return out
+
+    monkeypatch.setattr(cov, "_touching_pairs", spied)
+    reports = [cov.check_core_disjointness(c) for c, _ in build_levels(acceptance._field_for(model),
+                                                                      SMALL_BOXES[model])]
+    assert len(calls) == 6 and 0 not in sizes
+    for chart, centers, radii, f_min, (pairs, screened) in calls:
+        want, displacement = brute_force_touching(chart, centers, radii)
+        assert pairs.shape == (len(want), 2) and sorted(map(tuple, pairs.tolist())) == want
+        reach = touching_reach(radii, f_min)
+        assert (np.sum(displacement <= reach * (1 - 1e-12)) <= screened
+                <= np.sum(displacement <= reach * (1 + 1e-12)))
+    for report, (_, _, _, _, (pairs, screened)) in zip(reports, calls[3:]):
+        assert report == {"pairs_screened": screened, "violations": len(pairs)}

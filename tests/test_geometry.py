@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from soboheat import geometry as geo
 
@@ -508,20 +509,40 @@ def _seeded_balls(name, kw, count, seed):
 
 # (model, chart parameters, resolution, balls, seed); resolutions 100 and
 # 200 give sub-point grids whose size is not a power of two
-BAND_CASES = [(name, kw, res, count, 31 + j)
-              for j, (res, count) in enumerate([(256, 2), (100, 1), (200, 1)])
-              for name, kw in FIVE_CHARTS] + [
+SEEDED_BAND_CASES = [(name, kw, res, count, 31 + j)
+                     for j, (res, count) in enumerate([(256, 2), (100, 1), (200, 1)])
+                     for name, kw in FIVE_CHARTS] + [
     ("euclidean", {"n": 3}, 32, 2, 41),
     ("perturbed-euclidean", {"n": 3, "a": 0.3, "frequency": 1.3}, 48, 1, 42),
     ("flat-torus", {"n": 3, "L": 3.0}, 64, 1, 43),
 ]
 
 
-@pytest.mark.parametrize("name,kw,res,count,seed", BAND_CASES,
-                         ids=[f"{_case_id(c)}-{c[2]}" for c in BAND_CASES])
-def test_volume_of_ball_equals_band_quadrature(name, kw, res, count, seed):
+def _holding(name, kw, centers, radii):
+    """kw with the working box grown, where needed, to hold every ball's
+    box: the volume depends on the ball's box alone."""
     chart = geo.make_chart(name, **kw)
-    for c, r in _seeded_balls(name, kw, count, seed):
+    lo, hi, inside = geo.ball_bbox(chart, np.array(centers), np.array(radii))
+    if np.all(inside):
+        return kw
+    box = np.stack([np.minimum(chart.lo, lo.min(axis=0)), np.maximum(chart.hi, hi.max(axis=0))], axis=-1)
+    return {**kw, "box": box.tolist()}
+
+
+# (model, chart parameters, resolution, balls, id): the seeded balls, and
+# the balls of BOX_CASES near faces, across the seam, at torus R = 1.9
+# with L/2 = 2 and at half-plane R = 0.05 just above the floor
+BAND_CASES = [(name, kw, res, _seeded_balls(name, kw, count, seed), f"{_case_id((name, kw))}-{res}")
+              for name, kw, res, count, seed in SEEDED_BAND_CASES] + [
+    (name, _holding(name, kw, centers, radii), 128 if kw.get("n", 2) == 2 else 32,
+     list(zip(np.array(centers), radii)), f"box-{_case_id((name, kw))}")
+    for name, kw, centers, radii in BOX_CASES]
+
+
+@pytest.mark.parametrize("name,kw,res,balls", [c[:4] for c in BAND_CASES], ids=[c[4] for c in BAND_CASES])
+def test_volume_of_ball_equals_band_quadrature(name, kw, res, balls):
+    chart = geo.make_chart(name, **kw)
+    for c, r in balls:
         assert geo.volume_of_ball(chart, c, r, res) == _volume_by_band(chart, c, r, res)
 
 
@@ -544,7 +565,6 @@ def _volume_by_full_slabs(chart, center, radius, quadrature_resolution=256):
     lo, hi, _ = geo.ball_bbox(chart, center, radius)
     n, res = chart.n, quadrature_resolution
     h = (hi - lo) / res
-    lip = chart.distance_lipschitz(lo, hi, center)
     depth = 3 if n == 2 else 2
     sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
     axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
@@ -556,7 +576,7 @@ def _volume_by_full_slabs(chart, center, radius, quadrature_resolution=256):
         x0 = axes[0][start : start + rows_per_block]
         pts = np.concatenate([np.repeat(x0, len(rest))[:, None], np.tile(rest, (len(x0), 1))], axis=1)
         rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
-        count = geo._inside_counts(chart, center, radius, lip, [rows] + sub_axes[1:], depth)
+        count = geo._inside_counts(chart, center, radius, [rows] + sub_axes[1:], depth)
         total += float(np.sum(chart.sqrt_det(pts) * (count / (1 << (depth * n)))))
     return total * float(np.prod(h))
 
@@ -594,44 +614,100 @@ def test_volume_of_ball_takes_sqrt_det_only_where_a_cell_weighs(monkeypatch, nam
     assert np.all(np.any(d <= radius, axis=1))
 
 
-def _lipschitz_ratios(chart, center, radius, count, seed):
-    """|d(x, c) - d(y, c)| / |x - y| on random close pairs in the ball's
-    box, with the box's Lipschitz bound."""
-    rng = np.random.default_rng(seed)
-    center = np.asarray(center, dtype=float)
-    lo, hi, _ = geo.ball_bbox(chart, center, radius)
-    x = lo + rng.random((count, chart.n)) * (hi - lo)
-    y = np.clip(x + rng.normal(0.0, 1e-3, x.shape) * (hi - lo), lo, hi)
-    gap = np.sqrt(np.sum((x - y) ** 2, axis=1))
-    change = np.abs(chart.distance(x, center[None]) - chart.distance(y, center[None]))
-    return change, gap, chart.distance_lipschitz(lo, hi, center)
+# the models and dimensions of the row sections: perturbed-Euclidean at a
+# large chord slope (a w = 2.4) and at a mild one
+SECTION_CASES = [("euclidean", {"n": 2}), ("euclidean", {"n": 3}),
+                 ("perturbed-euclidean", {"n": 2, "a": 0.6, "frequency": 4.0}),
+                 ("perturbed-euclidean", {"n": 3, "a": 0.3, "frequency": 1.3}),
+                 ("hyperbolic-halfplane", {}), ("hyperbolic-ball", {}),
+                 ("flat-torus", {"n": 2, "L": 4.0}), ("flat-torus", {"n": 3, "L": 3.0})]
 
 
-@pytest.mark.parametrize("name,kw,centers,radii", BOX_CASES, ids=map(_case_id, BOX_CASES))
-def test_distance_lipschitz_bounds_close_pairs(name, kw, centers, radii):
-    """|d(x, c) - d(y, c)| <= L |x - y| on dense close pairs of the box,
-    up to the rounding that `volume_of_ball` allows for (arccosh rounds d
-    near 0 by up to ~2e-8)."""
+def _largest_fitting_radius(chart, center):
+    """The largest R (to bisection's resolution) whose ball fits, by
+    ball_bbox; on the torus L/2 less a rounding."""
+    low, high = 0.0, 10.0
+    for _ in range(60):
+        mid = (low + high) / 2
+        low, high = (mid, high) if geo.ball_bbox(chart, center, mid)[2] else (low, mid)
+    return low
+
+
+@st.composite
+def section_cases(draw):
+    """(chart, center, radius, rows, points): a ball that fits, at a share of
+    the largest radius that fits (the torus share reaches 1, R = L/2, and
+    centers fill the whole period, so balls cross the seam), sub-rows of
+    its box, and points on each in the box: uniform ones and ones beside
+    the section's ends."""
+    name, kw = draw(st.sampled_from(SECTION_CASES))
     chart = geo.make_chart(name, **kw)
-    for j, (c, R) in enumerate(zip(centers, radii)):
-        change, gap, lip = _lipschitz_ratios(chart, c, R, 100_000 if chart.n == 2 else 200_000, 29 + j)
-        assert np.all(change <= lip * gap + 1e-7)
-        # the bound is near tight on the true metrics
-        if name != "perturbed-euclidean":
-            assert np.max(change / gap) >= 0.5 * lip
-
-
-def test_chord_lipschitz_bound_needs_its_slope_term():
-    # the chord is no metric: its slope exceeds sqrt(f_max) over the box
-    chart = geo.make_chart("perturbed-euclidean", a=0.6, frequency=4.0)
-    center, radius = np.array([5.0, 5.0]), 1.3
-    change, gap, lip = _lipschitz_ratios(chart, center, radius, 100_000, 3)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    edge = 0.0 if name == "flat-torus" else 0.02
+    center = chart.lo + rng.uniform(edge, 1.0 - edge, chart.n) * (chart.hi - chart.lo)
+    radius = draw(st.floats(0.01, 1.0)) * _largest_fitting_radius(chart, center)
     lo, hi, _ = geo.ball_bbox(chart, center, radius)
-    root_f_max = math.sqrt(chart.factor_range(lo, hi)[1])
-    ratio = np.max(change / gap)
-    assert root_f_max == pytest.approx(1.265, abs=1e-3) and lip == pytest.approx(4.023, abs=1e-3)
-    assert 1.4 < ratio <= lip
-    assert ratio > root_f_max * 1.1
+    rows = lo[:-1] + rng.random((8, chart.n - 1)) * (hi[:-1] - lo[:-1])
+    mid, r = chart._section(chart, center, radius, rows[:, 0])
+    half = np.sqrt(np.maximum(r**2 - np.sum((rows - mid[:-1]) ** 2, axis=1), 0.0))
+    near = np.array([1e-4, 1e-2]) * r[:, None]
+    ends = np.concatenate([mid[-1] + sign * half[:, None] + near * step
+                           for sign in (-1, 1) for step in (-1, 1)], axis=1)
+    # the quadrature's sub-rows lie in the box, where the section holds
+    last = np.clip(np.concatenate([lo[-1] + rng.random((8, 32)) * (hi[-1] - lo[-1]), ends], axis=1),
+                   lo[-1], hi[-1])
+    points = np.concatenate([np.broadcast_to(rows[:, None, :], last.shape + (chart.n - 1,)),
+                             last[..., None]], axis=-1)
+    return chart, center, radius, rows, points
+
+
+@settings(max_examples=80, deadline=None)
+@given(section_cases())
+def test_every_row_section_agrees_with_the_distance(case):
+    """On each sub-row, |x - mid|^2 <= r^2 and d(x, c) <= R agree away
+    from the boundary, at random points and beside the section's ends."""
+    chart, center, radius, rows, points = case
+    mid, r = chart._section(chart, center, radius, rows[:, 0])
+    in_disc = np.sum((points - mid) ** 2, axis=-1) <= (r**2)[:, None]
+    d = chart.distance(points, center[None, None, :])
+    clear = np.abs(d - radius) > 1e-9 * radius
+    assert np.array_equal(in_disc[clear], (d <= radius)[clear])
+    assert np.any(in_disc & clear) and np.any(~in_disc & clear)
+
+
+def _inside_counts_of(chart, center, radius, res):
+    """(counts, sub_axes, depth) of `_inside_counts` over the whole ball's
+    box at resolution res, in one slab."""
+    lo, hi, _ = geo.ball_bbox(chart, center, radius)
+    h = (hi - lo) / res
+    depth = 3 if chart.n == 2 else 2
+    sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
+    sub_axes = [lo[i] + ((np.arange(res) + 0.5)[:, None] + sub).ravel() * h[i] for i in range(chart.n)]
+    return geo._inside_counts(chart, center, radius, sub_axes, depth), sub_axes, depth
+
+
+@pytest.mark.parametrize("name,kw", RANGE_CASES, ids=map(_case_id, RANGE_CASES))
+def test_inside_counts_fix_a_section_off_by_less_than_a_sub_point(monkeypatch, name, kw):
+    """The counts equal a test of every sub-point; with the section's mid
+    shifted along the last axis by 0.9 sub-spacings either way they stay
+    the same, and by 3 they change: the end tests correct one sub-point,
+    not more."""
+    chart = geo.make_chart(name, **kw)
+    (center, radius), = _seeded_balls(name, kw, 1, 61)
+    res = 48 if chart.n == 2 else 12
+    counts, sub_axes, depth = _inside_counts_of(chart, center, radius, res)
+    pts = np.stack(np.meshgrid(*sub_axes, indexing="ij"), axis=-1)
+    inside = chart.distance(pts, center) <= radius
+    for i in range(chart.n):
+        inside = np.add.reduceat(inside.astype(float), np.arange(0, inside.shape[i], 1 << depth), axis=i)
+    assert np.array_equal(counts, inside.ravel())
+    section = chart._section
+    spacing = (sub_axes[-1][-1] - sub_axes[-1][0]) / (len(sub_axes[-1]) - 1)
+    for shift, same in [(0.9, True), (-0.9, True), (3.0, False), (-3.0, False)]:
+        step = np.zeros(chart.n)
+        step[-1] = shift * spacing
+        monkeypatch.setattr(chart, "_section", lambda *a: (section(*a)[0] + step, section(*a)[1]))
+        assert np.array_equal(_inside_counts_of(chart, center, radius, res)[0], counts) == same
 
 
 def test_volume_of_3d_ball_stays_slab_bound():
