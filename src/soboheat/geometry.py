@@ -673,13 +673,16 @@ def _inside_counts(chart: MetricChart, center, radius: float, sub_axes, depth: i
     half = np.sqrt(np.maximum(sq, 0.0))
     first = np.searchsorted(last, mid[-1] - half, side="left")
     stop = np.searchsorted(last, mid[-1] + half, side="right")
-    # the sub-points first - 1, first, stop - 1 and stop of each sub-row
+    # the sub-points first - 1, first, stop - 1 and stop of each sub-row,
+    # built one distance call's block of sub-rows at a time
     probe = np.stack([first - 1, first, stop - 1, stop], axis=-1)
-    pts = np.empty(probe.shape + (len(sub_axes),))
-    pts[..., :-1] = np.stack(fixed, axis=-1)[:, None, :]
-    pts[..., -1] = last[np.clip(probe, 0, size - 1)]
-    d = np.concatenate([chart.distance(pts[i:i + PAIR_BUDGET // 4], center[None, None, :])
-                        for i in range(0, len(pts), PAIR_BUDGET // 4)])
+    d = np.empty(probe.shape)
+    for i in range(0, len(probe), PAIR_BUDGET // 4):
+        block = slice(i, i + PAIR_BUDGET // 4)
+        pts = np.empty(d[block].shape + (len(sub_axes),))
+        pts[..., :-1] = np.stack([x[block] for x in fixed], axis=-1)[:, None, :]
+        pts[..., -1] = last[np.clip(probe[block], 0, size - 1)]
+        d[block] = chart.distance(pts, center[None, None, :])
     inside = (probe >= 0) & (probe < size) & (d <= radius)
     first = np.where(inside[:, 0], first - 1, np.where(inside[:, 1], first, np.minimum(first + 1, size)))
     stop = np.maximum(np.where(inside[:, 3], stop + 1, np.where(inside[:, 2], stop, stop - 1)), first)

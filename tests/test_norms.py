@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -75,9 +76,10 @@ def test_hessian_of_log_on_halfplane():
     hess = tensors[2]
     y = grid.points[..., 1]
     interior = (slice(4, -4), slice(4, -4))
-    assert np.max(np.abs(hess[..., 0, 0] + 1.0 / y**2)[interior]) < 5e-3
-    assert np.max(np.abs(hess[..., 0, 1])[interior]) < 1e-10
-    assert np.max(np.abs(hess[..., 1, 1])[interior]) < 5e-3
+    assert np.max(np.abs(hess[0, 0] + 1.0 / y**2)[interior]) < 5e-3
+    assert np.max(np.abs(hess[0, 1])[interior]) < 1e-10
+    assert np.array_equal(hess[0, 1], hess[1, 0])
+    assert np.max(np.abs(hess[1, 1])[interior]) < 5e-3
 
 
 def test_gradient_modulus_uses_inverse_metric():
@@ -85,8 +87,7 @@ def test_gradient_modulus_uses_inverse_metric():
     chart = make_chart("hyperbolic-halfplane")
     grid = norms.Grid.over_box(chart, [(-0.5, 0.5), (0.75, 1.5)], 65)
     u = norms.DiscreteField(grid, np.log(grid.points[..., 1]))
-    grad = norms.covariant_tensors(u, 1)[1]
-    mod = norms.tensor_modulus(grid, grad, 1)
+    mod = np.sqrt(norms._moduli(u, 1)[0][0])
     interior = (slice(2, -2), slice(2, -2))
     assert np.max(np.abs(mod[interior] - 1.0)) < 1e-3
 
@@ -103,6 +104,27 @@ def test_norm_request_validation():
         norms.NormRequest(r=0.5)
     with pytest.raises(DomainError):
         norms.NormRequest(l=3)
+
+
+@pytest.mark.parametrize("bad", [{"r": math.nan}, {"r": math.inf}, {"s": 0.0}, {"s": -1.0},
+                                 {"s": math.nan}, {"s": math.inf}])
+def test_norm_request_rejects_a_bad_exponent(bad):
+    with pytest.raises(DomainError, match="finite and >= 1"):
+        norms.NormRequest(**bad)
+
+
+@pytest.mark.parametrize("shape", [(17,), (17, 16), (17, 17, 1), ()])
+def test_a_weight_off_the_grid_shape_is_rejected(shape):
+    grid = euclid_grid(17)
+    field = norms.DiscreteField(grid, np.ones(grid.shape))
+    with pytest.raises(DomainError, match="weight of shape"):
+        norms.sobolev_norm(field, norms.NormRequest(weight=np.ones(shape)))
+
+
+def test_times_must_not_decrease():
+    grid = euclid_grid(9)
+    with pytest.raises(DomainError, match="must not decrease"):
+        norms.DiscreteField(grid, np.zeros((3,) + grid.shape), times=[0.0, 0.2, 0.1])
 
 
 @settings(max_examples=20, deadline=None)
@@ -175,11 +197,20 @@ def test_region_mask_built_once_per_time_indexed_request(monkeypatch):
 
 def _full_grid_norm(field, req):
     """The norm on the whole grid with the full masked weights, one spatial
-    norm per time slice: the reference for time blocks and crops."""
-    q = norms._node_weights(field.grid, req)
+    norm per time slice from the einsum tensors and the moduli
+    sqrt(sum T^2) f^(-rank/2): the reference for time blocks, boxes and
+    the kept moduli."""
+    grid = field.grid
+    q = norms._node_weights(grid, req)
+    base = int(field.kind == "one-form")
 
     def spatial(vals):
-        return float(norms._spatial_norms(field, vals[None], req, q)[0])
+        total = 0.0
+        for j, T in enumerate(_covariant_tensors_einsum(grid, vals, base, req.l)):
+            rank = base + j
+            mod = np.sqrt(np.sum(T**2, axis=tuple(range(-rank, 0)))) * grid.f ** (-rank / 2.0)
+            total += np.sum(mod**req.r * q) ** (1.0 / req.r)
+        return float(total)
 
     if field.times is None:
         return spatial(field.values)
@@ -216,6 +247,18 @@ def test_time_blocked_norms_match_slice_by_slice(monkeypatch, budget, name, kind
         assert norms.sobolev_norm(field, req) == pytest.approx(want, rel=1e-12, abs=0.0)
 
 
+def _gradient(grid, arr, axis, at):
+    """np.gradient along grid axis `axis`, axis `at` of arr; on an axis
+    that wraps, through two nodes of padding from the other end."""
+    h = grid.h[axis]
+    if not grid.wraps[axis]:
+        return np.gradient(arr, h, axis=at, edge_order=2)
+    padded = np.concatenate([np.take(arr, [-2, -1], axis=at), arr, np.take(arr, [0, 1], axis=at)],
+                            axis=at)
+    return np.take(np.gradient(padded, h, axis=at, edge_order=2),
+                   np.arange(2, arr.shape[at] + 2), axis=at)
+
+
 def _covariant_tensors_einsum(grid, vals, rank, order):
     """Covariant derivatives with the index axes last, contracted with
     einsum against Gamma^u_ij from geometry.christoffel, index-last."""
@@ -224,7 +267,7 @@ def _covariant_tensors_einsum(grid, vals, rank, order):
     gamma = christoffel(grid.chart, grid.points)
     tensors = [vals]
     for _ in range(order):
-        parts = np.stack([grid.partial(vals, ax) for ax in range(n)], axis=nd)
+        parts = np.stack([_gradient(grid, vals, ax, ax) for ax in range(n)], axis=nd)
         if rank == 0:
             vals = parts
         elif rank == 1:
@@ -237,23 +280,45 @@ def _covariant_tensors_einsum(grid, vals, rank, order):
     return tensors
 
 
+def _einsum_grids():
+    """A half-plane and a disc grid, a euclidean one (flat: no connection
+    terms) and a flat-torus grid that wraps on axis 0 only."""
+    L = 2 * math.pi
+    return {
+        "halfplane": norms.Grid.over_box(make_chart("hyperbolic-halfplane"),
+                                         [(-0.5, 0.5), (0.75, 1.5)], 17),
+        "disc": norms.Grid.over_box(make_chart("hyperbolic-ball"), [(-0.4, 0.4), (-0.3, 0.5)],
+                                    [17, 15]),
+        "euclidean": norms.Grid.over_box(make_chart("euclidean", n=2), [(4.0, 6.0), (3.5, 6.0)],
+                                         [15, 17]),
+        "torus": norms.Grid.over_box(make_chart("flat-torus", n=2, L=L), [(0.0, L), (0.0, L / 2)],
+                                     [16, 13]),
+    }
+
+
 @pytest.mark.parametrize("kind", ["scalar", "one-form"])
 def test_covariant_tensors_match_einsum_reference(kind):
-    chart = make_chart("hyperbolic-halfplane")
-    grid = norms.Grid.over_box(chart, [(-0.5, 0.5), (0.75, 1.5)], 17)
     rng = np.random.default_rng(9)
     times = np.linspace(0.0, 1.0, 3)
-    shape = (len(times),) + grid.shape + ((2,) if kind == "one-form" else ())
-    field = norms.DiscreteField(grid, rng.standard_normal(shape), kind, times)
-    blocked = norms.covariant_tensors(field, 2)
-    for j in range(len(times)):
-        want = _covariant_tensors_einsum(grid, field.values[j], int(kind == "one-form"), 2)
-        got = norms.covariant_tensors(field, 2, values=field.values[j])
-        for g, b, w in zip(got, blocked, want):
-            assert g.shape == w.shape and b[j].shape == w.shape
-            scale = np.max(np.abs(w))
-            assert np.max(np.abs(g - w)) <= 1e-13 * scale
-            assert np.max(np.abs(b[j] - w)) <= 1e-13 * scale
+    for name, grid in _einsum_grids().items():
+        assert grid.wraps == ((True, False) if name == "torus" else (False, False))
+        shape = (len(times),) + grid.shape + ((2,) if kind == "one-form" else ())
+        field = norms.DiscreteField(grid, rng.standard_normal(shape), kind, times)
+        blocked = norms.covariant_tensors(field, 2)
+        for j in range(len(times)):
+            want = _covariant_tensors_einsum(grid, field.values[j], int(kind == "one-form"), 2)
+            got = norms.covariant_tensors(field, 2, values=field.values[j])
+            for g, b, w in zip(got, blocked, want):
+                rank = w.ndim - len(grid.shape)
+                w = np.moveaxis(w, tuple(range(-rank, 0)), tuple(range(rank)))
+                assert g.shape == w.shape and g.flags.c_contiguous, name
+                assert np.array_equal(b[(slice(None),) * rank + (j,)], g), name
+                scale = np.max(np.abs(w))
+                assert np.max(np.abs(g - w)) <= 1e-13 * scale, name
+                if name == "euclidean":  # partials only: bit for bit where computed
+                    for idx in itertools.product(range(2), repeat=rank):
+                        if not (kind == "scalar" and rank == 2 and idx[0] > idx[1]):
+                            assert np.array_equal(g[idx], w[idx]), (name, idx)
 
 
 def _crop_grids():
@@ -339,19 +404,76 @@ def test_a_zero_weight_gives_zero_without_derivatives(monkeypatch):
     assert norms.sobolev_norm(field, norms.NormRequest(l=2, weight=np.zeros(grid.shape))) == 0.0
 
 
-def test_a_crop_keeps_the_parents_nodes_and_weights():
-    grid = _crop_grids()["halfplane"]
-    index = (slice(0, 5), slice(7, 12))
-    sub = grid.crop(index)
-    assert sub.shape == (5, 5) and sub.wraps == grid.wraps and np.array_equal(sub.h, grid.h)
-    assert np.array_equal(sub.points, grid.points[index])
-    assert np.array_equal(sub.quadrature, grid.quadrature[index])  # no new end half-weights
-    assert np.array_equal(sub.dphi, grid.dphi[(slice(None),) + index])
-
-
 def test_derivatives_need_three_nodes_on_an_axis_with_ends():
     grid = norms.Grid.over_box(make_chart("euclidean", n=2), [(4.0, 6.0), (4.0, 6.0)], [2, 9])
     field = norms.DiscreteField(grid, np.ones(grid.shape))
     assert norms.sobolev_norm(field, norms.NormRequest(l=0)) > 0
     with pytest.raises(DomainError, match="axis 0 has 2 nodes.*at least 3"):
         norms.sobolev_norm(field, norms.NormRequest(l=1))
+
+
+def test_partial_equals_np_gradient_bit_for_bit():
+    L = 2 * math.pi
+    grids = [
+        norms.Grid.over_box(make_chart("hyperbolic-halfplane"), [(-0.5, 0.5), (0.75, 1.5)], [9, 3]),
+        norms.Grid.over_box(make_chart("flat-torus", n=2, L=L), [(0.0, L), (0.0, L / 2)], [16, 13]),
+        norms.Grid.over_box(make_chart("flat-torus", n=2, L=L), [(0.0, L), (0.0, L)], [3, 2]),
+        norms.Grid.over_box(make_chart("euclidean", n=3), [(4.0, 6.0)] * 3, [5, 3, 4]),
+    ]
+    rng = np.random.default_rng(17)
+    for grid in grids:
+        for lead in [(), (2,), (3, 2)]:
+            arr = rng.standard_normal(lead + grid.shape)
+            for axis in range(grid.chart.n):
+                want = _gradient(grid, arr, axis, len(lead) + axis)
+                assert np.array_equal(grid.partial(arr, axis), want), (grid.shape, lead, axis)
+                out = np.full(arr.shape, np.nan)
+                assert grid.partial(arr, axis, out=out) is out and np.array_equal(out, want)
+
+
+@pytest.mark.parametrize("kind", ["scalar", "one-form"])
+def test_one_derivative_pass_serves_every_request_on_a_field(monkeypatch, kind):
+    monkeypatch.setattr(norms, "NORM_BUDGET", 3 * 21 * 21)  # 3 slices per block
+    grid = _crop_grids()["halfplane"]
+    times = np.linspace(0.0, 1.0, 11)
+    rng = np.random.default_rng(23)
+    values = rng.standard_normal((len(times),) + grid.shape + ((2,) if kind == "one-form" else ()))
+    calls = []
+    real = norms.covariant_tensors
+
+    def spy(field, order, values=None):
+        calls.append((field, order, len(values)))
+        return real(field, order, values=values)
+
+    monkeypatch.setattr(norms, "covariant_tensors", spy)
+    shared = norms.DiscreteField(grid, values, kind, times)
+    ball = (np.array([0.1, 1.0]), 0.25)
+    requests = [
+        norms.NormRequest(r=4.0, l=2, weight=1.0 + rng.random(grid.shape), window=(0.0, 0.7)),
+        norms.NormRequest(r=2.0, l=0, region=ball, s=3.0),
+        norms.NormRequest(r=3.0, l=1, region=(np.array([0.45, 0.8]), 0.2), window=(0.25, 0.5)),
+        norms.NormRequest(r=2.0, l=2, region=ball, weight=rng.random(grid.shape), s=2.0,
+                          window=(0.1, 1.0)),
+        norms.NormRequest(r=2.5, l=2, region=_node_ball(grid, 0, 0, 1)),
+        norms.NormRequest(r=2.0, l=1, window=(2.0, 3.0)),  # no slice in the window
+    ]
+    fresh_fields = []
+    for req in requests:
+        got = norms.sobolev_norm(shared, req)
+        # 11 slices in blocks of 3, on the first request only
+        assert [(order, slices) for field, order, slices in calls
+                if field is shared] == [(2, 3), (2, 3), (2, 3), (2, 2)]
+        fresh = norms.DiscreteField(grid, values.copy(), kind, times)
+        fresh_fields.append(fresh)
+        assert norms.sobolev_norm(fresh, req) == got
+        on_fresh = [(order, slices) for field, order, slices in calls if field is fresh]
+        if req.l == 0 or req.window == (2.0, 3.0):
+            assert not on_fresh
+            if req.window == (2.0, 3.0):
+                assert got == 0.0
+        else:
+            assert {order for order, _ in on_fresh} == {req.l}
+            assert sum(slices for _, slices in on_fresh) == len(times)
+        if got:
+            assert got == pytest.approx(_full_grid_norm(shared, req), rel=1e-13)
+    assert all(field is shared for field, _, _ in calls[:4])
