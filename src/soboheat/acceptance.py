@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import admissible, covering, exponents, heatflow, norms
-from .geometry import grid_points, make_chart, volume_of_ball
+from .geometry import make_chart, volume_of_ball
 
 
 def _params(eps=0.2):
@@ -54,7 +54,7 @@ MODEL_SETUPS = {
     "flat-torus": dict(
         chart=dict(name="flat-torus", n=2, L=4.0),
         cover_box=[(0.0, 2.0), (0.0, 2.0)],
-        field_box=None,  # whole domain via grid_centers
+        field_box=None,  # the working box
         field_pts=5,
     ),
 }
@@ -69,10 +69,7 @@ def _model_chart(name):
 def _field_for(name):
     setup = MODEL_SETUPS[name]
     chart = _model_chart(name)
-    if setup["field_box"] is None:
-        pts = admissible.grid_centers(chart, setup["field_pts"])
-    else:
-        pts = grid_points(*np.transpose(setup["field_box"]), setup["field_pts"])
+    pts = admissible.grid_centers(chart, setup["field_pts"], box=setup["field_box"])
     return admissible.radius_field(chart, pts, _params())
 
 
@@ -161,13 +158,14 @@ def criterion_4():
     """Lipschitz continuity and slow variation of the radius field."""
     details = {}
     ok = True
-    grids = {
-        "euclidean": grid_points((2.5, 2.5), (7.5, 7.5), 6),
-        "perturbed-euclidean": grid_points((3.0, 3.0), (7.0, 7.0), 6),
-        "hyperbolic-halfplane": grid_points((-1.0, 0.5), (1.0, 3.0), 6),
+    boxes = {
+        "euclidean": [(2.5, 7.5), (2.5, 7.5)],
+        "perturbed-euclidean": [(3.0, 7.0), (3.0, 7.0)],
+        "hyperbolic-halfplane": [(-1.0, 1.0), (0.5, 3.0)],
     }
-    for name, pts in grids.items():
-        fld = admissible.radius_field(_model_chart(name), pts, _params())
+    for name, box in boxes.items():
+        chart = _model_chart(name)
+        fld = admissible.radius_field(chart, admissible.grid_centers(chart, 6, box=box), _params())
         lip = admissible.check_lipschitz(fld)
         slow = admissible.check_slow_variation(fld)
         details[name] = {
@@ -439,7 +437,7 @@ def criterion_11():
     for name in ("euclidean", "perturbed-euclidean"):
         chart = _model_chart(name)
         fld = admissible.radius_field(
-            chart, grid_points((3.5, 3.5), (6.5, 6.5), 5), _params()
+            chart, admissible.grid_centers(chart, 5, box=[(3.5, 6.5), (3.5, 6.5)]), _params()
         )
         sols = {}
         for nx in (49, 97):
@@ -489,7 +487,7 @@ def criterion_12():
     chart = make_chart("hyperbolic-ball")
     params = _params()
     fld = admissible.radius_field(
-        chart, grid_points((-0.3, -0.3), (0.3, 0.3), 6), params
+        chart, admissible.grid_centers(chart, 6, box=[(-0.3, 0.3), (-0.3, 0.3)]), params
     )
     bound = admissible.uniform_lower_bound(fld)
     rho = 0.2

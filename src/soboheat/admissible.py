@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import M_MAX, PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_blocks, grid_points
+from .geometry import M_MAX, PAIR_BUDGET, DomainError, Lattice, MetricChart, ball_bbox, budget_blocks
 
 R_CAP = 2.5  # radii beyond this never affect min(1, R'/2)
 
@@ -236,12 +236,13 @@ def radius_field(chart: MetricChart, grid_points, params: AdmissibilityParams) -
     return RadiusField(chart, params, pts, *_radii(chart, pts, params))
 
 
-def grid_centers(chart: MetricChart, per_axis, margin: float = 0.0) -> np.ndarray:
-    """Rectangular center grid over the working box, shrunk by margin on
-    non-periodic axes; periodic axes leave out their repeated end."""
-    per = np.array(chart.periodic)
-    return grid_points(np.where(per, chart.lo, chart.lo + margin),
-                       np.where(per, chart.hi, chart.hi - margin), per_axis, endpoint=~per)
+def grid_centers(chart: MetricChart, per_axis, margin: float = 0.0, box=None) -> np.ndarray:
+    """The per_axis Lattice points over a box (None: the working box),
+    laid out by MetricChart.lattice_box: shrunk by margin on every axis
+    but one that spans a whole period, which leaves out its repeated end.
+    Raises DomainError when the margin empties the box."""
+    lo, hi, endpoint = chart.lattice_box(box, margin)
+    return Lattice(lo, hi, per_axis, endpoint).points
 
 
 def _distance_rows(chart: MetricChart, x, y):

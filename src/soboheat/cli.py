@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import admissible, exponents, norms
-from .geometry import CapabilityError, DomainError, grid_points, make_chart
+from .geometry import CapabilityError, DomainError, make_chart
 
 SCHEMA_VERSION = 1
 
@@ -43,6 +43,8 @@ def _load_config(args) -> dict:
             cfg = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except OSError as exc:
+            raise ConfigError(f"config file {str(path)!r}: {exc.strerror}")
         if not isinstance(cfg, dict):
             raise ConfigError(f"{path}: top-level value must be an object")
         unknown = sorted(set(cfg) - set(flags) - ({"frequency"} if "model" in flags else set()))
@@ -156,20 +158,13 @@ def _json_dump(obj) -> str:
 
 def _radius_field(cfg):
     """Radius field on the --grid centers of --box (default: the working
-    box), shrunk by --margin; an axis spanning a whole period is neither
-    shrunk nor sampled at its repeated end."""
+    box), shrunk by --margin (admissible.grid_centers)."""
     chart = _chart_from_config(cfg)
     params = _params_from_config(cfg)
     per_axis = _parse_grid(_get(cfg, "grid", "8x8"), chart.n)
     margin = _get(cfg, "margin", 0.0, cast=float)
     box = _parse_box(_get(cfg, "box"), chart.n)
-    lo, hi = (chart.lo, chart.hi) if box is None else chart.sub_box(box)
-    per = chart.full_period(lo, hi)
-    lo, hi = np.where(per, lo, lo + margin), np.where(per, hi, hi - margin)
-    if not np.all(hi > lo):
-        raise ConfigError(f"margin {margin:g} leaves an empty box")
-    pts = grid_points(lo, hi, per_axis, endpoint=~per)
-    return admissible.radius_field(chart, pts, params)
+    return admissible.radius_field(chart, admissible.grid_centers(chart, per_axis, margin, box), params)
 
 
 def cmd_radius(cfg) -> int:
@@ -453,6 +448,9 @@ def main(argv=None) -> int:
         return args.func(cfg)
     except (ConfigError, DomainError, CapabilityError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory", file=sys.stderr)
         return 2
 
 

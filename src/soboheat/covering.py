@@ -9,15 +9,16 @@ Certificates are measured on a probe grid: full coverage, and a maximum
 overlap count bounded by T = ((1+eps)/(1-eps))^(n/2) * 100^n; the dilated
 family B(x, R(x)/10) obeys the level-scaled bound T * 2^(n k).
 
-Probes and candidate centers are lattices of the box, and one screen
-serves both queries: per axis, the nodes within a chart reach of the
-center are an index range in closed form; on a periodic axis two ranges,
-about c and the one image c -+ L that the nodes more than half a period
-away fall to.  Each ball's images and the index bounds of the nodes
-nearest each (its frame on the axis) are set up once per ball, and a
-range is one step from a frame and a half-width.  The screen walks the
-rows (axes 0..n-2) within reach of each ball and gives every (ball, row)
-its last-axis frame and its ranges there; a periodic last axis drops an
+Probes and candidate centers are lattices of the box (geometry.Lattice,
+laid out by MetricChart.lattice_box), and one screen serves both
+queries: per axis, the nodes within a chart reach of the center are an
+index range in closed form; on a periodic axis two ranges, about c and
+the one image c -+ L that the nodes more than half a period away fall
+to.  Each ball's images and the index bounds of the nodes nearest each
+(its frame on the axis) are set up once per ball, and a range is one
+step from a frame and a half-width.  The screen walks the rows (axes
+0..n-2) within reach of each ball and gives every (ball, row) its
+last-axis frame and its ranges there; a periodic last axis drops an
 image that no ball reaches at its full reach.  Touching pairs check every
 screened pair of centers exactly.  Overlap counts settle (probe, ball)
 pairs by closed-form bounds on f over each ball's own box: the probes
@@ -35,7 +36,7 @@ import math
 import numpy as np
 
 from .admissible import RadiusField
-from .geometry import (PAIR_BUDGET, DomainError, MetricChart, ball_bbox, budget_blocks, grid_points,
+from .geometry import (PAIR_BUDGET, DomainError, Lattice, MetricChart, ball_bbox, budget_blocks,
                        rounding_slack)
 
 ETA = 10  # dilation denominator; the overlap constants depend on it
@@ -80,35 +81,11 @@ def vitali_select(radii, touching) -> np.ndarray:
     return np.flatnonzero(chosen)
 
 
-class _Lattice:
-    """Row-major nodes of a box: count[i] linspace nodes step[i] apart from
-    lo[i] on axis i (hi[i] left out where endpoint[i] is False)."""
-
-    def __init__(self, lo, hi, count, endpoint):
-        self.lo = np.asarray(lo, dtype=float)
-        self.count = np.asarray(count, dtype=int)
-        ends = np.asarray(endpoint, dtype=bool)
-        self.step = (np.asarray(hi, dtype=float) - self.lo) / (self.count - ends)
-        self.axes = [np.linspace(lo[i], hi[i], count[i], endpoint=ends[i])
-                     for i in range(len(lo))]
-        self.points = grid_points(lo, hi, count, ends)
-
-    def __len__(self):
-        return len(self.points)
-
-
-def _spaced_grid(lo, hi, spacing, endpoint=True) -> _Lattice:
+def _spaced_grid(lo, hi, spacing, endpoint=True) -> Lattice:
     """Lattice of the box with nodes about `spacing` apart (at least 2 per
     axis)."""
     counts = [max(2, int(math.ceil((hi[i] - lo[i]) / spacing)) + 1) for i in range(len(lo))]
-    return _Lattice(lo, hi, counts, np.broadcast_to(endpoint, (len(lo),)))
-
-
-def _target_box(chart: MetricChart, box):
-    """(lo, hi, endpoint) of a covering target box (None: the working
-    box); an axis spanning a whole period leaves out hi."""
-    lo, hi = (chart.lo, chart.hi) if box is None else chart.sub_box(box)
-    return lo, hi, ~chart.full_period(lo, hi)
+    return Lattice(lo, hi, counts, endpoint)
 
 
 class Covering:
@@ -158,7 +135,7 @@ def _expand(start, length):
     return np.arange(int(length.sum())) + np.repeat(start - (np.cumsum(length) - length), length)
 
 
-def _axis_nodes(chart: MetricChart, lattice: _Lattice, c, first, last, axis):
+def _axis_nodes(chart: MetricChart, lattice: Lattice, c, first, last, axis):
     """(index, sq, width): the lattice indices on the axis in every ball's
     ranges first..last about the coordinate c (`_frame_ranges`), ball after
     ball, their squared chart displacements from c (the nearest image on a
@@ -172,7 +149,7 @@ def _axis_nodes(chart: MetricChart, lattice: _Lattice, c, first, last, axis):
     return index, d * d, width
 
 
-def _screen(chart: MetricChart, lattice: _Lattice, centers, reach):
+def _screen(chart: MetricChart, lattice: Lattice, centers, reach):
     """Per run of balls, (ball, row, sq, frame, first, last): the rows of
     lattice nodes (axes 0..n-2) within chart reach[ball] of the center
     (nearest image on a periodic axis), with row their row-major index over
@@ -218,7 +195,7 @@ def _screen(chart: MetricChart, lattice: _Lattice, centers, reach):
                *_frame_ranges(lattice, gathered, np.sqrt(reach2[ball] - sq), last))
 
 
-def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
+def _touching_pairs(chart: MetricChart, lattice: Lattice, nodes, radii, f_min):
     """(pairs, screened): the index pairs (i < j) of the balls centered at
     the lattice nodes[i] that meet, d(c_i, c_j) <= r_i + r_j, and the
     number of pairs checked.  Balls meet only within chart distance
@@ -248,7 +225,7 @@ def _touching_pairs(chart: MetricChart, lattice: _Lattice, nodes, radii, f_min):
     return np.concatenate(found), screened
 
 
-def _axis_frame(chart: MetricChart, lattice: _Lattice, c, axis: int):
+def _axis_frame(chart: MetricChart, lattice: Lattice, c, axis: int):
     """(images, lower, upper): per center c[e], the images of c[e] on the
     axis and, per image, the lattice indices lower..upper nearer that image
     than any other (`_frame_ranges` takes the nodes within a half-width of
@@ -277,7 +254,7 @@ def _axis_frame(chart: MetricChart, lattice: _Lattice, c, axis: int):
     return images, lower, upper
 
 
-def _frame_ranges(lattice: _Lattice, frame, half, axis: int):
+def _frame_ranges(lattice: Lattice, frame, half, axis: int):
     """(first, last), each (entries, images): inclusive index ranges of the
     lattice nodes on the axis within half[e] of each image of a frame
     (`_axis_frame`) and within that image's bounds lower..upper, clipped to
@@ -294,7 +271,7 @@ def _frame_ranges(lattice: _Lattice, frame, half, axis: int):
     return first.astype(np.intp), last.astype(np.intp)
 
 
-def _count_memberships(chart: MetricChart, probes: _Lattice, centers, radii):
+def _count_memberships(chart: MetricChart, probes: Lattice, centers, radii):
     """Per-probe count of the geodesic balls B(c, r) holding the probe,
     d <= r.
 
@@ -384,7 +361,7 @@ def build_admissible_covering(field: RadiusField, k: int, box=None) -> Covering:
     chart = field.chart
     n = chart.n
     eps = field.params.eps
-    lo, hi, endpoint = _target_box(chart, box)
+    lo, hi, endpoint = chart.lattice_box(box)
 
     # certified R at a coarse probe of the box to size the candidate grid
     corners = _spaced_grid(lo, hi, float(np.max(hi - lo)) / 8.0).points
@@ -433,7 +410,7 @@ def certify_dilated_overlap(covering: Covering, box=None) -> dict:
     chart = covering.chart
     n = chart.n
     radii = covering.r_eps / ETA
-    lo, hi, endpoint = _target_box(chart, box)
+    lo, hi, endpoint = chart.lattice_box(box)
     _, f_max_box = chart.factor_range(*_grown_box(chart, lo, hi, float(np.max(radii))))
     probes = _spaced_grid(lo, hi, float(np.min(radii)) / (4.0 * math.sqrt(f_max_box)), endpoint)
     counts = _count_memberships(chart, probes, covering.centers, radii)

@@ -36,10 +36,16 @@ point pairs.
 sub-points in the ball: the sections place each row's interval, and the
 distance runs only beside its ends.  It, the covering screens and the
 radius-field checks pass at most PAIR_BUDGET pairs per distance call.
+
+Every node set laid over a box (radius-field centers, covering candidates
+and probes, solve grids) is a `Lattice`, and `MetricChart.lattice_box` is
+the one rule that turns a box into its ends: a whole period wraps, and
+every other axis keeps both ends and takes the margin.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable
@@ -74,15 +80,36 @@ def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
     return out
 
 
-def grid_points(lo, hi, per_axis, endpoint=True) -> np.ndarray:
-    """Row-major (N, n) nodes of the tensor grid with per_axis[i] linspace
-    nodes from lo[i] to hi[i]; endpoint[i] False leaves hi[i] out (a
-    periodic axis).  per_axis and endpoint may be scalars."""
-    n = len(lo)
-    per_axis = np.broadcast_to(per_axis, (n,))
-    endpoint = np.broadcast_to(endpoint, (n,))
-    axes = [np.linspace(lo[i], hi[i], int(per_axis[i]), endpoint=bool(endpoint[i])) for i in range(n)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+class Lattice:
+    """Row-major nodes of a box, the one layout of every center, candidate,
+    probe and solve grid: count[i] evenly spaced nodes from lo[i] on axis
+    i, ending at hi[i], or one step short of it where endpoint[i] is False
+    (an axis that wraps).  count and endpoint may be scalars.  points, the
+    (N, n) node coordinates, are built with the lattice; step is computed
+    on first read, so a lattice of one node per axis divides by nothing."""
+
+    def __init__(self, lo, hi, count, endpoint):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
+        n = len(self.lo)
+        self.count = np.broadcast_to(np.asarray(count, dtype=int), (n,))
+        self.endpoint = np.broadcast_to(np.asarray(endpoint, dtype=bool), (n,))
+        self.axes = [np.linspace(self.lo[i], self.hi[i], int(self.count[i]), endpoint=bool(self.endpoint[i]))
+                     for i in range(n)]
+        self.points = np.stack(np.meshgrid(*self.axes, indexing="ij"), axis=-1).reshape(-1, n)
+
+    @functools.cached_property
+    def step(self) -> np.ndarray:
+        return (self.hi - self.lo) / (self.count - self.endpoint)
+
+    def __len__(self):
+        return len(self.points)
+
+
+def grid_points(lo, hi, per_axis) -> np.ndarray:
+    """The (N, n) points of the Lattice with per_axis nodes from lo to hi
+    on every axis, both ends included."""
+    return Lattice(lo, hi, per_axis, True).points
 
 
 def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
@@ -161,10 +188,16 @@ class MetricChart:
             ok &= (x[..., i] >= self.lo[i]) & (x[..., i] <= self.hi[i])
         return ok
 
-    def sub_box(self, box):
-        """(lo, hi) arrays of a box of per-axis (lo, hi) pairs; raises
-        DomainError unless it lies inside the working box, periodic axes
-        included."""
+    def lattice_box(self, box=None, margin=0.0):
+        """(lo, hi, endpoint) of the Lattice over a box of per-axis (lo, hi)
+        pairs (None: the working box), the one rule of every lattice a box
+        is laid out on.  An axis that spans a whole period, to 1e-12 of
+        it, wraps: endpoint False leaves hi out, and the margin does not
+        apply.  Every other axis has two ends and shrinks by margin at
+        each.  Raises DomainError unless the box lies inside the working
+        box, periodic axes included, and the margin leaves it non-empty."""
+        if box is None:
+            box = list(zip(self.lo, self.hi))
         if len(box) != self.n:
             raise DomainError(f"box needs {self.n} intervals, got {len(box)}")
         lo = np.asarray([b[0] for b in box], dtype=float)
@@ -173,14 +206,11 @@ class MetricChart:
             inner = ", ".join(f"{a:g}:{b:g}" for a, b in zip(lo, hi))
             outer = ", ".join(f"{a:g}:{b:g}" for a, b in zip(self.lo, self.hi))
             raise DomainError(f"box {inner} leaves the working box {outer} of chart {self.name}")
-        return lo, hi
-
-    def full_period(self, lo, hi) -> np.ndarray:
-        """Per axis: [lo, hi] spans the whole period of a periodic axis.  A
-        grid over such an axis wraps and leaves hi out; every other axis
-        is an interval with two ends."""
-        span = np.asarray(hi, dtype=float) - np.asarray(lo, dtype=float)
-        return np.array(self.periodic) & (span >= (self.hi - self.lo) * (1 - 1e-12))
+        wraps = np.array(self.periodic) & (hi - lo >= (self.hi - self.lo) * (1 - 1e-12))
+        lo, hi = np.where(wraps, lo, lo + margin), np.where(wraps, hi, hi - margin)
+        if not np.all(hi > lo):
+            raise DomainError(f"margin {margin:g} leaves an empty box")
+        return lo, hi, ~wraps
 
     def wrap(self, x):
         """Fold periodic coordinates back into [lo, hi)."""

@@ -44,8 +44,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import AxisProfile, CapabilityError, DomainError, NumericalError
-from .norms import DiscreteField, Grid, NormRequest, sobolev_norm
+from .geometry import AxisProfile, CapabilityError, DomainError, NumericalError, budget_blocks
+from .norms import NORM_BUDGET, DiscreteField, Grid, NormRequest, sobolev_norm
 
 # relative residual ||A x - b|| / ||b|| a step may leave
 STEP_RTOL = 1e-10
@@ -429,14 +429,18 @@ def _solve_one_form(problem: ParabolicProblem) -> ParabolicSolution:
 
 
 def l2_norm_at_times(field: DiscreteField) -> np.ndarray:
+    """||v(t_j)||_L2 at every slice, summed over blocks of consecutive
+    slices of at most NORM_BUDGET nodes, so no temporary spans the series;
+    each slice's sum is the one a whole-series reduction makes."""
     grid = field.grid
     q = grid.quadrature
-    if field.kind == "one-form":
-        v = field.values
-        mod2 = (v[..., 0] ** 2 + v[..., 1] ** 2) / grid.f
-    else:
-        mod2 = field.values**2
-    return np.sqrt(np.sum(mod2 * q, axis=tuple(range(1, mod2.ndim))))
+    sums = np.empty(len(field.values))
+    for a, b in budget_blocks(np.full(len(sums), q.size), NORM_BUDGET):
+        v = field.values[a:b]
+        mod2 = (v[..., 0] ** 2 + v[..., 1] ** 2) / grid.f if field.kind == "one-form" else v**2
+        mod2 *= q
+        sums[a:b] = np.sum(mod2, axis=tuple(range(1, mod2.ndim)))
+    return np.sqrt(sums)
 
 
 def check_threshold_contraction(solution: ParabolicSolution) -> dict:

@@ -29,6 +29,7 @@ must therefore not change after its first norm.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import dataclasses
@@ -36,34 +37,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import CapabilityError, DomainError, MetricChart, budget_blocks
+from .geometry import CapabilityError, DomainError, Lattice, MetricChart, _phi_jet, budget_blocks
 
 NORM_BUDGET = 1 << 16  # grid nodes per block of time slices in a derivative pass
 
 
 class Grid:
-    """Uniform rectangular chart grid with metric quadrature weights.
+    """Uniform rectangular chart grid on a Lattice, with metric quadrature
+    weights.
 
-    wraps[i] says axis i spans a whole period and closes on itself (no end
-    node, no boundary); every other axis has two boundary ends."""
+    wraps[i] says axis i spans a whole period and closes on itself (the
+    lattice leaves its end node out, and there is no boundary); every
+    other axis has two boundary ends.  points holds the lattice's nodes
+    with the grid's shape, (*shape, n)."""
 
-    def __init__(self, chart: MetricChart, axes, wraps):
+    def __init__(self, chart: MetricChart, lattice: Lattice):
         self.chart = chart
-        self.axes = [np.asarray(a, dtype=float) for a in axes]
-        if len(self.axes) != chart.n:
-            raise DomainError("one axis per chart dimension required")
-        self.wraps = tuple(bool(w) for w in wraps)
-        self.shape = tuple(len(a) for a in self.axes)
+        self.wraps = tuple(bool(w) for w in ~lattice.endpoint)
+        self.shape = tuple(int(c) for c in lattice.count)
         if min(self.shape) < 2:
             raise DomainError(f"grid {self.shape} needs at least 2 nodes per axis")
-        self.h = np.array([a[1] - a[0] for a in self.axes])
-        for i, a in enumerate(self.axes):
-            if not np.allclose(np.diff(a), self.h[i]):
-                raise DomainError("grid axes must be uniform")
-        mesh = np.meshgrid(*self.axes, indexing="ij")
-        self.points = np.stack(mesh, axis=-1)
-        flat = self.points.reshape(-1, chart.n)
-        self.f = chart.conformal_factor(flat).reshape(self.shape)
+        self.h = np.array([a[1] - a[0] for a in lattice.axes])
+        self.points = lattice.points.reshape(self.shape + (chart.n,))
+        self.f = chart.conformal_factor(lattice.points).reshape(self.shape)
         self.quadrature = float(np.prod(self.h)) * self.f ** (chart.n / 2.0)
         # trapezoid end-weights on the axes with two ends
         for i in range(chart.n):
@@ -74,32 +70,21 @@ class Grid:
             shp = [1] * chart.n
             shp[i] = self.shape[i]
             self.quadrature = self.quadrature * w.reshape(shp)
-        self._dphi = None
         self._inverse_f = {}
 
     @classmethod
     def over_box(cls, chart: MetricChart, box, per_axis):
-        """per_axis nodes over a box inside the working box; an axis that
-        spans a whole period wraps."""
-        per_axis = np.broadcast_to(np.asarray(per_axis, dtype=int), (chart.n,))
-        lo, hi = chart.sub_box(box)
-        wraps = chart.full_period(lo, hi)
-        axes = [np.linspace(lo[i], hi[i], int(per_axis[i]), endpoint=not wraps[i])
-                for i in range(chart.n)]
-        return cls(chart, axes, wraps)
+        """per_axis nodes over a box inside the working box, laid out by
+        MetricChart.lattice_box: an axis that spans a whole period wraps."""
+        lo, hi, endpoint = chart.lattice_box(box)
+        return cls(chart, Lattice(lo, hi, per_axis, endpoint))
 
-    @property
+    @functools.cached_property
     def dphi(self):
-        """d_a phi of phi = (1/2) log f at the nodes, index axis first:
-        (a, *shape)."""
-        if self._dphi is None:
-            n = self.chart.n
-            flat = self.points.reshape(-1, n)
-            f = self.f.reshape(-1)
-            self._dphi = np.stack([
-                0.5 * (self.chart.conformal_derivative(flat, np.eye(n, dtype=int)[a]) / f)
-                for a in range(n)]).reshape((n,) + self.shape)
-        return self._dphi
+        """d_a phi of phi = (1/2) log f at the nodes (geometry._phi_jet),
+        index axis first and contiguous: (a, *shape)."""
+        jet = _phi_jet(self.chart, self.points.reshape(-1, self.chart.n), 1)[0]
+        return np.ascontiguousarray(jet.T).reshape((self.chart.n,) + self.shape)
 
     def inverse_f(self, rank: int) -> np.ndarray:
         """f^-rank at the nodes, taken once per rank: g^{-1} = f^{-1} delta

@@ -212,6 +212,9 @@ def test_config_parse_error(tmp_path, capsys):
     # derivative orders above 3, flat and non-flat
     ["radius", "--model", "euclidean", "--grid", "2x2", "--m", "4"],
     ["radius", "--model", "hyperbolic-ball", "--grid", "2x2", "--m", "4"],
+    # a config path that cannot be read: missing, or a directory
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", "no-such-config.json"],
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", "."],
     # config keys the subcommand does not read
     ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"esp": 0.01}],
     ["radius", "--model", "euclidean", "--grid", "2x2", "--config", {"density": 4}],
@@ -264,6 +267,41 @@ def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
     # the error names the bad input, not the default margin it met later
     assert "--margin" in argv or "leaves an empty box" not in err
     assert [p.name for p in tmp_path.iterdir() if p != cfg] == []
+
+
+def refusing_lattice(real, limit=10**8):
+    """A stand-in for geometry.Lattice that refuses, as numpy does when it
+    cannot allocate, every lattice of more than limit nodes."""
+
+    def lattice(lo, hi, count, endpoint):
+        size = math.prod(int(c) for c in np.broadcast_to(count, (len(lo),)))
+        if size > limit:
+            raise MemoryError(f"Unable to allocate {size * len(lo) * 8 / 2**30:.3g} GiB for an array "
+                              f"with shape ({size}, {len(lo)}) and data type float64")
+        return real(lo, hi, count, endpoint)
+
+    return lattice
+
+
+@pytest.mark.parametrize("argv", [
+    ["radius", "--model", "euclidean", "--grid", "100000x100000"],
+    ["cover", "--model", "euclidean", "--grid", "4", "--box", "4.3:5.7,4.3:5.7",
+     "--cover-box", "4.5:5.5,4.5:5.5", "--k", "40"],
+])
+def test_refused_allocation_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch, argv):
+    """A lattice too large to allocate is one error line and exit 2.  The
+    refusal comes from a stand-in: a real request of that size could be
+    granted under memory overcommit and then fault its pages in."""
+    from soboheat import admissible, covering, geometry
+
+    for module in (admissible, covering):
+        monkeypatch.setattr(module, "Lattice", refusing_lattice(geometry.Lattice))
+    assert run(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: out of memory: Unable to allocate")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command,values", [

@@ -182,7 +182,7 @@ def lattice_inputs(case, n_balls=80, seed=0):
     seeded ball centers in the box and radii up to its largest radius."""
     (name, kw), lo, hi, spacing, r_max = LATTICE_CASES[case]
     chart = make_chart(name, **kw)
-    lo, hi, endpoint = cov._target_box(chart, list(zip(lo, hi)))
+    lo, hi, endpoint = chart.lattice_box(list(zip(lo, hi)))
     lattice = cov._spaced_grid(lo, hi, spacing, endpoint)
     rng = np.random.default_rng(seed)
     centers = chart.wrap(rng.uniform(lo, hi, size=(n_balls, chart.n)))
@@ -206,7 +206,7 @@ def tie_inputs(case):
     rng = np.random.default_rng(3)
     (name, kw), lo, hi, spacing = TIE_CASES[case]
     chart = make_chart(name, **kw)
-    lo, hi, endpoint = cov._target_box(chart, list(zip(lo, hi)))
+    lo, hi, endpoint = chart.lattice_box(list(zip(lo, hi)))
     lattice = cov._spaced_grid(lo, hi, spacing, endpoint)
     step = float(lattice.step[0])
     mid = lattice.points[len(lattice) // 2]
@@ -276,8 +276,8 @@ def periodic_range_cases(draw):
     chart = make_chart("flat-torus", n=2, L=L)
     box = draw(st.sampled_from([(0.0, L), (0.0, L), (0.2, 1.4), (0.1, 3.9), (0.0, 3.9999),
                                 (1.5, 4.0), (2.9, 3.3)]))
-    lo, hi, endpoint = cov._target_box(chart, [box, box])
-    lattice = cov._Lattice(lo, hi, [draw(st.integers(2, 40))] * 2, endpoint)
+    lo, hi, endpoint = chart.lattice_box([box, box])
+    lattice = geo.Lattice(lo, hi, [draw(st.integers(2, 40))] * 2, endpoint)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     x, step = lattice.axes[0], float(lattice.step[0])
     c = np.concatenate([rng.uniform(0.0, L, 30), rng.choice(x, 10),
@@ -383,7 +383,7 @@ def draw_lattice(draw, torus_box):
     chart = make_chart(name, **kw)
     per_axis = draw(st.integers(2, 12 if n == 2 else 6))
     box = [(lo, hi)] * n if name != "hyperbolic-halfplane" else [(-0.3, 0.3), (lo, hi)]
-    b_lo, b_hi, endpoint = cov._target_box(chart, box)
+    b_lo, b_hi, endpoint = chart.lattice_box(box)
     lattice = cov._spaced_grid(b_lo, b_hi, float(np.min(b_hi - b_lo)) / per_axis, endpoint)
     return chart, lattice, b_lo, b_hi, np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
 
@@ -423,9 +423,9 @@ def test_count_memberships_memory_is_linear_in_probes(monkeypatch):
     per probe, 16 per ball and 64 per budget pair."""
     monkeypatch.setattr(cov, "PAIR_BUDGET", 4096)
     chart = make_chart("flat-torus", n=3, L=3.0)
-    lo, hi, endpoint = cov._target_box(chart, None)
-    probes = cov._Lattice(lo, hi, [31] * 3, endpoint)
-    centers = cov._Lattice(lo, hi, [16] * 3, endpoint).points
+    lo, hi, endpoint = chart.lattice_box()
+    probes = geo.Lattice(lo, hi, [31] * 3, endpoint)
+    centers = geo.Lattice(lo, hi, [16] * 3, endpoint).points
     radii = np.full(len(centers), 2.5 * 3.0 / 16)
     tracemalloc.start()
     try:
@@ -552,8 +552,8 @@ def seam_lattice(n):
     """(chart, lattice): a flat torus of period 4 and a lattice over the
     whole period, 24 nodes per axis in 2-D and 10 in 3-D."""
     chart = make_chart("flat-torus", n=n, L=4.0)
-    lo, hi, endpoint = cov._target_box(chart, None)
-    return chart, cov._Lattice(lo, hi, [24 if n == 2 else 10] * n, endpoint)
+    lo, hi, endpoint = chart.lattice_box()
+    return chart, geo.Lattice(lo, hi, [24 if n == 2 else 10] * n, endpoint)
 
 
 BUDGETS = pytest.mark.parametrize("budget", [cov.PAIR_BUDGET, 7], ids=["default-budget", "budget-7"])
@@ -607,7 +607,7 @@ def test_sub_box_far_from_the_seam_keeps_one_image(monkeypatch):
     screens keep one last-axis column, and counts and pairs equal brute
     force."""
     chart = make_chart("flat-torus", n=2, L=4.0)
-    lo, hi, endpoint = cov._target_box(chart, [(1.0, 2.0), (1.5, 2.5)])
+    lo, hi, endpoint = chart.lattice_box([(1.0, 2.0), (1.5, 2.5)])
     lattice = cov._spaced_grid(lo, hi, 1 / 30, endpoint)
     rng = np.random.default_rng(5)
     centers = rng.uniform(lo, hi, (40, 2))

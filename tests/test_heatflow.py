@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -156,6 +157,49 @@ def test_energy_dissipation_after_switch_off():
     norms_t = hf.l2_norm_at_times(sol.u)
     after = norms_t[sol.times >= 0.12]
     assert np.all(np.diff(after) <= 1e-14)
+
+
+
+def whole_series_l2(field):
+    """The L2 norm per slice from whole-series temporaries."""
+    v, grid = field.values, field.grid
+    mod2 = (v[..., 0] ** 2 + v[..., 1] ** 2) / grid.f if field.kind == "one-form" else v**2
+    return np.sqrt(np.sum(mod2 * grid.quadrature, axis=tuple(range(1, mod2.ndim))))
+
+
+@pytest.mark.parametrize("shape,kind", [((21, 21, 21), "scalar"), ((97, 97), "scalar"),
+                                        ((33, 41), "one-form"), ((260, 260), "scalar")])
+def test_l2_norms_in_blocks_equal_the_whole_series_sums(shape, kind):
+    """Blocks of at most NORM_BUDGET nodes, a slice larger than that alone,
+    give each slice the bits of the whole-series reduction."""
+    n = len(shape)
+    chart = make_chart("perturbed-euclidean" if n == 2 else "euclidean", n=n)
+    grid = norms.Grid.over_box(chart, [(4.0, 6.0)] * n, list(shape))
+    rng = np.random.default_rng(len(shape) + shape[0])
+    times = np.arange(17) * 0.05
+    values = rng.standard_normal((len(times),) + grid.shape + ((2,) if kind == "one-form" else ()))
+    field = norms.DiscreteField(grid, values, kind, times)
+    assert np.array_equal(hf.l2_norm_at_times(field), whole_series_l2(field))
+
+
+def test_l2_norms_hold_a_few_slices_not_the_series():
+    """On a 3-D field of 41 slices the call holds a block of at most
+    NORM_BUDGET nodes and its square, not the two series-sized temporaries
+    of a whole-series sum."""
+    grid = norms.Grid.over_box(make_chart("euclidean", n=3), [(4.0, 6.0)] * 3, 21)
+    times = np.arange(41) * 0.01
+    field = norms.DiscreteField(grid, np.random.default_rng(0).standard_normal((41,) + grid.shape), "scalar",
+                                times)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        got = hf.l2_norm_at_times(field)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(got, whole_series_l2(field))
+    assert peak <= 2 * 8 * norms.NORM_BUDGET < field.values.nbytes / 2
 
 
 def test_contraction_on_dirichlet_problem():

@@ -477,3 +477,31 @@ def test_one_derivative_pass_serves_every_request_on_a_field(monkeypatch, kind):
         if got:
             assert got == pytest.approx(_full_grid_norm(shared, req), rel=1e-13)
     assert all(field is shared for field, _, _ in calls[:4])
+
+
+DPHI_GRIDS = {
+    "halfplane": (("hyperbolic-halfplane", {}), [(-0.5, 0.5), (0.75, 1.5)]),
+    "disc": (("hyperbolic-ball", {}), [(-0.4, 0.4), (-0.3, 0.5)]),
+    "perturbed": (("perturbed-euclidean", {"a": 0.4, "frequency": 2.0}), [(4.0, 6.0), (3.5, 6.0)]),
+    "perturbed-3d": (("perturbed-euclidean", {"n": 3, "a": 0.4}), [(4.0, 6.0)] * 3),
+    "euclidean": (("euclidean", {}), [(4.0, 6.0), (4.0, 6.0)]),
+    "torus-sub-box": (("flat-torus", {"L": 4.0}), [(0.5, 2.5), (0.0, 4.0)]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DPHI_GRIDS))
+@pytest.mark.parametrize("nodes", [17, 33, 81])
+def test_dphi_equals_half_the_log_derivative_of_f(case, nodes):
+    """Grid.dphi comes from geometry's phi jet, contiguous with the index
+    axis first, and equals (1/2) d_a f / f at the nodes bit for bit."""
+    (name, kw), box = DPHI_GRIDS[case]
+    chart = make_chart(name, **kw)
+    if chart.n == 3:
+        nodes = nodes // 4 + 1
+    grid = norms.Grid.over_box(chart, box, nodes)
+    n = chart.n
+    flat = grid.points.reshape(-1, n)
+    want = np.stack([0.5 * (chart.conformal_derivative(flat, np.eye(n, dtype=int)[a]) / grid.f.reshape(-1))
+                     for a in range(n)]).reshape((n,) + grid.shape)
+    assert grid.dphi.flags.c_contiguous
+    assert np.array_equal(grid.dphi, want)

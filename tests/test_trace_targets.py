@@ -9,7 +9,10 @@ every function, class and method must be reached from the command line
 the tracer's TARGETS.
 
 The third keeps it free of options that nothing sets: every defaulted
-parameter must be passed by some call in the package or the benchmark."""
+parameter must be passed by some call in the package or the benchmark.
+
+The fourth keeps one node layout: np.linspace is called in
+geometry.Lattice alone, so every lattice of a box comes from it."""
 
 import ast
 import importlib
@@ -198,3 +201,14 @@ def test_every_parameter_is_set_by_a_caller():
     unset -= SEAMS
     assert not unset, "set by no caller: " + ", ".join(
         f"{module}.{qualname}({name})" for module, qualname, name in sorted(unset))
+
+
+
+def test_linspace_is_called_in_the_lattice_alone():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owners = {id(node): qualname for qualname, _, fn, _ in _top_level_defs(tree) for node in ast.walk(fn)}
+        found += [(path.stem, owners.get(id(node))) for node in ast.walk(tree) if isinstance(node, ast.Call)
+                  and getattr(node.func, "id", getattr(node.func, "attr", None)) == "linspace"]
+    assert found == [("geometry", "Lattice.__init__")]
