@@ -43,6 +43,8 @@ def _load_config(args) -> dict:
             cfg = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}")
         except OSError as exc:
             raise ConfigError(f"config file {str(path)!r}: {exc.strerror}")
         if not isinstance(cfg, dict):

@@ -32,9 +32,9 @@ so the quadrature depends on the pair (x_1, y_1) only: it runs once per
 distinct pair, and grid and lattice callers share each one among many
 point pairs.
 
-`volume_of_ball` weighs each quadrature cell by the share of its
-sub-points in the ball: the sections place each row's interval, and the
-distance runs only beside its ends.  It, the covering screens and the
+`volume_of_ball` and `cmt_bound_check` share one quadrature of the ball,
+built from the sections alone: Gauss-Legendre nodes along each row's
+interval, and no distance call.  The covering screens and the
 radius-field checks pass at most PAIR_BUDGET pairs per distance call.
 
 Every node set laid over a box (radius-field centers, covering candidates
@@ -66,7 +66,7 @@ class NumericalError(ArithmeticError):
 
 
 M_MAX = 3  # highest analytic metric-derivative order
-CMT_SAMPLE_DENSITY = 16.0  # cmt_bound_check's sample nodes per unit of chart length, >= 9 per axis
+CMT_SAMPLE_DENSITY = 16.0  # cmt_bound_check's quadrature resolution per unit of radius, >= 9
 
 
 def multi_indices(n: int, order: int) -> list[tuple[int, ...]]:
@@ -106,12 +106,6 @@ class Lattice:
         return len(self.points)
 
 
-def grid_points(lo, hi, per_axis) -> np.ndarray:
-    """The (N, n) points of the Lattice with per_axis nodes from lo to hi
-    on every axis, both ends included."""
-    return Lattice(lo, hi, per_axis, True).points
-
-
 def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
     """[start, stop) runs of consecutive items whose sizes sum to at most
     budget, in order; an item larger than budget forms a run of its own."""
@@ -125,9 +119,9 @@ def budget_blocks(sizes, budget: int) -> list[tuple[int, int]]:
     return blocks
 
 
-PAIR_BUDGET = 1 << 14  # pairs per distance call: ball volumes, covering screens, radius-field checks
+PAIR_BUDGET = 1 << 14  # pairs per distance call: covering screens, radius-field checks
 
-# 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths.
+# 16-point Gauss-Legendre nodes/weights on [0, 1], for chord lengths and ball rows.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(16)
 _GL_X = 0.5 * (_GL_X + 1.0)
 _GL_W = 0.5 * _GL_W
@@ -655,20 +649,6 @@ def ball_bbox(chart: MetricChart, center, radius):
     return lo, hi, inside
 
 
-def ball_sample_points(chart: MetricChart, center, radius: float, per_axis):
-    """Grid sample of a geodesic ball: (points_inside, cell_volume)."""
-    center = np.asarray(center, dtype=float)
-    lo, hi, _ = ball_bbox(chart, center, radius)
-    per_axis = np.broadcast_to(np.asarray(per_axis, dtype=int), (chart.n,))
-    pts_eval = chart.wrap(grid_points(lo, hi, per_axis))
-    mask = chart.distance(pts_eval, center[None, :]) <= radius
-    cell = float(np.prod([(hi[i] - lo[i]) / max(int(per_axis[i]) - 1, 1) for i in range(chart.n)]))
-    sel = pts_eval[mask]
-    if len(sel) == 0:
-        sel = center[None, :]
-    return sel, cell
-
-
 def _ball_radius(radius) -> float:
     radius = float(radius)
     if not (math.isfinite(radius) and radius > 0):
@@ -683,102 +663,53 @@ def rounding_slack(radius):
     return 1e-7 + 1e-9 * radius
 
 
-def _inside_counts(chart: MetricChart, center, radius: float, sub_axes, depth: int):
-    """Per cell, how many of its sub-points lie in B(center, radius).
+def _ball_rows(chart: MetricChart, center, radius: float, res: int):
+    """Blocks (nodes, weights) of a quadrature over B(center, radius).
 
-    sub_axes[i] holds the sub-point coordinates along axis i, 2^depth per
-    cell, in order.  A sub-row fixes every coordinate but the last, and the
-    chart's section (mid, r) says the ball meets it in one interval,
-    |x - mid| <= r, whose closed-form ends a binary search places among
-    the sub-points.  One exact test d <= radius on each side of each end
-    makes the counts those of a test of every sub-point, since the ends'
-    rounding (~sqrt(eps) r at a tangent row) leaves them within one
-    sub-point of the true ones.  At most PAIR_BUDGET tests go to one
-    distance call.  Returns floats, flat in row-major cell order."""
-    s, last = 1 << depth, sub_axes[-1]
-    size, cells = len(last), len(last) >> depth
-    mid, r = chart._section(chart, center, radius, sub_axes[0])
-    fixed = [x.ravel() for x in np.meshgrid(*sub_axes[:-1], indexing="ij")]
-    sq = np.repeat(r**2, len(fixed[0]) // len(r)) - sum((x - m) ** 2 for x, m in zip(fixed, mid))
-    half = np.sqrt(np.maximum(sq, 0.0))
-    first = np.searchsorted(last, mid[-1] - half, side="left")
-    stop = np.searchsorted(last, mid[-1] + half, side="right")
-    # the sub-points first - 1, first, stop - 1 and stop of each sub-row,
-    # built one distance call's block of sub-rows at a time
-    probe = np.stack([first - 1, first, stop - 1, stop], axis=-1)
-    d = np.empty(probe.shape)
-    for i in range(0, len(probe), PAIR_BUDGET // 4):
-        block = slice(i, i + PAIR_BUDGET // 4)
-        pts = np.empty(d[block].shape + (len(sub_axes),))
-        pts[..., :-1] = np.stack([x[block] for x in fixed], axis=-1)[:, None, :]
-        pts[..., -1] = last[np.clip(probe[block], 0, size - 1)]
-        d[block] = chart.distance(pts, center[None, None, :])
-    inside = (probe >= 0) & (probe < size) & (d <= radius)
-    first = np.where(inside[:, 0], first - 1, np.where(inside[:, 1], first, np.minimum(first + 1, size)))
-    stop = np.maximum(np.where(inside[:, 3], stop + 1, np.where(inside[:, 2], stop, stop - 1)), first)
-    # sub-points first..stop - 1 put min(stop, (k + 1) s) - max(first, k s)
-    # in cell k; with e = q s + m, min(e, (k + 1) s) - k s is s below cell q,
-    # m at q and 0 above, so each end marks two differences in its cell row
-    shape = [len(ax) >> depth for ax in sub_axes[:-1]]
-    row = np.ravel_multi_index(np.meshgrid(*[np.arange(len(ax)) >> depth for ax in sub_axes[:-1]],
-                                           indexing="ij"), shape).ravel() * (cells + 2)
-    (qs, ms), (qf, mf) = np.divmod(stop, s), np.divmod(first, s)
-    diff = np.bincount(np.concatenate([row + qs, row + qs + 1, row + qf, row + qf + 1]),
-                       np.concatenate([ms - s, -ms, s - mf, mf]).astype(float),
-                       minlength=math.prod(shape) * (cells + 2))
-    return np.cumsum(diff.reshape(-1, cells + 2), axis=1)[:, :cells].ravel()
-
-
-def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolution: int = 256) -> float:
-    """Midpoint-rule Riemannian volume of a geodesic ball.
-
-    The ball's box is cut into res^n cells.  A cell's weight is the share
-    of its sub-points (an 8x8 grid in 2-D, 4x4x4 in 3-D) that lie in the
-    ball, and the volume is the sum of sqrt_det at the cell centres times
-    the weights, times the cell volume, summed one slab of ~2^18 cells at
-    a time; sqrt_det runs only at the centres of cells of nonzero weight,
-    and every other cell adds an exact 0.  The weights come from
-    `_inside_counts`: each row of sub-points meets the ball in the interval
-    of a disc (`MetricChart` section), and the distance tests the
-    sub-points beside its closed-form ends, so every weight is the count a
-    test of every sub-point gives while those ends lie within one
-    sub-point of the true ones.
-    """
+    Rows along the last axis run through the midpoints of 2 res cells per
+    axis of the ball's box on the other axes.  The chart's section says
+    each row meets the ball in one interval, |x_last - mid_last| <= half
+    with half^2 = r^2 - |x_rest - mid_rest|^2, taken once per distinct
+    x_1; each row that meets it carries the 16 Gauss-Legendre nodes of
+    that interval, with weights that sum to its length times the rows'
+    cell.  Nodes stay in the box's coordinates (a periodic axis is not
+    folded back), and a block holds at most 2^18 of them."""
     center = np.asarray(center, dtype=float)
     radius = _ball_radius(radius)
-    res = int(quadrature_resolution)
-    if res < 1:
-        raise DomainError(f"quadrature resolution must be at least 1, got {res}")
+    n = chart.n
+    if center.shape != (n,):
+        raise DomainError(f"ball center needs shape ({n},) on chart {chart.name}, got {center.shape}")
     lo, hi, inside = ball_bbox(chart, center, radius)
     if not inside:
         raise DomainError("geodesic ball exits the working domain")
-    n = chart.n
-    h = (hi - lo) / res
+    h = (hi - lo)[:-1] / (2 * res)
+    axes = [lo[i] + (np.arange(2 * res) + 0.5) * h[i] for i in range(n - 1)]
+    mid, r = chart._section(chart, center, radius, axes[0])
+    rows = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n - 1)
+    sq = np.repeat(r**2, len(rows) // len(r)) - _sq_norm(rows - mid[:-1])
+    rows, half = rows[sq > 0], np.sqrt(sq[sq > 0])
     cell = float(np.prod(h))
-    depth = 3 if n == 2 else 2  # 2^depth sub-points per cell and axis
-    sub = (np.arange(1 << depth) + 0.5) / (1 << depth) - 0.5
-    axes = [lo[i] + (np.arange(res) + 0.5) * h[i] for i in range(n)]
-    sub_axes = [(axes[i][:, None] + sub * h[i]).ravel() for i in range(n)]
-    total = 0.0
-    # slab over the first axis in blocks of ~256k cells to bound memory
-    rest = np.stack([m.ravel() for m in np.meshgrid(*axes[1:], indexing="ij")], axis=-1)
-    rows_per_block = max(1, (1 << 18) // len(rest))
-    for start in range(0, res, rows_per_block):
-        x0 = axes[0][start : start + rows_per_block]
-        rows = sub_axes[0][start << depth : (start + len(x0)) << depth]
-        weights = _inside_counts(chart, center, radius, [rows] + sub_axes[1:], depth)
-        weights /= 1 << (depth * n)
-        live = weights > 0
-        # the centres of the live cells, in row-major order
-        pts = np.empty((np.count_nonzero(live), n))
-        pts[:, 0] = np.repeat(x0, np.count_nonzero(live.reshape(len(x0), -1), axis=1))
-        for i in range(1, n):
-            pts[:, i] = np.tile(rest[:, i - 1], len(x0))[live]
-        # the other cells keep their exact 0, so the sum over the whole
-        # slab keeps its order and bits
-        weights[live] *= chart.sqrt_det(pts)
-        total += float(np.sum(weights))
-    return total * cell
+    per_block = (1 << 18) // len(_GL_X)
+    for start in range(0, len(rows), per_block):
+        block = slice(start, start + per_block)
+        nodes = np.empty((len(half[block]), len(_GL_X), n))
+        nodes[..., :-1] = rows[block, None, :]
+        nodes[..., -1] = mid[-1] + half[block, None] * (2 * _GL_X - 1)
+        weights = (2 * cell * half[block])[:, None] * _GL_W
+        yield nodes.reshape(-1, n), weights.ravel()
+
+
+def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolution: int = 256) -> float:
+    """Riemannian volume of a geodesic ball: the sum of sqrt_det times the
+    weights over the nodes of `_ball_rows`, a midpoint rule over
+    2 res rows per axis across the last one and Gauss-Legendre along
+    each row's exact section of the ball.  On perturbed-Euclidean the
+    section, and so the volume, is that of the chord ball."""
+    res = int(quadrature_resolution)
+    if res < 1:
+        raise DomainError(f"quadrature resolution must be at least 1, got {res}")
+    return sum(float(np.sum(weights * chart.sqrt_det(nodes)))
+               for nodes, weights in _ball_rows(chart, center, radius, res))
 
 
 # -- the Christoffel-control bound ------------------------------------
@@ -786,18 +717,15 @@ def volume_of_ball(chart: MetricChart, center, radius: float, quadrature_resolut
 
 def cmt_bound_check(chart: MetricChart, center, radius: float, m: int) -> dict:
     """Smallest C with |d^{k-1} Gamma| <= C * sum_{|b|<=k} sup_ij |d^b g_ij|
-    over a sample grid of the ball, for every k <= m.
+    over the nodes of the ball's quadrature (`_ball_rows`), for every k <= m.
     """
     if m < 1:
         raise CapabilityError("need derivative order m >= 1")
     if m > M_MAX:
         raise CapabilityError(f"metric derivatives available up to order {M_MAX}")
-    center = np.asarray(center, dtype=float)
     radius = _ball_radius(radius)
-    if not ball_bbox(chart, center, radius)[2]:
-        raise DomainError("ball exits the working domain")
-    per_axis = max(9, int(math.ceil(2 * radius * CMT_SAMPLE_DENSITY)) + 1)
-    pts, _ = ball_sample_points(chart, center, radius, per_axis)
+    res = max(9, int(math.ceil(2 * radius * CMT_SAMPLE_DENSITY)) + 1)
+    pts = np.concatenate([nodes for nodes, _ in _ball_rows(chart, center, radius, res)])
     n = chart.n
     jet = _phi_jet(chart, pts, m)
     rhs = np.abs(chart.conformal_factor(pts))  # |beta| = 0 term (g_ij itself)

@@ -251,19 +251,25 @@ def test_config_parse_error(tmp_path, capsys):
     # read before the solve, whose files would otherwise be written first
     ["solve", "--model", "euclidean", "--grid", "5x5", "--T", "0.02", "--alpha", "0.01",
      "--estimates", "--config", {"m": 2.5}],
+    # a config file that is not UTF-8 text: the error names the file
+    ["radius", "--model", "euclidean", "--grid", "2x2", "--config", b"\xff\xfe{}"],
 ])
 def test_bad_input_exits_2_with_one_error_line(tmp_path, capsys, argv):
-    # a dict stands for a config file with that content
+    # a dict stands for a config file with that content, bytes for its raw bytes
     cfg = tmp_path / "cfg.json"
     for a in argv:
         if isinstance(a, dict):
             cfg.write_text(json.dumps(a))
-    argv = [str(cfg) if isinstance(a, dict) else a for a in argv]
+        if isinstance(a, bytes):
+            cfg.write_bytes(a)
+    raw = any(isinstance(a, bytes) for a in argv)
+    argv = [str(cfg) if isinstance(a, (dict, bytes)) else a for a in argv]
     assert run(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: ")
     assert "Traceback" not in err
+    assert not raw or str(cfg) in err
     # the error names the bad input, not the default margin it met later
     assert "--margin" in argv or "leaves an empty box" not in err
     assert [p.name for p in tmp_path.iterdir() if p != cfg] == []
